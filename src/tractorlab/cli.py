@@ -49,6 +49,13 @@ def parse_tol_overrides(pairs):
     return out
 
 
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_report(args):
     params = parse_params(args.param)
     tolerances = parse_tol_overrides(args.tol_override)
@@ -122,7 +129,7 @@ def main(argv=None):
                      help="metric parameter (factor=..., amplitude=..., seed=..., mass=..., n=...)")
     run.add_argument("--suite", action="append", default=None,
                      help=f"suite name or 'all' ({', '.join(suites.SUITES)})")
-    run.add_argument("--points", type=int, default=20)
+    run.add_argument("--points", type=positive_int, default=20)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--tol-override", action="append", metavar="CHECK=TOL")
     run.add_argument("--report", default=None, help="write the report to this path")

@@ -111,12 +111,7 @@ class Geometry:
     @cached_property
     def einv3(self):
         """Inverse vielbein e^mu_a, stored einv[mu, a]."""
-        alg = self.alg(3)
-        x = alg.const(np.linalg.inv(alg.value(self.e3)))
-        ident = alg.const(np.eye(self.n))
-        for _ in range(2):
-            x = alg.matmul(x, 2.0 * ident - alg.matmul(self.e3, x))
-        return x
+        return self.alg(3).inv_matrix(self.e3)
 
     def e(self, order):
         return self.alg(3).truncate(self.e3, order)

@@ -6,46 +6,23 @@ exact partial derivatives up to order k.  Everything downstream (curvature
 tensors, connections, gauge transforms) differentiates through this module.
 
 Values are numpy arrays with a trailing coefficient axis of length
-C(n+k, k); `JetAlgebra` owns the index tables and the multiply kernels.  The
-`Jet` class is a thin scalar wrapper with operator overloading for use by the
-expression evaluator.
+C(n+k, k); `JetAlgebra` owns the index tables and the multiply kernels, which
+broadcast over every leading axis.  The `Jet` class is a thin scalar wrapper
+with operator overloading for use by the expression evaluator.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from functools import lru_cache
 
 import numpy as np
 
 MAX_ORDER = 3
 
-if os.environ.get("TRACTORLAB_PURE"):
-    from . import _kernels_py as _backend
-else:
-    try:
-        from . import _kernels as _backend
-    except ImportError:
-        from . import _kernels_py as _backend
-
 
 def backend_name():
-    return "compiled" if _backend.COMPILED else "python"
-
-
-def set_backend(name):
-    """Switch kernel backend ('python' or 'compiled'); returns the old name."""
-    global _backend
-    old = backend_name()
-    if name == "python":
-        from . import _kernels_py as mod
-    elif name == "compiled":
-        from . import _kernels as mod  # ImportError if extension not built
-    else:
-        raise ValueError(f"unknown backend {name!r}")
-    _backend = mod
-    return old
+    return "numpy"
 
 
 class JetError(ValueError):
@@ -105,11 +82,10 @@ class JetAlgebra:
                     i_idx.append(i)
                     j_idx.append(j)
                     k_idx.append(k)
-        self._i_idx = np.asarray(i_idx, dtype=np.intc)
-        self._j_idx = np.asarray(j_idx, dtype=np.intc)
-        self._k_idx = np.asarray(k_idx, dtype=np.intc)
+        self._i_idx = np.asarray(i_idx, dtype=np.intp)
+        self._j_idx = np.asarray(j_idx, dtype=np.intp)
         scatter = np.zeros((len(k_idx), self.ncoef))
-        scatter[np.arange(len(k_idx)), self._k_idx] = 1.0
+        scatter[np.arange(len(k_idx)), k_idx] = 1.0
         self._scatter = scatter
 
     def _build_diff_tables(self):
@@ -153,42 +129,36 @@ class JetAlgebra:
     # -- ring operations ----------------------------------------------------
 
     def mul(self, a, b):
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-        a2 = np.ascontiguousarray(np.broadcast_to(a, shape + (self.ncoef,))).reshape(-1, self.ncoef)
-        b2 = np.ascontiguousarray(np.broadcast_to(b, shape + (self.ncoef,))).reshape(-1, self.ncoef)
-        out = np.zeros_like(a2)
-        _backend.jet_mul2(a2, b2, self._i_idx, self._j_idx, self._k_idx, self._scatter, out)
-        return out.reshape(shape + (self.ncoef,))
+        """Truncated product; leading axes broadcast.
+
+        Each of the M pairs (i, j) with alpha_i + alpha_j of order <= k
+        contributes a_i * b_j to one target coefficient; the (M, NC) 0/1
+        scatter matrix sums the products into place.
+        """
+        return (np.asarray(a)[..., self._i_idx] * np.asarray(b)[..., self._j_idx]) @ self._scatter
 
     def matmul(self, a, b):
         """Contract jet matrices over adjacent axes: (...,r,k,NC)@(...,k,c,NC)."""
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        lead = np.broadcast_shapes(a.shape[:-3], b.shape[:-3])
-        r, kdim, c = a.shape[-3], a.shape[-2], b.shape[-2]
-        a4 = np.ascontiguousarray(
-            np.broadcast_to(a, lead + a.shape[-3:])
-        ).reshape(-1, r, kdim, self.ncoef)
-        b4 = np.ascontiguousarray(
-            np.broadcast_to(b, lead + b.shape[-3:])
-        ).reshape(-1, kdim, c, self.ncoef)
-        out = np.zeros((a4.shape[0], r, c, self.ncoef))
-        _backend.jet_matmul4(a4, b4, self._i_idx, self._j_idx, self._k_idx, self._scatter, out)
-        return out.reshape(lead + (r, c, self.ncoef))
+        a, b = np.asarray(a), np.asarray(b)
+        if self.order == 0:
+            return (a[..., 0] @ b[..., 0])[..., None]
+        prod = np.einsum("...rkm,...kcm->...rcm", a[..., self._i_idx], b[..., self._j_idx])
+        return prod @ self._scatter
 
     def powi(self, a, k):
         if k < 0:
             return self.powi(self.reciprocal(a), -k)
-        out = self.const(np.ones(np.asarray(a).shape[:-1]))
         base = np.asarray(a, dtype=float)
+        out = None
         while k:
             if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base) if k > 1 else base
+                out = base if out is None else self.mul(out, base)
             k >>= 1
-        return out
+            if k:
+                base = self.mul(base, base)
+        if out is None:
+            return self.const(np.ones(base.shape[:-1]))
+        return out.copy() if out is a else out
 
     def inv_matrix(self, a):
         """Inverse of a jet-valued matrix (..., m, m, NC) by Newton iteration."""
@@ -208,9 +178,9 @@ class JetAlgebra:
         a0 = a[..., 0]
         abar = a.copy()
         abar[..., 0] = 0.0
-        out = self.zeros(a.shape[:-1])
-        power = self.const(np.ones(a.shape[:-1]))
-        for m in range(self.order + 1):
+        out = self.const(coeff_fn(0, a0))
+        power = abar
+        for m in range(1, self.order + 1):
             out += coeff_fn(m, a0)[..., None] * power
             if m < self.order:
                 power = self.mul(power, abar)

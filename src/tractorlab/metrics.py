@@ -89,13 +89,7 @@ class MetricField:
         return hit
 
     def g_inv(self, point, order):
-        alg = jets.algebra(self.n, order)
-        a = self.g(point, order)
-        x = alg.const(np.linalg.inv(alg.value(a)))
-        ident = alg.const(np.eye(self.n))
-        for _ in range(2):  # Newton doubles the correct jet order each step
-            x = alg.matmul(x, 2.0 * ident - alg.matmul(a, x))
-        return x
+        return jets.algebra(self.n, order).inv_matrix(self.g(point, order))
 
     def component_jet(self, i, j, point, order):
         return jets.Jet(jets.algebra(self.n, order), self.g(point, order)[i, j])

@@ -95,6 +95,9 @@ class Context:
         self.metric = metric
         self.seed = int(seed)
         self.npoints = int(npoints)
+        if self.npoints < 1:
+            # a check that samples no point would pass with residual 0
+            raise ValueError(f"npoints must be at least 1, got {self.npoints}")
         self.tol_overrides = dict(tolerances or {})
         self._pipeline = None
 

@@ -95,3 +95,12 @@ def test_text_format(tmp_path, capsys):
     assert "[PASS]" in text
     out = capsys.readouterr().out
     assert "checks passed" in out
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_points_below_one_is_a_usage_error(points, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--metric", "flat_euclidean", "--suite", "riemann-laws",
+                  "--points", points, "--quiet"])
+    assert exc.value.code == 2
+    assert "--points" in capsys.readouterr().err

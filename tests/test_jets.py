@@ -204,20 +204,137 @@ def test_product_rule_exact(seed_a, seed_b):
         assert np.allclose(lhs, rhs, atol=1e-13)
 
 
-def test_backend_equivalence():
-    try:
-        jets.set_backend("compiled")
-    except ImportError:
-        pytest.skip("compiled kernels unavailable")
-    rng = np.random.default_rng(5)
+# Kernel results against a reference that sums one pair of multi-indices at a
+# time.  The kernel adds the same products in another order, so results agree
+# to a few ulps of the coefficient sums, not bit for bit.
+KERNEL_TOL = 1e3 * np.finfo(float).eps
+
+
+def _ref_mul(alg, a, b):
+    """Truncated product of two coefficient vectors by the multi-index definition."""
+    out = np.zeros(alg.ncoef)
+    for i, alpha in enumerate(alg.indices):
+        for j, beta in enumerate(alg.indices):
+            k = alg.index_of.get(tuple(x + y for x, y in zip(alpha, beta)))
+            if k is not None:
+                out[k] += a[i] * b[j]
+    return out
+
+
+def _ref_mul_nd(alg, a, b):
+    a, b = np.broadcast_arrays(a, b)
+    out = np.zeros(a.shape)
+    for idx in np.ndindex(a.shape[:-1]):
+        out[idx] = _ref_mul(alg, a[idx], b[idx])
+    return out
+
+
+def _assert_close(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=KERNEL_TOL)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_mul_matches_multi_index_reference(n, order):
+    rng = np.random.default_rng([n, order])
+    alg = jets.algebra(n, order)
+    a = rng.normal(size=(2, alg.ncoef))
+    b = rng.normal(size=(2, alg.ncoef))
+    _assert_close(alg.mul(a, b), _ref_mul_nd(alg, a, b))
+    _assert_close(alg.mul(a[0], b[1]), _ref_mul(alg, a[0], b[1]))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_mul_broadcasts_leading_axes(n):
+    rng = np.random.default_rng(n)
+    alg = jets.algebra(n, 3)
+    scalar = rng.normal(size=alg.ncoef)
+    matrix = rng.normal(size=(n, n, alg.ncoef))
+    _assert_close(alg.mul(scalar, matrix), _ref_mul_nd(alg, scalar, matrix))
+    _assert_close(alg.mul(matrix, scalar), _ref_mul_nd(alg, matrix, scalar))
+    col = rng.normal(size=(2, 1, alg.ncoef))
+    row = rng.normal(size=(3, alg.ncoef))
+    _assert_close(alg.mul(col, row), _ref_mul_nd(alg, col, row))
+
+
+def test_products_accept_non_contiguous_views():
+    rng = np.random.default_rng(17)
+    n = 4
+    alg3, alg2 = jets.algebra(n, 3), jets.algebra(n, 2)
+    a3 = rng.normal(size=(n, n, alg3.ncoef))
+    b3 = rng.normal(size=(n, n, alg3.ncoef))
+    a2, b2 = alg3.truncate(a3, 2), alg3.truncate(b3, 2)
+    assert not a2.flags.c_contiguous
+    _assert_close(alg2.mul(a2, b2), _ref_mul_nd(alg2, a2, b2))
+    _assert_close(alg2.matmul(a2, b2), alg2.matmul(a2.copy(), b2.copy()))
+    at = a3.swapaxes(0, 1)
+    assert not at.flags.c_contiguous
+    _assert_close(alg3.mul(at, b3), _ref_mul_nd(alg3, at, b3))
+    _assert_close(alg3.matmul(at, b3), alg3.matmul(np.ascontiguousarray(at), b3))
+
+
+def _matmul_by_mul(alg, a, b):
+    lead = np.broadcast_shapes(a.shape[:-3], b.shape[:-3])
+    a = np.broadcast_to(a, lead + a.shape[-3:])
+    b = np.broadcast_to(b, lead + b.shape[-3:])
+    r, kdim, c = a.shape[-3], a.shape[-2], b.shape[-2]
+    out = np.zeros(lead + (r, c, alg.ncoef))
+    for idx in np.ndindex(lead):
+        for i in range(r):
+            for j in range(c):
+                for k in range(kdim):
+                    out[idx + (i, j)] += alg.mul(a[idx + (i, k)], b[idx + (k, j)])
+    return out
+
+
+@pytest.mark.parametrize("order", [0, 1, 3])
+def test_matmul_matches_loop_of_mul(order):
+    rng = np.random.default_rng(order)
+    alg = jets.algebra(3, order)
+    a = rng.normal(size=(2, 3, 4, 3, alg.ncoef))
+    b = rng.normal(size=(2, 3, 3, 2, alg.ncoef))
+    _assert_close(alg.matmul(a, b), _matmul_by_mul(alg, a, b))
+    # mismatched leading axes broadcast
+    col = rng.normal(size=(2, 1, 4, 3, alg.ncoef))
+    row = rng.normal(size=(3, 3, 2, alg.ncoef))
+    _assert_close(alg.matmul(col, row), _matmul_by_mul(alg, col, row))
+
+
+def _series(alg, a, coeffs):
+    """sum_m coeffs[m] * abar^m with the powers built by repeated products."""
+    abar = np.array(a, dtype=float)
+    abar[..., 0] = 0.0
+    power = alg.const(np.ones(a.shape[:-1]))
+    out = np.zeros(a.shape)
+    for c in coeffs:
+        out += np.asarray(c)[..., None] * power
+        power = _ref_mul_nd(alg, power, abar)
+    return out
+
+
+def test_compose_and_powi_match_repeated_products():
+    rng = np.random.default_rng(23)
     alg = jets.algebra(3, 3)
-    a = rng.normal(size=(4, 4, alg.ncoef))
-    b = rng.normal(size=(4, 4, alg.ncoef))
-    compiled_mul = alg.mul(a, b)
-    compiled_mm = alg.matmul(a, b)
-    jets.set_backend("python")
-    try:
-        assert np.array_equal(alg.mul(a, b), compiled_mul)
-        assert np.allclose(alg.matmul(a, b), compiled_mm, atol=1e-14)
-    finally:
-        jets.set_backend("compiled")
+    a = rng.normal(scale=0.3, size=(2, alg.ncoef))
+    a[..., 0] = rng.uniform(0.5, 2.0, size=2)
+    x = a[..., 0]
+    m = range(alg.order + 1)
+    fact = [math.factorial(k) for k in m]
+    binom = [math.prod(0.5 - i for i in range(k)) / fact[k] for k in m]
+    _assert_close(alg.exp(a), _series(alg, a, [np.exp(x) / fact[k] for k in m]))
+    _assert_close(alg.log(a), _series(alg, a, [np.log(x)] + [
+        (-1.0) ** (k + 1) * x ** -k / k for k in m[1:]]))
+    _assert_close(alg.sqrt(a), _series(alg, a, [binom[k] * x ** (0.5 - k) for k in m]))
+    recip = _series(alg, a, [(-1.0) ** k * x ** (-k - 1) for k in m])
+    _assert_close(alg.reciprocal(a), recip)
+
+    one = alg.const(np.ones(2))
+    _assert_close(_ref_mul_nd(alg, a, recip), one)
+    products = {0: one, 1: a, -2: _ref_mul_nd(alg, recip, recip)}
+    products[2] = _ref_mul_nd(alg, a, a)
+    products[3] = _ref_mul_nd(alg, products[2], a)
+    products[4] = _ref_mul_nd(alg, products[3], a)
+    for k, want in products.items():
+        _assert_close(alg.powi(a, k), want)
+    assert alg.powi(a, 1) is not a  # a fresh array, like every other power

@@ -36,3 +36,12 @@ def test_unknown_suite_raises(bumpy):
 
     with pytest.raises(ValueError):
         suites.run_suites(bumpy, ["not-a-suite"], seed=0, npoints=2)
+
+
+def test_context_rejects_fewer_than_one_point(bumpy):
+    import pytest
+
+    with pytest.raises(ValueError, match="npoints"):
+        suites.Context(bumpy, seed=0, npoints=0)
+    with pytest.raises(ValueError, match="npoints"):
+        suites.run_suites(bumpy, ["riemann-laws"], seed=0, npoints=0)
