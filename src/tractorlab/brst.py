@@ -18,7 +18,7 @@ import numpy as np
 
 from . import jets
 from .cartan import ConnectionField
-from .dressing import boost_dressing, frame_dressing
+from .dressing import boost_dressing, dress, frame_dressing
 from .fields import JetField, RowField, ScalarField
 from .geometry import Geometry
 from .ghosts import GradedValue, even, odd
@@ -39,15 +39,13 @@ class Ghost:
         self.eta = metric.eta
         self.parts = []
         for eps, s, iota in components:
-            eps_f = None if eps is None else (
-                eps if isinstance(eps, ScalarField) else ScalarField.from_expression(eps)
-            )
+            eps_f = None if eps is None else ScalarField.coerce(eps)
             s_m = None
             if s is not None:
                 s_m = np.asarray(s, dtype=float)
                 if np.abs(self.eta @ s_m + s_m.T @ self.eta).max() > 1e-10:
                     raise ValueError("Lorentz ghost must be eta-antisymmetric")
-            iota_f = None if iota is None else (iota if isinstance(iota, RowField) else RowField(iota))
+            iota_f = None if iota is None else RowField.coerce(iota)
             self.parts.append((eps_f, s_m, iota_f))
 
     @property
@@ -226,8 +224,7 @@ def dressed_ghost(metric, conn: ConnectionField, ghost: Ghost, stage, point, ord
     if stage == "first":
         return v1, closed1, (v1 - closed1).max_abs()
 
-    w1 = _dressed_connection(conn)
-    ubar = frame_dressing(w1)
+    ubar = frame_dressing(dress(conn, u1))
     ub = even(n, order, ubar.at(point, order))
     ub_inv = even(n, order, jets.algebra(n, order).inv_matrix(ubar.at(point, order)))
     tilde_v_eps = _tilde_eps(metric, ghost, point, order)
@@ -235,12 +232,6 @@ def dressed_ghost(metric, conn: ConnectionField, ghost: Ghost, stage, point, ord
     v_w = ub_inv.matmul(v1.matmul(ub) + s_ub)
     closed_w = linearized_boost(metric, ghost, point, order, holonomic=True) + v_eps + tilde_v_eps
     return v_w, closed_w, (v_w - closed_w).max_abs()
-
-
-def _dressed_connection(conn):
-    from .dressing import dress
-
-    return dress(conn, boost_dressing(conn))
 
 
 def _tilde_eps(metric, ghost, point, order):

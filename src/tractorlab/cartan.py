@@ -252,14 +252,24 @@ def normal_connection(metric) -> ConnectionField:
     return ConnectionField(at, col0, n, metric.eta, max_order=1, col0_order=3, label="normal")
 
 
+def k1_jet_matrix(alg, q, q_up):
+    """K1 for a jet-valued row q and its raised column q_up:
+    rows (1, q, q.q_up/2; 0, 1, q_up; 0, 0, 1)."""
+    m = alg.const(np.eye(q.shape[0] + 2))
+    m[0, 1:-1] = q
+    m[0, -1] = 0.5 * alg.mul(q, q_up).sum(axis=0)
+    m[1:-1, -1] = q_up
+    return m
+
+
 def h_field(metric, z=None, S=None, r=None) -> JetField:
     """Group-valued field K0(z(x), S) K1(r(x)) with jets; S is constant."""
     n = metric.n
     N = n + 2
     eta = metric.eta
     eta_inv = np.linalg.inv(eta)
-    z_f = None if z is None else (z if isinstance(z, ScalarField) else ScalarField.from_expression(z))
-    r_f = None if r is None else (r if isinstance(r, RowField) else RowField(r))
+    z_f = None if z is None else ScalarField.coerce(z)
+    r_f = None if r is None else RowField.coerce(r)
     s_mat = np.eye(n) if S is None else np.asarray(S, dtype=float)
     if np.abs(s_mat.T @ eta @ s_mat - eta).max() > 1e-10:
         raise CartanError("S is not eta-orthogonal")
@@ -277,12 +287,7 @@ def h_field(metric, z=None, S=None, r=None) -> JetField:
         if r_f is None:
             return k0
         rj = r_f.coeffs(point, order)  # (n, NC)
-        rt = np.tensordot(eta_inv, rj, axes=(1, 0))
-        k1 = alg.const(np.eye(N))
-        k1[0, 1:-1] = rj
-        k1[0, -1] = 0.5 * alg.mul(rj, rt).sum(axis=0)
-        k1[1:-1, -1] = rt
-        return alg.matmul(k0, k1)
+        return alg.matmul(k0, k1_jet_matrix(alg, rj, np.tensordot(eta_inv, rj, axes=(1, 0))))
 
     label = f"h(z={getattr(z_f, 'description', '1')},r={'yes' if r_f else 'no'})"
     return JetField(fn, n, max_order=3, label=label)
@@ -298,11 +303,14 @@ def constant_field(metric, matrix) -> JetField:
 
 
 def section_field(metric, rho, ell, sigma) -> JetField:
-    """Column field (rho, ell^a, sigma) from scalar-field components."""
+    """Column field (rho, ell^a, sigma) from scalar-field components.
+
+    Tractor triples (sigma, l_nu, rho) use the same layout: pass sigma first.
+    """
     n = metric.n
-    rho_f = rho if isinstance(rho, ScalarField) else ScalarField.from_expression(rho)
-    sig_f = sigma if isinstance(sigma, ScalarField) else ScalarField.from_expression(sigma)
-    ell_f = ell if isinstance(ell, RowField) else RowField(ell)
+    rho_f = ScalarField.coerce(rho)
+    sig_f = ScalarField.coerce(sigma)
+    ell_f = RowField.coerce(ell)
 
     def fn(point, order):
         alg = jets.algebra(n, order)

@@ -4,8 +4,7 @@
         --report out.json --format json
 
 Exit code 0 iff every check passes.  Reports are deterministic for a fixed
-(config, seed) apart from the timing field.  TRACTORLAB_THREADS caps the
-number of concurrently running checks.
+(config, seed) apart from the timing field.
 """
 
 from __future__ import annotations

@@ -21,11 +21,13 @@ from .cartan import (
     CartanError,
     ConnectionField,
     constant_field,
+    k1_jet_matrix,
     matvec,
+    normal_connection,
     transform_connection,
     transform_section,
 )
-from .fields import JetField, ScalarField
+from .fields import JetField, ScalarField, field_matmul
 from .geometry import Geometry
 
 
@@ -43,27 +45,15 @@ def boost_vector(conn: ConnectionField, point, order):
     return alg.matmul(a[None, :], einv)[0]  # (n, NC)
 
 
-def k1_jet_matrix(q, eta, alg):
-    """K1(q) for a jet-valued row q: rows (1, q, qq^t/2; 0, 1, q^t; 0, 0, 1)."""
-    n = eta.shape[0]
-    eta_inv = np.linalg.inv(eta)
-    m = alg.const(np.eye(n + 2))
-    qt = np.tensordot(eta_inv, q, axes=(1, 0))
-    m[0, 1:-1] = q
-    m[0, -1] = 0.5 * alg.mul(q, qt).sum(axis=0)
-    m[1:-1, -1] = qt
-    return m
-
-
 def boost_dressing(conn: ConnectionField) -> JetField:
     """Dressing field u1 = K1(a . e^-1); the dressed connection has no trace block."""
     n = conn.n
-    eta = conn.eta
+    eta_inv = np.linalg.inv(conn.eta)
 
     def fn(point, order):
         alg = jets.algebra(n, order)
         q = boost_vector(conn, point, order)
-        return k1_jet_matrix(q, eta, alg)
+        return k1_jet_matrix(alg, q, np.tensordot(eta_inv, q, axes=(1, 0)))
 
     return JetField(fn, n, max_order=conn.col0_order, label=f"u1({conn.label})")
 
@@ -80,6 +70,16 @@ def frame_dressing(conn: ConnectionField) -> JetField:
         return m
 
     return JetField(fn, n, max_order=conn.col0_order, label=f"ubar({conn.label})")
+
+
+def normal_dressing_chain(metric):
+    """The normal connection wn, its boost dressing u1 and w1 = wn^u1, the frame
+    dressing ubar of w1 and the holonomic connection wl = w1^ubar."""
+    wn = normal_connection(metric)
+    u1 = boost_dressing(wn)
+    w1 = dress(wn, u1)
+    ubar = frame_dressing(w1)
+    return {"wn": wn, "u1": u1, "w1": w1, "ubar": ubar, "wl": dress(w1, ubar)}
 
 
 def dress(chi, u: JetField, label=""):
@@ -103,13 +103,7 @@ def upsilon_row(z_field: ScalarField, point, order, n):
 def weyl_cocycle(metric, z_field, variant="C") -> JetField:
     """Cocycle matrix field: C(z) in frame form or Cbar(z) in holonomic form."""
     k1f, zf = cocycle_factors(metric, z_field, variant)
-    n = metric.n
-
-    def fn(point, order):
-        alg = jets.algebra(n, order)
-        return alg.matmul(k1f.at(point, order), zf.at(point, order))
-
-    return JetField(fn, n, max_order=min(k1f.max_order, zf.max_order), label=f"{variant}(z)")
+    return field_matmul(k1f, zf, label=f"{variant}(z)")
 
 
 def cocycle_factors(metric, z_field, variant="C"):
@@ -118,25 +112,16 @@ def cocycle_factors(metric, z_field, variant="C"):
     N = n + 2
     eta = metric.eta
     eta_inv = np.linalg.inv(eta)
-    z_field = z_field if isinstance(z_field, ScalarField) else ScalarField.from_expression(z_field)
+    z_field = ScalarField.coerce(z_field)
 
     def k1_fn(point, order):
         alg = jets.algebra(n, order)
         ups = upsilon_row(z_field, point, order, n)  # Upsilon_mu
         geom = Geometry(metric, point)
-        m = alg.const(np.eye(N))
         if variant == "C":
             ups_a = alg.matmul(ups[None, :], geom.einv(order))[0]  # Upsilon_a
-            ups_t = np.tensordot(eta_inv, ups_a, axes=(1, 0))
-            m[0, 1:-1] = ups_a
-            m[0, -1] = 0.5 * alg.mul(ups_a, ups_t).sum(axis=0)
-            m[1:-1, -1] = ups_t
-        else:
-            ups_up = matvec(alg, geom.ginv(order), ups)
-            m[0, 1:-1] = ups
-            m[0, -1] = 0.5 * alg.mul(ups, ups_up).sum(axis=0)
-            m[1:-1, -1] = ups_up
-        return m
+            return k1_jet_matrix(alg, ups_a, np.tensordot(eta_inv, ups_a, axes=(1, 0)))
+        return k1_jet_matrix(alg, ups, matvec(alg, geom.ginv(order), ups))
 
     def z_fn(point, order):
         alg = jets.algebra(n, order)
@@ -180,7 +165,7 @@ def lorentz_element(metric, S) -> JetField:
 def tilde_z_field(metric, z_field) -> JetField:
     """diag(1, z, 1): the Weyl action on the frame dressing."""
     n = metric.n
-    z_field = z_field if isinstance(z_field, ScalarField) else ScalarField.from_expression(z_field)
+    z_field = ScalarField.coerce(z_field)
 
     def fn(point, order):
         alg = jets.algebra(n, order)

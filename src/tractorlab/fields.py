@@ -36,6 +36,11 @@ class ScalarField:
         return cls(fn, expr.to_string(ast))
 
     @classmethod
+    def coerce(cls, source):
+        """`source` itself if it is a field, else the field of its expression."""
+        return source if isinstance(source, cls) else cls.from_expression(source)
+
+    @classmethod
     def constant(cls, c):
         return cls(lambda p, k: jets.lift_constant(c, len(p), k), str(c))
 
@@ -47,10 +52,12 @@ class RowField:
     """Tuple of scalar fields evaluated as a stacked (m, NC) jet array."""
 
     def __init__(self, components):
-        self.components = [
-            c if isinstance(c, ScalarField) else ScalarField.from_expression(c)
-            for c in components
-        ]
+        self.components = [ScalarField.coerce(c) for c in components]
+
+    @classmethod
+    def coerce(cls, source):
+        """`source` itself if it is a row field, else the row of its components."""
+        return source if isinstance(source, cls) else cls(source)
 
     def coeffs(self, point, order) -> np.ndarray:
         return np.stack([c.coeffs(point, order) for c in self.components])
@@ -83,6 +90,16 @@ class JetField:
 
     def __repr__(self):
         return f"JetField({self.label}, n={self.n}, max_order={self.max_order})"
+
+
+def field_matmul(a: JetField, b: JetField, label="") -> JetField:
+    """Pointwise jet matrix product a @ b of two matrix fields."""
+
+    def fn(point, order):
+        alg = jets.algebra(a.n, order)
+        return alg.matmul(a.at(point, order), b.at(point, order))
+
+    return JetField(fn, a.n, max_order=min(a.max_order, b.max_order), label=label or "a@b")
 
 
 def random_polynomial(rng, n, degree=3, scale=1.0):

@@ -4,22 +4,19 @@ reports the worst residual against its tolerance.
 
 Checks are deterministic: every check derives its own RNG from (seed,
 check_id), so results are bit-identical across runs and independent of
-execution order or threading.
+execution order.
 """
 
 from __future__ import annotations
 
-import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import brst, cartan, dressing, jets, metrics, oracle, tractor
-from .fields import JetField, RowField, ScalarField, domain_poly_field, domain_z_field
+from .fields import JetField, RowField, ScalarField, domain_poly_field, domain_z_field, field_matmul
 from .geometry import Geometry
-from .ghosts import even
 
 SUITES: dict = {}
 META: dict = {}
@@ -99,13 +96,17 @@ class Context:
             # a check that samples no point would pass with residual 0
             raise ValueError(f"npoints must be at least 1, got {self.npoints}")
         self.tol_overrides = dict(tolerances or {})
+        self.points_drawn = 0  # running total over every call of `points`
         self._pipeline = None
+        self._calibration = None
 
     def rng(self, check_id):
         return np.random.default_rng([self.seed, zlib.crc32(check_id.encode())])
 
     def points(self, rng, count=None):
-        return metrics.sample_points(self.metric, count or self.npoints, rng)
+        pts = metrics.sample_points(self.metric, count or self.npoints, rng)
+        self.points_drawn += len(pts)
+        return pts
 
     def tol(self, check_id):
         return float(self.tol_overrides.get(check_id, META[check_id]["tol"]))
@@ -113,13 +114,24 @@ class Context:
     def pipeline(self):
         """The dressing chain of the normal connection, built once."""
         if self._pipeline is None:
-            wn = cartan.normal_connection(self.metric)
-            u1 = dressing.boost_dressing(wn)
-            w1 = dressing.dress(wn, u1)
-            ubar = dressing.frame_dressing(w1)
-            wl = dressing.dress(w1, ubar)
-            self._pipeline = {"wn": wn, "u1": u1, "w1": w1, "ubar": ubar, "wl": wl}
+            self._pipeline = dressing.normal_dressing_chain(self.metric)
         return self._pipeline
+
+    def calibration(self):
+        """The convention map, calibrated once; if calibration fails, every
+        caller gets its error."""
+        if self._calibration is None:
+            rng = self.rng("convention-calibration")
+            zf = ScalarField.from_expression(DEFAULT_Z)
+            try:
+                self._calibration = tractor.calibrate_convention_map(
+                    self.metric, zf, self.points(rng, min(5, self.npoints)), rng
+                )
+            except Exception as exc:
+                self._calibration = exc
+        if isinstance(self._calibration, Exception):
+            raise self._calibration
+        return self._calibration
 
 
 def _value(arr):
@@ -143,14 +155,6 @@ def random_eta_orthogonal(rng, eta, scale=0.4):
 
 def random_z_field(rng, metric):
     return domain_z_field(rng, metric, scale=0.25)
-
-
-def field_matmul(n, a: JetField, b: JetField, label="") -> JetField:
-    def fn(point, order):
-        alg = jets.algebra(n, order)
-        return alg.matmul(a.at(point, order), b.at(point, order))
-
-    return JetField(fn, n, max_order=min(a.max_order, b.max_order), label=label or "a@b")
 
 
 def apply_matrix_field(mfield: JetField, vfield: JetField, label="") -> JetField:
@@ -1098,7 +1102,7 @@ def check_weyl_lorentz_commute(ctx, rng):
     sfield = dressing.lorentz_element(ctx.metric, S)
     sinv_field = dressing.lorentz_element(ctx.metric, np.linalg.inv(S))
     cz = dressing.weyl_cocycle(ctx.metric, zf, "C")
-    cz_s = field_matmul(n, field_matmul(n, sinv_field, cz), sfield)  # C(z)^S = S^-1 C(z) S
+    cz_s = field_matmul(field_matmul(sinv_field, cz), sfield)  # C(z)^S = S^-1 C(z) S
     route1 = cartan.transform_connection(cartan.transform_connection(pipe["w1"], cz), sfield)
     route2 = cartan.transform_connection(cartan.transform_connection(pipe["w1"], sfield), cz_s)
     for p in ctx.points(rng, max(4, ctx.npoints // 3)):
@@ -1116,12 +1120,9 @@ def check_weyl_lorentz_commute(ctx, rng):
        "a unique reversal/lowering/sign dictionary matches both Weyl transformation laws", 1e-8)
 def check_calibration(ctx, rng):
     tr = Tracker()
-    zf = ScalarField.from_expression(DEFAULT_Z)
-    pts = ctx.points(rng, min(5, ctx.npoints))
-    cmap = tractor.calibrate_convention_map(ctx.metric, zf, pts, rng)
+    cmap = ctx.calibration()
     tr.add(None, 0.0)
     tr.note = f"map: reverse={cmap.reverse}, lower={cmap.lower}, s_ell={cmap.s_ell}, s_rho={cmap.s_rho}"
-    ctx._cmap = cmap
     return tr
 
 
@@ -1130,7 +1131,7 @@ def check_calibration(ctx, rng):
        1e-8)
 def check_flagship(ctx, rng):
     tr = Tracker()
-    cmap = getattr(ctx, "_cmap", None)
+    cmap = ctx.calibration()
     rep = tractor.equivalence_check(ctx.metric, ctx.points(rng), rng, cmap=cmap)
     tr.add(rep["worst_point"], rep["max_residual"])
     return tr
@@ -1142,10 +1143,7 @@ def check_pairing_transport(ctx, rng):
     tr = Tracker()
     n = ctx.metric.n
     a0 = jets.algebra(n, 0)
-    zf = ScalarField.from_expression(DEFAULT_Z)
-    cmap = getattr(ctx, "_cmap", None) or tractor.calibrate_convention_map(
-        ctx.metric, zf, ctx.points(rng, 5), rng
-    )
+    cmap = ctx.calibration()
     sign = None
     for p in ctx.points(rng, max(5, ctx.npoints // 2)):
         p = tuple(p)
@@ -1178,9 +1176,9 @@ def check_tractor_gt_covariance(ctx, rng):
     zf = random_z_field(rng, ctx.metric)
     hat = ctx.metric.rescale(zf)
     u = tractor.weyl_matrix_field(ctx.metric, zf)
-    t = tractor.tractor_field(ctx.metric, domain_poly_field(rng, ctx.metric, 2, 1.0),
-                              [domain_poly_field(rng, ctx.metric, 2, 1.0) for _ in range(n)],
-                              domain_poly_field(rng, ctx.metric, 2, 1.0))
+    t = cartan.section_field(ctx.metric, domain_poly_field(rng, ctx.metric, 2, 1.0),
+                             [domain_poly_field(rng, ctx.metric, 2, 1.0) for _ in range(n)],
+                             domain_poly_field(rng, ctx.metric, 2, 1.0))
     t_hat = apply_matrix_field(u, t)
     a0 = jets.algebra(n, 0)
     for p in ctx.points(rng, max(5, ctx.npoints // 2)):
@@ -1224,9 +1222,9 @@ def check_tractor_pairing(ctx, rng):
     zf = random_z_field(rng, ctx.metric)
     hat = ctx.metric.rescale(zf)
     u = tractor.weyl_matrix_field(ctx.metric, zf)
-    mk = lambda: tractor.tractor_field(ctx.metric, domain_poly_field(rng, ctx.metric, 2, 1.0),
-                                       [domain_poly_field(rng, ctx.metric, 2, 1.0) for _ in range(n)],
-                                       domain_poly_field(rng, ctx.metric, 2, 1.0))
+    mk = lambda: cartan.section_field(ctx.metric, domain_poly_field(rng, ctx.metric, 2, 1.0),
+                                      [domain_poly_field(rng, ctx.metric, 2, 1.0) for _ in range(n)],
+                                      domain_poly_field(rng, ctx.metric, 2, 1.0))
     t1, t2 = mk(), mk()
     t1h, t2h = apply_matrix_field(u, t1), apply_matrix_field(u, t2)
     a0, a1 = jets.algebra(n, 0), jets.algebra(n, 1)
@@ -1598,20 +1596,22 @@ def run_check(ctx, check_id, fn):
     rng = ctx.rng(check_id)
     meta = META[check_id]
     tol = ctx.tol(check_id)
+    drawn = ctx.points_drawn
     try:
         tr = fn(ctx, rng)
     except Exception as exc:  # a failing check must not abort the run
         return CheckResult(
             suite=meta["suite"], check_id=check_id, law=meta["law"], metric=ctx.metric.name,
-            points=ctx.npoints, max_residual=float("inf"), tolerance=tol, passed=False,
-            worst_point=None, block_diff=None, note=f"error: {exc}",
+            points=ctx.points_drawn - drawn, max_residual=float("inf"), tolerance=tol,
+            passed=False, worst_point=None, block_diff=None,
+            note=f"error: {type(exc).__name__}: {exc}",
         )
     return CheckResult(
         suite=meta["suite"],
         check_id=check_id,
         law=meta["law"],
         metric=ctx.metric.name,
-        points=ctx.npoints,
+        points=ctx.points_drawn - drawn,
         max_residual=tr.max,
         tolerance=tol,
         passed=tr.max < tol,
@@ -1621,8 +1621,9 @@ def run_check(ctx, check_id, fn):
     )
 
 
-def run_suites(metric, suite_names, seed=0, npoints=20, tolerances=None, threads=None):
-    """Execute the selected suites on one metric; returns a list of CheckResults."""
+def run_suites(metric, suite_names, seed=0, npoints=20, tolerances=None):
+    """Execute the selected suites on one metric, one check after another;
+    returns a list of CheckResults."""
     if suite_names in ("all", ["all"]):
         suite_names = list(SUITES)
     ctx = Context(metric, seed=seed, npoints=npoints, tolerances=tolerances)
@@ -1631,20 +1632,4 @@ def run_suites(metric, suite_names, seed=0, npoints=20, tolerances=None, threads
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; available: {', '.join(SUITES)}")
         jobs.extend(SUITES[name])
-    threads = threads or int(os.environ.get("TRACTORLAB_THREADS", "1"))
-    # calibration must run before the checks that reuse its map
-    results = {}
-    ordered = [(cid, fn) for cid, fn in jobs]
-    serial_first = [j for j in ordered if j[0] == "convention-calibration"]
-    rest = [j for j in ordered if j[0] != "convention-calibration"]
-    for cid, fn in serial_first:
-        results[cid] = run_check(ctx, cid, fn)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = {cid: pool.submit(run_check, ctx, cid, fn) for cid, fn in rest}
-            for cid, fut in futs.items():
-                results[cid] = fut.result()
-    else:
-        for cid, fn in rest:
-            results[cid] = run_check(ctx, cid, fn)
-    return [results[cid] for cid, _ in ordered]
+    return [run_check(ctx, cid, fn) for cid, fn in jobs]

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .cartan import matvec, section_derivative
-from .dressing import upsilon_row
-from .fields import JetField, RowField, ScalarField
+from .cartan import matvec, section_derivative, section_field
+from .dressing import normal_dressing_chain, upsilon_row
+from .fields import JetField, ScalarField, random_poly_field
 from .geometry import Geometry
 
 
@@ -28,24 +28,6 @@ class TractorError(ValueError):
 
 class CalibrationError(TractorError):
     pass
-
-
-def tractor_field(metric, sigma, ell, rho) -> JetField:
-    """Triple field (sigma, l_nu, rho) from scalar components."""
-    n = metric.n
-    sig_f = sigma if isinstance(sigma, ScalarField) else ScalarField.from_expression(sigma)
-    rho_f = rho if isinstance(rho, ScalarField) else ScalarField.from_expression(rho)
-    ell_f = ell if isinstance(ell, RowField) else RowField(ell)
-
-    def fn(point, order):
-        alg = jets.algebra(n, order)
-        out = alg.zeros((n + 2,))
-        out[0] = sig_f.coeffs(point, order)
-        out[1:-1] = ell_f.coeffs(point, order)
-        out[-1] = rho_f.coeffs(point, order)
-        return out
-
-    return JetField(fn, n, max_order=3, label="tractor")
 
 
 def connection_matrices(geom: Geometry, order=1):
@@ -85,7 +67,7 @@ def derivative(metric, t_field: JetField, point, order=0):
 def prolong_field(metric, sigma_field) -> JetField:
     """(sigma, nabla_nu sigma, -(Lap sigma - P sigma)/n) as a jet field."""
     n = metric.n
-    sig_f = sigma_field if isinstance(sigma_field, ScalarField) else ScalarField.from_expression(sigma_field)
+    sig_f = ScalarField.coerce(sigma_field)
 
     def fn(point, order):
         geom = Geometry(metric, point)
@@ -110,7 +92,7 @@ def ae_residual(metric, sigma_field, point):
     """Trace-free part of (nabla_mu nabla_nu sigma - P_{mu nu} sigma) (values)."""
     n = metric.n
     geom = Geometry(metric, point)
-    sig_f = sigma_field if isinstance(sigma_field, ScalarField) else ScalarField.from_expression(sigma_field)
+    sig_f = ScalarField.coerce(sigma_field)
     sig = sig_f.coeffs(point, 2)
     a0 = jets.algebra(n, 0)
     hess = geom.covariant_derivative(
@@ -133,7 +115,7 @@ def weyl_matrix_field(metric, z_field) -> JetField:
     """Tractor Weyl transformation: rows (z, 0, 0 | z U_mu, z, 0 |
     -U^2/(2z), -g^{nu mu} U_nu / z, 1/z)."""
     n = metric.n
-    z_f = z_field if isinstance(z_field, ScalarField) else ScalarField.from_expression(z_field)
+    z_f = ScalarField.coerce(z_field)
 
     def fn(point, order):
         alg = jets.algebra(n, order)
@@ -268,7 +250,7 @@ def calibrate_convention_map(metric, z_field, points, rng, tol=1e-8):
     from .dressing import weyl_cocycle
 
     n = metric.n
-    z_f = z_field if isinstance(z_field, ScalarField) else ScalarField.from_expression(z_field)
+    z_f = ScalarField.coerce(z_field)
     rescaled = metric.rescale(z_f)
     cbar = weyl_cocycle(metric, z_f, "Cbar")
     gt = weyl_matrix_field(metric, z_f)
@@ -312,26 +294,16 @@ def calibrate_convention_map(metric, z_field, points, rng, tol=1e-8):
 def equivalence_check(metric, points, rng, cmap=None, z_field=None):
     """Flagship oracle: the dressed normal Cartan derivative transported through
     the convention map must equal the prolongation tractor derivative."""
-    from . import cartan, dressing
-
     n = metric.n
     if cmap is None:
         zf = z_field or ScalarField.from_expression("exp(0.3*x0 + 0.1*x1^2)")
         cal_pts = points[: max(3, min(5, len(points)))]
         cmap = calibrate_convention_map(metric, zf, cal_pts, rng)
 
-    wn = cartan.normal_connection(metric)
-    u1 = dressing.boost_dressing(wn)
-    w1 = dressing.dress(wn, u1)
-    ubar = dressing.frame_dressing(w1)
-    wl = dressing.dress(w1, ubar)
-
-    t = tractor_field(
-        metric,
-        sigma=_poly(rng, n),
-        ell=[_poly(rng, n) for _ in range(n)],
-        rho=_poly(rng, n),
-    )
+    wl = normal_dressing_chain(metric)["wl"]
+    sigma = random_poly_field(rng, n, 2)
+    ell = [random_poly_field(rng, n, 2) for _ in range(n)]
+    t = section_field(metric, sigma, ell, random_poly_field(rng, n, 2))  # (sigma, l_nu, rho)
 
     a0, a1 = jets.algebra(n, 0), jets.algebra(n, 1)
 
@@ -353,10 +325,3 @@ def equivalence_check(metric, points, rng, cmap=None, z_field=None):
         if res > worst[0]:
             worst = (res, point)
     return {"max_residual": worst[0], "worst_point": worst[1], "map": cmap, "points": len(points)}
-
-
-def _poly(rng, n, degree=2):
-    from . import expr
-    from .fields import random_polynomial
-
-    return ScalarField.from_expression(expr.polynomial(random_polynomial(rng, n, degree)))

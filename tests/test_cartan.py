@@ -203,3 +203,24 @@ def test_section_derivative_consistency(bumpy, rng):
     lhs_full = ddphi + wD
     lhs = lhs_full - np.einsum("mn...->nm...", lhs_full)
     assert np.abs(lhs - rhs).max() < 1e-11
+
+
+def _k1(alg, q, eta):
+    return cartan.k1_jet_matrix(alg, q, np.tensordot(np.linalg.inv(eta), q, axes=(1, 0)))
+
+
+@pytest.mark.parametrize("eta", [np.eye(4), np.diag([-1.0, 1.0, 1.0, 1.0])])
+def test_k1_jet_matrix_group_law_and_sigma_orthogonality(eta, rng):
+    alg = jets.algebra(4, 3)
+    q, p = rng.normal(size=(2, 4, alg.ncoef)) * 0.5
+    k_q, k_p = _k1(alg, q, eta), _k1(alg, p, eta)
+    assert np.abs(alg.matmul(k_q, k_p) - _k1(alg, q + p, eta)).max() < 1e-13
+    sigma = alg.const(cartan.sigma_matrix(eta))
+    orth = alg.matmul(np.swapaxes(k_q, 0, 1), alg.matmul(sigma, k_q)) - sigma
+    assert np.abs(orth).max() < 1e-13
+
+
+def test_k1_jet_matrix_value_matches_k1_matrix(rng):
+    eta = np.diag([-1.0, 1.0, 1.0, 1.0])
+    q = rng.normal(size=(4, A1.ncoef))
+    assert np.abs(_val(_k1(A1, q, eta)) - cartan.k1_matrix(q[:, 0], eta)).max() < 1e-15

@@ -45,3 +45,69 @@ def test_context_rejects_fewer_than_one_point(bumpy):
         suites.Context(bumpy, seed=0, npoints=0)
     with pytest.raises(ValueError, match="npoints"):
         suites.run_suites(bumpy, ["riemann-laws"], seed=0, npoints=0)
+
+
+def test_points_field_counts_the_points_each_check_samples(flat):
+    results = suites.run_suites(
+        flat, ["riemann-laws", "cartan-gauge", "tractor-equivalence"], seed=3, npoints=20
+    )
+    points = {r.check_id: r.points for r in results}
+    assert points["fd-oracle"] == 3  # min(3, points)
+    assert points["flagship-equivalence"] == 20
+    assert points["soldering-metric"] == 10  # max(5, points // 2)
+    assert points["convention-calibration"] == 5
+    assert points["sigma-pairing"] == 0  # draws group elements, no chart points
+
+
+def test_error_note_names_the_exception(flat, monkeypatch):
+    from tractorlab import oracle
+
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("forced failure")
+
+    monkeypatch.setattr(oracle, "fd_first", broken)
+    results = suites.run_suites(flat, ["riemann-laws"], seed=0, npoints=4)
+    failed = [r for r in results if not r.passed]
+    assert [r.check_id for r in failed] == ["fd-oracle"]
+    assert failed[0].note == "error: ZeroDivisionError: forced failure"
+    assert failed[0].max_residual == float("inf")
+
+
+def _count_calibrations(monkeypatch, replacement=None):
+    from tractorlab import tractor
+
+    calls = []
+    calibrate = replacement or tractor.calibrate_convention_map
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return calibrate(*args, **kwargs)
+
+    monkeypatch.setattr(tractor, "calibrate_convention_map", counted)
+    return calls
+
+
+def test_calibration_is_computed_once_per_run(bumpy, monkeypatch):
+    calls = _count_calibrations(monkeypatch)
+    ctx = suites.Context(bumpy, seed=5, npoints=4)
+    results = [suites.run_check(ctx, cid, fn) for cid, fn in suites.SUITES["tractor-equivalence"]]
+    assert all(r.passed for r in results)
+    cmap = ctx.calibration()
+    assert len(calls) == 1
+    note = next(r.note for r in results if r.check_id == "convention-calibration")
+    assert note == (f"map: reverse={cmap.reverse}, lower={cmap.lower}, "
+                    f"s_ell={cmap.s_ell}, s_rho={cmap.s_rho}")
+
+
+def test_failed_calibration_fails_every_check_that_needs_the_map(bumpy, monkeypatch):
+    from tractorlab import tractor
+
+    def broken(*args, **kwargs):
+        raise tractor.CalibrationError("no convention map matches both Weyl laws")
+
+    calls = _count_calibrations(monkeypatch, broken)
+    results = suites.run_suites(bumpy, ["tractor-equivalence"], seed=5, npoints=4)
+    assert len(calls) == 1
+    for r in results:
+        assert not r.passed
+        assert r.note == "error: CalibrationError: no convention map matches both Weyl laws"

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from tractorlab import jets, metrics, tractor
-from tractorlab.fields import ScalarField
+from tractorlab import cartan, dressing, jets, metrics, tractor
+from tractorlab.fields import JetField, ScalarField
 from tractorlab.geometry import Geometry
 
 A0 = jets.algebra(4, 0)
@@ -46,7 +46,7 @@ def test_flat_linear_scale(flat):
 
 
 def test_flat_constant_parallel(flat):
-    der = tractor.derivative(flat, tractor.tractor_field(flat, "1", ["0"] * 4, "0"), PT, 0)
+    der = tractor.derivative(flat, cartan.section_field(flat, "1", ["0"] * 4, "0"), PT, 0)
     assert np.abs(der).max() == 0.0
 
 
@@ -151,3 +151,45 @@ def test_equivalence(name, kwargs, rng):
     pts = metrics.sample_points(metric, 10, rng)
     report = tractor.equivalence_check(metric, pts, rng)
     assert report["max_residual"] < 1e-9
+
+
+def _flip_weyl_matrix_middle_column(monkeypatch):
+    weyl_matrix_field = tractor.weyl_matrix_field
+
+    def flipped(metric, z_field):
+        u = weyl_matrix_field(metric, z_field)
+
+        def fn(point, order):
+            m = u.at(point, order).copy()
+            m[1:-1, 0] *= -1.0
+            return m
+
+        return JetField(fn, u.n, u.max_order, u.label)
+
+    monkeypatch.setattr(tractor, "weyl_matrix_field", flipped)
+
+
+def _transpose_weyl_cocycle(monkeypatch):
+    weyl_cocycle = dressing.weyl_cocycle
+
+    def transposed(metric, z_field, variant="C"):
+        c = weyl_cocycle(metric, z_field, variant)
+        return JetField(lambda p, k: np.swapaxes(c.at(p, k), 0, 1), c.n, c.max_order, c.label)
+
+    monkeypatch.setattr(dressing, "weyl_cocycle", transposed)
+
+
+@pytest.mark.parametrize("corrupt", [_flip_weyl_matrix_middle_column, _transpose_weyl_cocycle])
+def test_calibration_rejects_a_broken_weyl_law(corrupt, monkeypatch):
+    """Exactly one convention map survives, and none once either Weyl law is broken."""
+    metric = metrics.load_metric("poly_perturbation", seed=2)
+    zf = ScalarField.from_expression("exp(0.3*x0 + 0.1*x1^2)")
+
+    def calibrate():
+        rng = np.random.default_rng(5)
+        return tractor.calibrate_convention_map(metric, zf, metrics.sample_points(metric, 5, rng), rng)
+
+    assert calibrate() == tractor.ConventionMap(True, "g", -1, -1)
+    corrupt(monkeypatch)
+    with pytest.raises(tractor.CalibrationError, match="no convention map"):
+        calibrate()
