@@ -3,8 +3,10 @@
     tractorlab run --metric round_sphere --suite all --points 20 --seed 7 \
         --report out.json --format json
 
-Exit code 0 iff every check passes.  Reports are deterministic for a fixed
-(config, seed) apart from the timing field.
+Exit code 0 iff every check passes, 1 if a check fails, and 2 for bad input
+(usage, metric spec, parameters, expressions, tolerance overrides), which is
+reported as one `tractorlab: error: ...` line.  Reports are deterministic for
+a fixed (config, seed) apart from the timing field.
 """
 
 from __future__ import annotations
@@ -16,14 +18,18 @@ import time
 
 import numpy as np
 
-from . import __version__, jets, metrics, suites
+from . import __version__, expr, jets, metrics, suites
+
+
+class UsageError(ValueError):
+    """Bad command-line input that argparse cannot check by itself."""
 
 
 def parse_params(pairs):
     out = {}
     for pair in pairs or []:
         if "=" not in pair:
-            raise SystemExit(f"--param expects key=value, got {pair!r}")
+            raise UsageError(f"--param expects key=value, got {pair!r}")
         key, value = pair.split("=", 1)
         try:
             parsed = json.loads(value)
@@ -37,13 +43,16 @@ def parse_tol_overrides(pairs):
     out = {}
     for pair in pairs or []:
         if "=" not in pair:
-            raise SystemExit(f"--tol-override expects check=value, got {pair!r}")
+            raise UsageError(f"--tol-override expects check=value, got {pair!r}")
         key, value = pair.split("=", 1)
         if key not in suites.META:
-            raise SystemExit(f"unknown check id {key!r}")
-        tol = float(value)
-        if tol < 1e-12:
-            raise SystemExit(f"tolerance for {key} must be >= 1e-12, got {tol}")
+            raise UsageError(f"unknown check id {key!r}")
+        try:
+            tol = float(value)
+        except ValueError:
+            raise UsageError(f"tolerance for {key} must be a number, got {value!r}") from None
+        if not tol >= 1e-12:
+            raise UsageError(f"tolerance for {key} must be >= 1e-12, got {tol}")
         out[key] = tol
     return out
 
@@ -58,8 +67,11 @@ def positive_int(text):
 def build_report(args):
     params = parse_params(args.param)
     tolerances = parse_tol_overrides(args.tol_override)
-    metric = metrics.load_metric(args.metric, **params)
     suite_names = args.suite if args.suite != ["all"] and "all" not in args.suite else "all"
+    for name in [] if suite_names == "all" else suite_names:
+        if name not in suites.SUITES:
+            raise UsageError(f"unknown suite {name!r}; available: {', '.join(suites.SUITES)}")
+    metric = metrics.load_metric(args.metric, **params)
     start = time.time()
     results = suites.run_suites(
         metric, suite_names, seed=args.seed, npoints=args.points, tolerances=tolerances,
@@ -138,7 +150,11 @@ def main(argv=None):
 
     if args.suite is None:
         args.suite = ["all"]
-    report, results = build_report(args)
+    try:
+        report, results = build_report(args)
+    except (UsageError, metrics.MetricError, expr.ExprError) as exc:
+        print(f"tractorlab: error: {exc}", file=sys.stderr)
+        return 2
     if args.report:
         emit_report(report, args.report, args.format)
     if not args.quiet:

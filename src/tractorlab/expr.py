@@ -10,10 +10,21 @@ Grammar (loosest binding first):
 Coordinates are spelled x0, x1, ...; functions are exp, ln, sin, cos, sqrt.
 `parse` and `to_string` round-trip: printing a tree and reparsing yields a
 structurally identical tree.
+
+Evaluation compiles trees once into a `Program`: a flat list of jet-array
+operations over numbered slots.  Trees are frozen, so structurally equal
+subtrees (within one tree or across all the trees of a program, such as the
+components of a metric) share one slot and are evaluated once.  Every
+maximal polynomial subtree is one column of a single `PolynomialEvaluator`
+product; every other node is one `JetAlgebra` call (mul, div, powi, exp,
+log, sqrt, sin, cos) on the arrays of its inputs.  A program takes points
+with leading axes, `(..., n) -> (..., roots, NC)`, on the same code path.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,191 +270,234 @@ def to_string(node, _ctx=0) -> str:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-# -- evaluation --------------------------------------------------------------
+# -- compiled programs ---------------------------------------------------------
+
+_MAX_TERMS = 4096  # a polynomial with more terms is evaluated by jet products
+_JET_FUNCTIONS = {"exp": "exp", "ln": "log", "sin": "sin", "cos": "cos", "sqrt": "sqrt"}
+
+
+def _parts(node):
+    """(label, children) of a node; equal subtrees have equal labels and children."""
+    if isinstance(node, Const):
+        return node.value, ()
+    if isinstance(node, Coord):
+        return node.index, ()
+    if isinstance(node, BinOp):
+        return node.op, (node.left, node.right)
+    if isinstance(node, Pow):
+        return node.exponent, (node.base,)
+    if isinstance(node, Neg):
+        return None, (node.operand,)
+    if isinstance(node, Call):
+        return node.name, (node.arg,)
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _constant(poly):
+    """Value of a polynomial that does not depend on the point, else None."""
+    if poly is None or any(v != 0.0 and any(k) for k, v in poly.items()):
+        return None
+    return sum(v for k, v in poly.items() if not any(k))
+
+
+def _poly_mul(a, b):
+    if len(a) * len(b) > 16 * _MAX_TERMS:
+        return None
+    out = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            k = tuple(map(operator.add, ka, kb))
+            out[k] = out.get(k, 0.0) + va * vb
+    return out if len(out) <= _MAX_TERMS else None
+
+
+def _polynomial(node, kids, n):
+    """Coefficient dict {multi-index: c} of a node from those of its children,
+    or None if the node is not polynomial."""
+    zero = (0,) * n
+    if isinstance(node, Const):
+        return {zero: node.value}
+    if isinstance(node, Coord):
+        if not 0 <= node.index < n:
+            raise ExprError(f"coordinate x{node.index} out of range for dimension {n}")
+        return {tuple(int(i == node.index) for i in range(n)): 1.0}
+    if isinstance(node, Call) or any(k is None for k in kids):
+        return None
+    if isinstance(node, Neg):
+        return {k: -v for k, v in kids[0].items()}
+    if isinstance(node, Pow):
+        if node.exponent < 0:
+            return None
+        out = {zero: 1.0} if node.exponent == 0 else kids[0]
+        for _ in range(node.exponent - 1):
+            out = _poly_mul(out, kids[0])
+            if out is None:
+                return None
+        return out
+    left, right = kids
+    if node.op == "*":
+        return _poly_mul(left, right)
+    if node.op == "/":
+        c = _constant(right)
+        return {k: v / c for k, v in left.items()} if c else None
+    out = dict(left)
+    sign = 1.0 if node.op == "+" else -1.0
+    for k, v in right.items():
+        out[k] = out.get(k, 0.0) + sign * v
+    return out
+
+
+def _instruction(node, kids, polys):
+    """(op(alg, *inputs), input ids) of a subtree that is not polynomial."""
+    if isinstance(node, Neg):
+        return (lambda alg, a: -a), kids
+    if isinstance(node, Pow):
+        k = node.exponent
+        return (lambda alg, a: alg.powi(a, k)), kids
+    if isinstance(node, Call):
+        name = _JET_FUNCTIONS[node.name]
+        return (lambda alg, a: getattr(alg, name)(a)), kids
+    (left, right), (cl, cr) = kids, (_constant(polys[k]) for k in kids)
+    if node.op == "*" and cl is not None:
+        return (lambda alg, a: cl * a), (right,)
+    if node.op == "*" and cr is not None:
+        return (lambda alg, a: a * cr), (left,)
+    if node.op == "/" and cr:
+        return (lambda alg, a: a / cr), (left,)
+    if node.op == "/" and cl is not None:
+        return (lambda alg, b: cl * alg.reciprocal(b)), (right,)
+    return _BINARY[node.op], kids
+
+
+_BINARY = {
+    "+": lambda alg, a, b: a + b,
+    "-": lambda alg, a, b: a - b,
+    "*": lambda alg, a, b: alg.mul(a, b),
+    "/": lambda alg, a, b: alg.div(a, b),
+}
+
+
+class Program:
+    """Expression trees in dimension n, compiled once into a flat jet program.
+
+    One bottom-up pass gives every distinct subtree an id, so subtrees that
+    occur several times (in one tree or across the roots) are evaluated once,
+    and finds each subtree's polynomial.  The maximal polynomial subtrees are
+    evaluated together by one `PolynomialEvaluator`; every other subtree is
+    one `JetAlgebra` array operation on the ids of its inputs.
+    """
+
+    def __init__(self, roots, n):
+        self.n = n
+        ids, keys = {}, {}  # object id -> subtree id; (type, label, child ids) -> subtree id
+        nodes, kids, polys = [], [], []
+
+        def visit(nd):
+            i = ids.get(id(nd))
+            if i is None:
+                label, children = _parts(nd)
+                ch = tuple(map(visit, children))
+                key = (type(nd), label, ch)
+                i = keys.get(key)
+                if i is None:
+                    i = keys[key] = len(nodes)
+                    nodes.append(nd)
+                    kids.append(ch)
+                    polys.append(_polynomial(nd, [polys[c] for c in ch], n))
+                ids[id(nd)] = i
+            return i
+
+        self._roots = [visit(r) for r in roots]
+        code, seen, stack = {}, set(), list(self._roots)
+        while stack:
+            i = stack.pop()
+            if i in seen:
+                continue
+            seen.add(i)
+            if polys[i] is None:
+                code[i] = _instruction(nodes[i], kids[i], polys)
+                stack.extend(code[i][1])
+        self._poly_ids = sorted(i for i in seen if polys[i] is not None)
+        self._poly = (PolynomialEvaluator([polys[i] for i in self._poly_ids], n)
+                      if self._poly_ids else None)
+        self._code = [(op, i, args, nodes[i]) for i, (op, args) in sorted(code.items())]
+        self._nslots = len(nodes)
+
+    def __call__(self, points, order):
+        """Jets of the roots at `points` (..., n): array (..., roots, NC)."""
+        x = np.asarray(points, dtype=float)
+        if x.shape[-1:] != (self.n,):
+            raise ExprError(f"points of shape {x.shape} for an expression in dimension {self.n}")
+        alg = jets.algebra(self.n, order)
+        vals = [None] * self._nslots
+        if self._poly is not None:
+            coeffs = self._poly.coeffs_at(x, alg)
+            for k, i in enumerate(self._poly_ids):
+                vals[i] = coeffs[..., k, :]
+        try:
+            for op, i, args, node in self._code:
+                vals[i] = op(alg, *[vals[a] for a in args])
+        except JetDomainError as exc:
+            raise ExprEvalError(f"{exc} in subexpression {to_string(node)!r}") from exc
+        out = np.empty(x.shape[:-1] + (len(self._roots), alg.ncoef))
+        for r, i in enumerate(self._roots):
+            out[..., r, :] = vals[i]
+        return out
 
 
 def evaluate(node, point, order: int) -> Jet:
     """Jet of the denoted function at `point`, to the requested order."""
+    point = np.asarray(point, dtype=float)
     n = len(point)
-
-    def rec(nd) -> Jet:
-        if isinstance(nd, Const):
-            return jets.lift_constant(nd.value, n, order)
-        if isinstance(nd, Coord):
-            if nd.index >= n:
-                raise ExprError(f"coordinate x{nd.index} out of range for dimension {n}")
-            return jets.lift_coordinate(nd.index, point, order)
-        if isinstance(nd, Neg):
-            return -rec(nd.operand)
-        if isinstance(nd, Pow):
-            return rec(nd.base) ** nd.exponent
-        if isinstance(nd, Call):
-            arg = rec(nd.arg)
-            fn = {"exp": jets.exp, "ln": jets.log, "sin": jets.sin,
-                  "cos": jets.cos, "sqrt": jets.sqrt}[nd.name]
-            try:
-                return fn(arg)
-            except JetDomainError as exc:
-                raise ExprEvalError(f"{exc} in subexpression {to_string(nd)!r}") from exc
-        if isinstance(nd, BinOp):
-            left, right = rec(nd.left), rec(nd.right)
-            if nd.op == "+":
-                return left + right
-            if nd.op == "-":
-                return left - right
-            if nd.op == "*":
-                return left * right
-            try:
-                return left / right
-            except JetDomainError as exc:
-                raise ExprEvalError(f"{exc} in subexpression {to_string(nd)!r}") from exc
-        raise TypeError(f"not an expression node: {nd!r}")
-
-    return rec(node)
-
-
-# -- polynomial fast path ------------------------------------------------------
-
-
-class _NotPolynomial(Exception):
-    pass
-
-
-def extract_polynomial(node, max_terms=4096):
-    """Coefficient dict {multi-index: c} if the tree is polynomial, else None.
-
-    Handles Const/Coord, +, -, *, Neg, integer Pow >= 0, and division by a
-    constant; anything else falls back to generic jet evaluation.
-    """
-
-    def dim(nd):
-        if isinstance(nd, Coord):
-            return nd.index + 1
-        if isinstance(nd, BinOp):
-            return max(dim(nd.left), dim(nd.right))
-        if isinstance(nd, (Neg,)):
-            return dim(nd.operand)
-        if isinstance(nd, Pow):
-            return dim(nd.base)
-        if isinstance(nd, Call):
-            return dim(nd.arg)
-        return 0
-
-    n = dim(node)
-
-    def mul_dicts(a, b):
-        out = {}
-        for ka, va in a.items():
-            for kb, vb in b.items():
-                k = tuple(x + y for x, y in zip(ka, kb))
-                out[k] = out.get(k, 0.0) + va * vb
-        if len(out) > max_terms:
-            raise _NotPolynomial
-        return out
-
-    def rec(nd):
-        if isinstance(nd, Const):
-            return {(0,) * n: nd.value}
-        if isinstance(nd, Coord):
-            return {tuple(1 if i == nd.index else 0 for i in range(n)): 1.0}
-        if isinstance(nd, Neg):
-            return {k: -v for k, v in rec(nd.operand).items()}
-        if isinstance(nd, Pow):
-            if nd.exponent < 0:
-                raise _NotPolynomial
-            out = {(0,) * n: 1.0}
-            base = rec(nd.base)
-            for _ in range(nd.exponent):
-                out = mul_dicts(out, base)
-            return out
-        if isinstance(nd, BinOp):
-            if nd.op == "/":
-                if isinstance(nd.right, Const) and nd.right.value != 0:
-                    return {k: v / nd.right.value for k, v in rec(nd.left).items()}
-                raise _NotPolynomial
-            left, right = rec(nd.left), rec(nd.right)
-            if nd.op == "*":
-                return mul_dicts(left, right)
-            out = dict(left)
-            sign = 1.0 if nd.op == "+" else -1.0
-            for k, v in right.items():
-                out[k] = out.get(k, 0.0) + sign * v
-            return out
-        raise _NotPolynomial
-
-    try:
-        coeffs = rec(node)
-    except _NotPolynomial:
-        return None
-    return {k: v for k, v in coeffs.items() if v != 0.0} or {(0,) * n: 0.0}
+    return Jet(jets.algebra(n, order), Program([node], n)(point, order)[0])
 
 
 class PolynomialEvaluator:
-    """Vectorized Taylor shift: jet coefficients of a fixed polynomial at a point.
+    """Jet coefficients of fixed polynomials in n variables by one Taylor-shift product.
 
-    c'_beta(x0) = sum_{alpha >= beta} c_alpha prod_i C(alpha_i, beta_i) x0^(alpha-beta).
+    Expanded about the point x, a polynomial sum_alpha c_alpha y^alpha has the
+    coefficients
+        c'_beta(x) = sum_gamma c_{beta+gamma} prod_i C(beta_i+gamma_i, beta_i) x^gamma,
+    so those of all the polynomials are the monomials x^gamma times a weight
+    matrix W[gamma, (polynomial, beta)], built once per (n, order).
     """
 
-    def __init__(self, coeffs):
-        import math as _math
-
-        items = sorted(coeffs.items())
-        self.n = len(items[0][0])
-        self.degree = max(sum(a) for a, _ in items)
-        self.alphas = np.array([a for a, _ in items], dtype=int)
-        self.c = np.array([v for _, v in items])
+    def __init__(self, polys, n):
+        terms = [(p, alpha, c) for p, poly in enumerate(polys)
+                 for alpha, c in sorted(poly.items()) if c != 0.0]
+        self.n = n
+        self.npoly = len(polys)
+        self.which = np.array([p for p, _, _ in terms], dtype=np.intp)
+        self.alphas = np.array([a for _, a, _ in terms], dtype=np.intp).reshape(len(terms), n)
+        self.c = np.array([c for _, _, c in terms])
+        self.degree = int(self.alphas.sum(axis=1).max(initial=0))
+        self._cols = np.arange(n)
         self._tables = {}
-        self._binom = _math.comb
 
     def _table(self, alg):
+        """(gammas, W): the monomial exponents (G, n) and the weights (G, npoly * NC)."""
         key = (alg.n, alg.order)
         if key not in self._tables:
-            alphas = np.zeros((len(self.alphas), alg.n), dtype=int)
-            alphas[:, : self.n] = self.alphas
-            rows = []
-            for beta in alg.indices:
-                beta_arr = np.asarray(beta)
-                idx = np.nonzero(np.all(alphas >= beta_arr, axis=1))[0]
-                gam = alphas[idx] - beta_arr
-                bin_prod = np.array([
-                    np.prod([self._binom(int(a), int(b)) for a, b in zip(alphas[i], beta)])
-                    for i in idx
-                ], dtype=float)
-                rows.append((idx, gam, bin_prod * self.c[idx]))
-            self._tables[key] = rows
+            betas = np.array(alg.indices, dtype=np.intp)
+            t, b = np.nonzero(np.all(self.alphas[:, None, :] >= betas[None, :, :], axis=-1))
+            gammas, row = np.unique(self.alphas[t] - betas[b], axis=0, return_inverse=True)
+            comb = np.array([[math.comb(a, k) for k in range(alg.order + 1)]
+                             for a in range(self.degree + 1)], dtype=float)
+            weights = np.zeros((len(gammas), self.npoly * alg.ncoef))
+            weights[row.reshape(-1), self.which[t] * alg.ncoef + b] = (
+                self.c[t] * comb[self.alphas[t], betas[b]].prod(axis=1))
+            self._tables[key] = (gammas, weights)
         return self._tables[key]
 
-    def coeffs_at(self, point, alg):
-        if alg.n < self.n:
-            raise ExprError(f"polynomial uses x{self.n - 1} but dimension is {alg.n}")
-        powers = np.ones((alg.n, self.degree + 1))
-        x = np.asarray(point, dtype=float)
-        for k in range(1, self.degree + 1):
-            powers[:, k] = powers[:, k - 1] * x
-        out = np.zeros(alg.ncoef)
-        cols = np.arange(alg.n)
-        for b, (idx, gam, weight) in enumerate(self._table(alg)):
-            if len(idx):
-                out[b] = float(weight @ np.prod(powers[cols, gam], axis=1))
-        return out
-
-
-def compile_scalar(node):
-    """(point, order) -> coefficient vector; polynomial trees take the fast path."""
-    coeffs = extract_polynomial(node)
-    if coeffs is not None:
-        evaluator = PolynomialEvaluator(coeffs)
-
-        def fast(point, order):
-            alg = jets.algebra(len(point), order)
-            return evaluator.coeffs_at(point, alg)
-
-        return fast
-
-    def generic(point, order):
-        return evaluate(node, point, order).coeffs
-
-    return generic
+    def coeffs_at(self, points, alg):
+        """Coefficients at `points` (..., n): array (..., npoly, NC)."""
+        if alg.n != self.n:
+            raise ExprError(f"polynomials in dimension {self.n} evaluated in dimension {alg.n}")
+        gammas, weights = self._table(alg)
+        x = np.asarray(points, dtype=float)
+        powers = x[..., None] ** np.arange(self.degree + 1)
+        monomials = powers[..., self._cols, gammas].prod(axis=-1)
+        return (monomials @ weights).reshape(x.shape[:-1] + (self.npoly, alg.ncoef))
 
 
 # -- helpers used by the metric catalog --------------------------------------

@@ -9,7 +9,7 @@ from .jets import Jet
 
 
 class ScalarField:
-    """Evaluation rule (point, order) -> Jet.
+    """Evaluation rule (point, order) -> jet coefficients.
 
     Evaluations at the same point with orders k < k' agree on the shared
     coefficients (they come from the same truncated Taylor expansion).
@@ -20,18 +20,23 @@ class ScalarField:
         self.description = description
 
     def jet(self, point, order) -> Jet:
-        return self._fn(point, order)
+        return Jet(jets.algebra(len(point), order), self._fn(point, order))
 
     def coeffs(self, point, order) -> np.ndarray:
-        return self._fn(point, order).coeffs
+        return self._fn(point, order)
 
     @classmethod
     def from_expression(cls, source):
+        """Field of an expression, compiled once for each dimension it is evaluated in."""
         ast = expr.parse(source) if isinstance(source, str) else source
-        compiled = expr.compile_scalar(ast)
+        programs = {}
 
         def fn(p, k):
-            return Jet(jets.algebra(len(p), k), compiled(p, k))
+            n = np.shape(p)[-1]
+            program = programs.get(n)
+            if program is None:
+                program = programs[n] = expr.Program([ast], n)
+            return program(p, k)[..., 0, :]
 
         return cls(fn, expr.to_string(ast))
 
@@ -42,7 +47,7 @@ class ScalarField:
 
     @classmethod
     def constant(cls, c):
-        return cls(lambda p, k: jets.lift_constant(c, len(p), k), str(c))
+        return cls(lambda p, k: jets.algebra(len(p), k).const(float(c)), str(c))
 
     def __repr__(self):
         return f"ScalarField({self.description})"

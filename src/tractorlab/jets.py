@@ -8,7 +8,7 @@ tensors, connections, gauge transforms) differentiates through this module.
 Values are numpy arrays with a trailing coefficient axis of length
 C(n+k, k); `JetAlgebra` owns the index tables and the multiply kernels, which
 broadcast over every leading axis.  The `Jet` class is a thin scalar wrapper
-with operator overloading for use by the expression evaluator.
+with operator overloading, returned by `expr.evaluate` and `ScalarField.jet`.
 """
 
 from __future__ import annotations
@@ -161,13 +161,21 @@ class JetAlgebra:
         return out.copy() if out is a else out
 
     def inv_matrix(self, a):
-        """Inverse of a jet-valued matrix (..., m, m, NC) by Newton iteration."""
+        """Inverse of a jet-valued matrix (..., m, m, NC) by Newton iteration.
+
+        The value's inverse is exact to order 0, and a Newton step doubles
+        the order to which the inverse is exact, so one step in the order-1
+        algebra makes it exact to order 1 and a second step, in this algebra,
+        exact to order 2 or 3.
+        """
         a = np.asarray(a, dtype=float)
         m = a.shape[-2]
-        x = self.const(np.linalg.inv(self.value(a)))
-        ident = self.const(np.eye(m))
-        for _ in range(2):  # doubles the correct jet order; exact for order <= 3
-            x = self.matmul(x, 2.0 * ident - self.matmul(a, x))
+        x = np.linalg.inv(self.value(a))[..., None]
+        for order in sorted({min(self.order, 1), self.order} - {0}):
+            alg = algebra(self.n, order)
+            xk = alg.zeros(x.shape[:-1])
+            xk[..., : x.shape[-1]] = x
+            x = alg.matmul(xk, 2.0 * alg.const(np.eye(m)) - alg.matmul(self.truncate(a, order), xk))
         return x
 
     # -- analytic functions via Taylor composition --------------------------
@@ -270,7 +278,7 @@ def algebra(n, order):
 
 
 class Jet:
-    """Scalar jet with operator overloading (the expression-evaluator type)."""
+    """Scalar jet with operator overloading."""
 
     __slots__ = ("algebra", "coeffs")
     __array_priority__ = 100  # keep numpy from absorbing Jet in mixed ops

@@ -10,6 +10,10 @@ and seeded random polynomial perturbations of flat space.
 from __future__ import annotations
 
 import configparser
+import inspect
+import math
+import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,17 +132,25 @@ def sample_points(metric, count, rng, shrink=0.1):
 
 
 def metric_from_spec(spec: MetricSpec) -> MetricField:
+    """Metric of a spec, with all components compiled into one program."""
     n = spec.n
-    compiled = {key: expr.compile_scalar(ast) for key, ast in spec.components.items()}
+    keys = sorted(spec.components)
+    for i, j in keys:
+        if not 0 <= i <= j < n:
+            raise MetricError(f"component g_{i}{j} out of range for dimension {n}")
+    try:
+        program = expr.Program([spec.components[k] for k in keys], n)
+    except expr.ExprError as exc:
+        raise MetricError(f"metric {spec.name!r}: {exc}") from exc
+    # each component fills (i, j) and, off the diagonal, (j, i)
+    src = [r for r, (i, j) in enumerate(keys)] + [r for r, (i, j) in enumerate(keys) if i != j]
+    rows = [i for i, _ in keys] + [j for i, j in keys if i != j]
+    cols = [j for _, j in keys] + [i for i, j in keys if i != j]
 
     def g_fn(point, order):
-        alg = jets.algebra(n, order)
-        out = alg.zeros((n, n))
-        for (i, j), fn in compiled.items():
-            c = fn(point, order)
-            out[i, j] = c
-            if i != j:
-                out[j, i] = c
+        comps = program(point, order)
+        out = np.zeros(comps.shape[:-2] + (n, n, comps.shape[-1]))
+        out[..., rows, cols, :] = comps[..., src, :]
         return out
 
     domain = spec.domain or [(-1.0, 1.0)] * n
@@ -231,14 +243,37 @@ _BUILDERS = {
 }
 
 
+def _check_params(name, params):
+    """Parameters of a catalog builder, checked against the types of its defaults."""
+    sig = inspect.signature(_BUILDERS[name])
+    try:
+        sig.bind(**params)
+    except TypeError as exc:
+        raise MetricError(f"metric {name!r}: {exc}") from None
+    out = {}
+    for key, value in params.items():
+        default = sig.parameters[key].default
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if isinstance(default, str) and (number or isinstance(value, str)):
+            out[key] = str(value)
+        elif isinstance(default, float) and number and math.isfinite(value):
+            out[key] = float(value)
+        elif isinstance(default, int) and number and isinstance(value, int) and value >= 0:
+            out[key] = value
+        elif default is None and isinstance(value, list) and len(value) == 2 and all(
+                isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in value):
+            out[key] = tuple(value)
+        else:
+            raise MetricError(f"metric {name!r}: bad value {value!r} for parameter {key!r}")
+    return out
+
+
 def load_metric(source, **params) -> MetricField:
     """Catalog name, spec file path, or MetricSpec -> validated MetricField."""
-    import os
-
     if isinstance(source, MetricSpec):
         metric = metric_from_spec(source)
     elif isinstance(source, str) and source in _BUILDERS:
-        metric = _BUILDERS[source](**params)
+        metric = _BUILDERS[source](**_check_params(source, params))
     elif isinstance(source, str) and os.path.exists(source):
         metric = metric_from_spec(parse_metric_file(source))
     else:
@@ -253,35 +288,66 @@ def _parse_signature(text, n):
         return (0, n)
     if text == "lorentzian":
         return (1, n - 1)
-    parts = [int(p) for p in text.split(",")]
-    if len(parts) != 2:
+    try:
+        parts = tuple(int(p) for p in text.split(","))
+    except ValueError:
+        parts = ()
+    if len(parts) != 2 or min(parts) < 0:
         raise MetricError(f"cannot parse signature {text!r}")
-    return tuple(parts)
+    return parts
+
+
+def _parse_float(text, what):
+    try:
+        value = float(text)
+    except ValueError:
+        raise MetricError(f"{what}: {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise MetricError(f"{what}: {text!r} is not finite")
+    return value
 
 
 def parse_metric_file(path) -> MetricSpec:
-    """INI-style metric spec: [metric] name/n/signature, [components], [domain]."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), comment_prefixes=("#",))
-    with open(path) as fh:
-        cp.read_file(fh)
+    """INI-style metric spec: [metric] name/n/signature, [components], [domain].
+
+    Malformed files raise MetricError, malformed expressions ExprError.
+    """
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), comment_prefixes=("#",),
+                                   interpolation=None)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cp.read_file(fh)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise MetricError(f"{path}: {exc}") from None
     if "metric" not in cp:
         raise MetricError(f"{path}: missing [metric] section")
     meta = cp["metric"]
-    n = int(meta.get("n", "4"))
+    n = meta.get("n", "4").strip()
+    # component keys g_ij have one digit per index
+    if not n.isdecimal() or not 3 <= int(n) <= 10:
+        raise MetricError(f"{path}: n must be an integer in 3..10, got {n!r}")
+    n = int(n)
     name = meta.get("name", "unnamed")
     signature = _parse_signature(meta.get("signature", "euclidean"), n)
     comps = {}
     for key, text in cp.items("components") if cp.has_section("components") else []:
-        if not key.startswith("g_"):
-            raise MetricError(f"{path}: component key {key!r} must look like g_01")
-        i, j = int(key[2]), int(key[3])
-        if i > j:
-            i, j = j, i
+        match = re.fullmatch(r"g_(\d)(\d)", key)
+        if not match or max(int(match[1]), int(match[2])) >= n:
+            raise MetricError(f"{path}: component key {key!r} must look like g_01, "
+                              f"with indices below n = {n}")
+        i, j = sorted((int(match[1]), int(match[2])))
         comps[(i, j)] = expr.parse(text)
     domain = [(-1.0, 1.0)] * n
     if cp.has_section("domain"):
         for key, text in cp.items("domain"):
-            idx = int(key.lstrip("x"))
-            lo, hi = (float(v) for v in text.split(","))
-            domain[idx] = (lo, hi)
+            match = re.fullmatch(r"x(\d+)", key)
+            if not match or int(match[1]) >= n:
+                raise MetricError(f"{path}: domain key {key!r} must be x0..x{n - 1}")
+            bounds = text.split(",")
+            if len(bounds) != 2:
+                raise MetricError(f"{path}: domain of {key} must be 'low, high', got {text!r}")
+            lo, hi = (_parse_float(v, f"{path}: domain of {key}") for v in bounds)
+            if not lo < hi:
+                raise MetricError(f"{path}: domain of {key} has low {lo} not below high {hi}")
+            domain[int(match[1])] = (lo, hi)
     return MetricSpec(name, n, signature, comps, domain)

@@ -17,11 +17,10 @@ import numpy as np
 from . import brst, cartan, dressing, jets, metrics, oracle, tractor
 from .fields import JetField, RowField, ScalarField, domain_poly_field, domain_z_field, field_matmul
 from .geometry import Geometry
+from .tractor import DEFAULT_Z
 
 SUITES: dict = {}
 META: dict = {}
-
-DEFAULT_Z = "exp(0.3*x0 + 0.1*x1^2)"
 
 
 def check(suite, check_id, law, tol):

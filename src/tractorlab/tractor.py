@@ -235,6 +235,9 @@ class ConventionMap:
         return out
 
 
+# the rescaling z(x) that convention calibration compares the Weyl laws under
+DEFAULT_Z = "exp(0.3*x0 + 0.1*x1^2)"
+
 ALL_CANDIDATES = tuple(
     ConventionMap(reverse, lower, s_ell, s_rho)
     for reverse in (True, False)
@@ -296,7 +299,7 @@ def equivalence_check(metric, points, rng, cmap=None, z_field=None):
     the convention map must equal the prolongation tractor derivative."""
     n = metric.n
     if cmap is None:
-        zf = z_field or ScalarField.from_expression("exp(0.3*x0 + 0.1*x1^2)")
+        zf = z_field or ScalarField.from_expression(DEFAULT_Z)
         cal_pts = points[: max(3, min(5, len(points)))]
         cmap = calibrate_convention_map(metric, zf, cal_pts, rng)
 

@@ -24,14 +24,39 @@ def test_flat_equivalence_suite_passes(tmp_path):
     assert flagship["max_residual"] < 1e-10
 
 
-def test_unknown_suite_and_check():
-    with pytest.raises(ValueError):
-        cli.main(["run", "--metric", "flat_euclidean", "--suite", "nope", "--quiet"])
-    with pytest.raises(SystemExit):
-        cli.main(["run", "--metric", "flat_euclidean", "--tol-override", "bogus=1e-9", "--quiet"])
-    with pytest.raises(SystemExit):
-        cli.main(["run", "--metric", "flat_euclidean",
-                  "--tol-override", "flagship-equivalence=1e-15", "--quiet"])
+BAD_SPECS = {
+    "key": "[components]\ng_0 = 1\n",
+    "domain-key": "[domain]\nx7 = 0, 1\n",
+    "reversed-domain": "[domain]\nx0 = 1, 0\n",
+    "coordinate": "[components]\ng_00 = 1 + x9\n",
+}
+
+
+def test_unknown_suite_and_check(capsys):
+    for args in (["--suite", "nope"], ["--tol-override", "bogus=1e-9"],
+                 ["--tol-override", "flagship-equivalence=1e-15"]):
+        assert cli.main(["run", "--metric", "flat_euclidean", *args, "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith("tractorlab: error: ")
+
+
+@pytest.mark.parametrize("args", [
+    ["--metric", "flat_euclidean", "--tol-override", "metricity=abc"],
+    ["--metric", "poly_perturbation", "--param", "amplitude=abc"],
+    ["--metric", "poly_perturbation", "--param", "bogus=1"],
+    ["--metric", "poly_perturbation", "--param", "seed"],
+    ["--metric", "schwarzschild", "--param", "n=5"],
+    ["--metric", "conformally_flat", "--param", "factor=x0 +"],
+    *[["--metric", f"spec:{name}"] for name in BAD_SPECS],
+])
+def test_bad_input_is_a_one_line_error_with_exit_code_2(args, tmp_path, capsys):
+    if args[1].startswith("spec:"):
+        path = tmp_path / "bad.ini"
+        path.write_text("[metric]\nn=4\n" + BAD_SPECS[args[1][len("spec:"):]])
+        args = ["--metric", str(path)]
+    code = cli.main(["run", *args, "--suite", "riemann-laws", "--points", "1", "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tractorlab: error: ") and err.count("\n") == 1
 
 
 def test_failing_check_reports_worst_point(tmp_path):

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tractorlab import expr
+from tractorlab import expr, jets
 
 
 def test_parse_add_pow():
@@ -113,3 +113,92 @@ def test_polynomial_builder_roundtrips():
     assert expr.parse(expr.to_string(tree)) == tree
     j = expr.evaluate(tree, (0.5, -1.0), 2)
     assert j.value == pytest.approx(-0.5 + 2 * 0.5 - 1.25 * 0.5 * 1.0)
+
+
+# -- compiled programs against a recursive reference ---------------------------
+
+EPS = np.finfo(float).eps
+N = 4
+
+
+def _assert_close(got, want):
+    """Normwise: the largest error is at most 1e3 eps of the largest coefficient.
+
+    Both sides round differently (the Taylor shift against jet products, a
+    matrix product against a vector product), and a function of a large
+    argument spreads that rounding over coefficients much smaller than the
+    largest, so coefficients are not compared one by one.
+    """
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= 1e3 * EPS * max(1.0, np.abs(want).max(initial=0.0))
+
+
+def _reference(node, point, order):
+    """Recursive evaluation over `jets.Jet` operators, one node at a time."""
+    if isinstance(node, expr.Const):
+        return jets.lift_constant(node.value, len(point), order)
+    if isinstance(node, expr.Coord):
+        return jets.lift_coordinate(node.index, point, order)
+    if isinstance(node, expr.Neg):
+        return -_reference(node.operand, point, order)
+    if isinstance(node, expr.Pow):
+        return _reference(node.base, point, order) ** node.exponent
+    if isinstance(node, expr.Call):
+        fn = {"exp": jets.exp, "ln": jets.log, "sin": jets.sin, "cos": jets.cos,
+              "sqrt": jets.sqrt}[node.name]
+        return fn(_reference(node.arg, point, order))
+    left, right = _reference(node.left, point, order), _reference(node.right, point, order)
+    return {"+": left.__add__, "-": left.__sub__, "*": left.__mul__,
+            "/": left.__truediv__}[node.op](right)
+
+
+@given(_tree(), st.integers(0, 3), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_program_matches_reference(tree, order, seed):
+    point = np.random.default_rng(seed).uniform(-2.0, 2.0, N)
+    with np.errstate(all="ignore"):
+        try:
+            want = _reference(tree, point, order).coeffs
+        except jets.JetDomainError:
+            with pytest.raises(expr.ExprEvalError, match="in subexpression"):
+                expr.Program([tree], N)(point, order)
+            return
+        got = expr.Program([tree], N)(point, order)[0]
+    assume(np.all(np.isfinite(want)))
+    _assert_close(got, want)
+
+
+def test_program_shares_only_equal_subtrees():
+    # pairs of roots differ in one child, one label or one constant
+    texts = ["exp(x0) + exp(x1)", "exp(x0) + exp(x2)", "exp(x1) + exp(x2)", "exp(x0) - exp(x1)",
+             "exp(x1) - exp(x0)", "sin(x0)", "cos(x0)", "exp(x0)^2", "exp(x0)^3", "1/exp(x0)",
+             "2/exp(x0)", "exp(x0)/2", "3*exp(x0)", "exp(x0)*3 + x1", "-exp(x0)", "sqrt(x1^2 + 1)"]
+    roots = [expr.parse(t) for t in texts]
+    point = np.array([0.3, -0.7, 1.1, 0.4])
+    got = expr.Program(roots, N)(point, 3)
+    for tree, row in zip(roots, got):
+        _assert_close(row, _reference(tree, point, 3).coeffs)
+
+
+@given(_tree(), st.integers(0, 3), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_program_batch_equals_stacked_points(tree, order, seed):
+    points = np.random.default_rng(seed).uniform(-2.0, 2.0, (7, N))
+    program = expr.Program([tree, expr.Call("exp", tree)], N)
+    with np.errstate(all="ignore"):
+        try:
+            each = np.stack([program(p, order) for p in points])
+        except expr.ExprEvalError:
+            return
+        batch = program(points, order)
+    assume(np.all(np.isfinite(each)))
+    assert batch.shape == (7, 2, jets.algebra(N, order).ncoef)
+    for got, want in zip(batch, each):
+        _assert_close(got, want)
+
+
+def test_program_rejects_coordinates_beyond_its_dimension():
+    with pytest.raises(expr.ExprError, match="x4 out of range"):
+        expr.Program([expr.parse("1 + exp(x4)")], 4)
+    with pytest.raises(expr.ExprError):
+        expr.Program([expr.parse("x0")], 4)((0.0, 0.0, 0.0), 1)

@@ -338,3 +338,19 @@ def test_compose_and_powi_match_repeated_products():
     for k, want in products.items():
         _assert_close(alg.powi(a, k), want)
     assert alg.powi(a, 1) is not a  # a fresh array, like every other power
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("batch", [(), (5,)])
+@pytest.mark.parametrize("m", [4, 6])
+def test_inv_matrix_is_an_inverse(order, batch, m):
+    alg = jets.algebra(4, order)
+    rng = np.random.default_rng([order, m, len(batch)])
+    a = rng.normal(size=batch + (m, m, alg.ncoef))
+    a[..., 0] += 2.0 * np.sqrt(m) * np.eye(m)
+    x = alg.inv_matrix(a)
+    assert x.shape == a.shape
+    scale = np.linalg.norm(a) * np.linalg.norm(x)
+    eps = np.finfo(float).eps
+    assert np.abs(alg.matmul(a, x) - alg.const(np.eye(m))).max() <= 1e3 * eps * scale
+    assert np.abs(alg.matmul(x, a) - alg.const(np.eye(m))).max() <= 1e3 * eps * scale

@@ -1,9 +1,14 @@
 """Metric catalog, signature checks, and the spec-file format."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tractorlab import jets, metrics
+from tractorlab import expr, jets, metrics
 from tractorlab.fields import ScalarField
 
 
@@ -87,6 +92,78 @@ def test_spec_file_errors(tmp_path):
     path.write_text("[metric]\nname=x\nn=3\nsignature=0,3\n[components]\nh_00 = 1\n")
     with pytest.raises(metrics.MetricError):
         metrics.load_metric(str(path))
+
+
+SPEC_HEAD = "[metric]\nname=x\nn=3\nsignature=0,3\n[components]\ng_00=1\ng_11=1\n"
+
+
+BAD_SPECS = {
+    "key-one-index": ("g_0 = 1\n", metrics.MetricError),
+    "key-beyond-n": ("g_05 = 1\n", metrics.MetricError),
+    "coordinate-beyond-n": ("g_22 = 1 + x9\n", metrics.MetricError),
+    "syntax": ("g_22 = 1 +\n", expr.ExprError),
+    "domain-key-beyond-n": ("g_22 = 1\n[domain]\nx7 = 0, 1\n", metrics.MetricError),
+    "domain-reversed": ("g_22 = 1\n[domain]\nx0 = 1, 0\n", metrics.MetricError),
+    "domain-infinite": ("g_22 = 1\n[domain]\nx0 = 0, inf\n", metrics.MetricError),
+    "domain-one-bound": ("g_22 = 1\n[domain]\nx0 = 0\n", metrics.MetricError),
+    "duplicate-key": ("g_22 = 1\ng_22 = 2\n", metrics.MetricError),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SPECS)
+def test_spec_file_errors_are_typed(tmp_path, case):
+    body, error = BAD_SPECS[case]
+    path = tmp_path / "broken.ini"
+    path.write_text(SPEC_HEAD + body)
+    with pytest.raises(error):
+        metrics.load_metric(str(path))
+
+
+@pytest.mark.parametrize("meta, error", [("n=three", "n must be"), ("signature=-1,4", "signature")])
+def test_spec_file_header_errors(tmp_path, meta, error):
+    path = tmp_path / "broken.ini"
+    path.write_text(f"[metric]\n{meta}\n[components]\ng_00=1\n")
+    with pytest.raises(metrics.MetricError, match=error):
+        metrics.load_metric(str(path))
+
+
+_INI_LINES = st.one_of(
+    st.sampled_from(["[metric]", "[components]", "[domain]", "[other]", "[metric", "# note", ""]),
+    st.tuples(
+        st.sampled_from(["n", "name", "signature", "g_00", "g_01", "g_0", "g_33", "g_99", "g_ab",
+                         "x0", "x2", "x7", "x", "y0"]),
+        st.sampled_from(["=", ":", " = "]),
+        st.one_of(
+            st.sampled_from(["3", "4", "11", "-1", "0", "euclidean", "lorentzian", "(1,3)",
+                             "-1,4", "1,2,3", "0.5,-0.5", "-1,1", "nan,1", "0,inf", "1 + x0^2",
+                             "ln(x1)", "x9", "1 +", "%(x)s", ""]),
+            st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12),
+        ),
+    ).map("".join),
+)
+
+
+@given(st.lists(_INI_LINES, max_size=14).map("\n".join))
+@settings(max_examples=300, deadline=None)
+def test_spec_files_raise_only_typed_errors(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.ini")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        try:
+            metrics.metric_from_spec(metrics.parse_metric_file(path))
+        except (metrics.MetricError, expr.ExprError):
+            pass
+
+
+def test_schwarzschild_components_share_subexpressions(monkeypatch):
+    m = metrics.load_metric("schwarzschild")
+    calls = []
+    sqrt = jets.JetAlgebra.sqrt
+    monkeypatch.setattr(jets.JetAlgebra, "sqrt", lambda alg, a: calls.append(1) or sqrt(alg, a))
+    m._g_fn((0.1, 2.2, 2.5, 2.8), 3)
+    # r = sqrt(x1^2 + x2^2 + x3^2) occurs twice in g00 and once in each spatial component
+    assert len(calls) == 1
 
 
 def test_rescale():

@@ -1,6 +1,6 @@
 """Suite registry sanity and metric-specific witnesses through the runner."""
 
-from tractorlab import metrics, suites
+from tractorlab import metrics, suites, tractor
 
 
 def test_registry_shape():
@@ -111,3 +111,8 @@ def test_failed_calibration_fails_every_check_that_needs_the_map(bumpy, monkeypa
     for r in results:
         assert not r.passed
         assert r.note == "error: CalibrationError: no convention map matches both Weyl laws"
+
+
+def test_one_calibration_rescaling():
+    # the suites and the flagship oracle calibrate under the same rescaling
+    assert suites.DEFAULT_Z is tractor.DEFAULT_Z
