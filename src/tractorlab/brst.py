@@ -271,7 +271,6 @@ def finite_consistency(metric, conn: ConnectionField, ghost: Ghost, kind, point,
     """Slope of ||(chi^{exp(t v)} - chi)/t - s chi|| against t (expect ~1)."""
     from .cartan import transform_connection, transform_section
 
-    n = metric.n
     coeff = ghost.matrix_field(0)
     if kind == "connection":
         s_chi = brst_connection(conn, ghost, point, 0).component((0,))

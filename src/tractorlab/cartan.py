@@ -79,7 +79,6 @@ def embed_algebra(eps, v, tau, iota, eta, check=True):
 
 def split_algebra(m, eta):
     """Inverse of embed_algebra: recover (eps, v, tau, iota) exactly."""
-    n = eta.shape[0]
     return m[0, 0], m[1:-1, 1:-1].copy(), m[1:-1, 0].copy(), m[0, 1:-1].copy()
 
 
@@ -374,19 +373,6 @@ def transform_section(phi: JetField, gfield: JetField, label="") -> JetField:
     return JetField(fn, n, min(phi.max_order, gfield.max_order), label or f"({phi.label})^g")
 
 
-def conjugate_curvature(curv_fn, gfield, n, label=""):
-    """F -> g^-1 F g for a curvature-valued field given as a plain closure."""
-
-    def fn(point, order):
-        alg = jets.algebra(n, order)
-        g = gfield.at(point, order)
-        ginv = alg.inv_matrix(g)
-        f = curv_fn(point, order)
-        return alg.matmul(alg.matmul(ginv[None, None], f), g[None, None])
-
-    return fn
-
-
 def curvature(conn: ConnectionField):
     """Structure-equation curvature F_{mu nu} = d_mu w_nu - d_nu w_mu + [w_mu, w_nu].
 
@@ -421,7 +407,6 @@ def section_derivative(conn: ConnectionField, phi: JetField, point, order=0):
 
 def normality_report(curv_value, einv_value, eta):
     """Max norms of the torsion, trace, and Ricci-type Weyl trace blocks."""
-    n = eta.shape[0]
     f = curv_value[:, :, 0, 0]
     torsion = curv_value[:, :, 1:-1, 0]
     wblk = curv_value[:, :, 1:-1, 1:-1]  # [mu, nu, a, b]

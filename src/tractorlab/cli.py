@@ -4,8 +4,9 @@
         --report out.json --format json
 
 Exit code 0 iff every check passes, 1 if a check fails, and 2 for bad input
-(usage, metric spec, parameters, expressions, tolerance overrides), which is
-reported as one `tractorlab: error: ...` line.  Reports are deterministic for
+(usage, metric spec, parameters, expressions, tolerance overrides, a metric
+with no frame of its signature at a sampled point), which is reported as one
+`tractorlab: error: ...` line.  Reports are deterministic for
 a fixed (config, seed) apart from the timing field.
 """
 
@@ -151,7 +152,7 @@ def main(argv=None):
     if args.suite is None:
         args.suite = ["all"]
     try:
-        report, results = build_report(args)
+        report, _ = build_report(args)
     except (UsageError, metrics.MetricError, expr.ExprError) as exc:
         print(f"tractorlab: error: {exc}", file=sys.stderr)
         return 2

@@ -162,20 +162,6 @@ def lorentz_element(metric, S) -> JetField:
     return constant_field(metric, m)
 
 
-def tilde_z_field(metric, z_field) -> JetField:
-    """diag(1, z, 1): the Weyl action on the frame dressing."""
-    n = metric.n
-    z_field = ScalarField.coerce(z_field)
-
-    def fn(point, order):
-        alg = jets.algebra(n, order)
-        m = alg.const(np.eye(n + 2))
-        m[1:-1, 1:-1] = alg.mul(z_field.coeffs(point, order), alg.const(np.eye(n)))
-        return m
-
-    return JetField(fn, n, max_order=3, label="Ztilde")
-
-
 def tractor_metric_G(metric, point, order):
     """G = ubar^T Sigma ubar = [[0,0,-1],[0,g,0],[-1,0,0]] with jets."""
     alg = jets.algebra(metric.n, order)

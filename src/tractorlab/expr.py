@@ -227,16 +227,6 @@ def parse(text: str):
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "pow": 4, "atom": 5}
 
 
-def _prec(node):
-    if isinstance(node, BinOp):
-        return _PREC[node.op]
-    if isinstance(node, Neg):
-        return _PREC["neg"]
-    if isinstance(node, Pow):
-        return _PREC["pow"]
-    return _PREC["atom"]
-
-
 def _fmt_const(value):
     if value == int(value) and abs(value) < 1e16:
         return str(int(value))

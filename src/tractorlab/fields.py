@@ -1,6 +1,17 @@
-"""Scalar/vector fields on a chart, evaluated through jets."""
+"""Scalar/vector fields on a chart, evaluated through jets.
+
+A scalar field is a rule (point, order) -> jet coefficients, and it comes
+from one of two places.  An expression (a metric's conformal factor, a spec
+file, a rescaling written as text) compiles once per dimension into an
+`expr.Program`.  A random polynomial (the gauge parameters the suites draw)
+is a coefficient dict and goes straight to an `expr.PolynomialEvaluator`.
+Fields compose on their coefficient arrays: a product is the jet product of
+the two factors, and a positive rescaling is the jet `exp` of a polynomial.
+"""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -41,6 +52,13 @@ class ScalarField:
         return cls(fn, expr.to_string(ast))
 
     @classmethod
+    def from_polynomial(cls, coeffs, n):
+        """Field of the polynomial sum_alpha c_alpha x^alpha, given as {alpha: c}, in n variables."""
+        poly = expr.PolynomialEvaluator([coeffs], n)
+        return cls(lambda p, k: poly.coeffs_at(p, jets.algebra(n, k))[..., 0, :],
+                   f"poly(n={n}, degree={poly.degree})")
+
+    @classmethod
     def coerce(cls, source):
         """`source` itself if it is a field, else the field of its expression."""
         return source if isinstance(source, cls) else cls.from_expression(source)
@@ -48,6 +66,14 @@ class ScalarField:
     @classmethod
     def constant(cls, c):
         return cls(lambda p, k: jets.algebra(len(p), k).const(float(c)), str(c))
+
+    def __mul__(self, other):
+        """Pointwise product: the jet product of the two factors' coefficients."""
+
+        def fn(p, k):
+            return jets.algebra(np.shape(p)[-1], k).mul(self._fn(p, k), other._fn(p, k))
+
+        return ScalarField(fn, f"{self.description} * {other.description}")
 
     def __repr__(self):
         return f"ScalarField({self.description})"
@@ -116,39 +142,30 @@ def random_polynomial(rng, n, degree=3, scale=1.0):
 
 
 def random_poly_field(rng, n, degree=3, scale=1.0) -> ScalarField:
-    return ScalarField.from_expression(expr.polynomial(random_polynomial(rng, n, degree, scale)))
-
-
-def positive_poly_field(rng, n, degree=2, scale=0.3) -> ScalarField:
-    """exp of a random polynomial: a generic strictly positive rescaling field."""
-    p = expr.polynomial(random_polynomial(rng, n, degree, scale))
-    return ScalarField.from_expression(expr.Call("exp", p))
-
-
-def _normalized_coord(metric, i):
-    """(x_i - center_i) / halfwidth_i as an expression tree."""
-    lo, hi = metric.domain[i]
-    center, width = (lo + hi) / 2.0, (hi - lo) / 2.0
-    shifted = expr.BinOp("-", expr.coord(i), expr.const(center)) if center else expr.coord(i)
-    return expr.BinOp("/", shifted, expr.const(width)) if width != 1.0 else shifted
+    return ScalarField.from_polynomial(random_polynomial(rng, n, degree, scale), n)
 
 
 def domain_poly_field(rng, metric, degree=2, scale=0.4) -> ScalarField:
-    """Random polynomial in domain-normalized coordinates: O(scale) on the box."""
-    coeffs = random_polynomial(rng, metric.n, degree, scale)
-    terms = []
-    for alpha, c in sorted(coeffs.items()):
-        factors = [expr.const(c)]
-        for i, a in enumerate(alpha):
-            if a == 1:
-                factors.append(_normalized_coord(metric, i))
-            elif a > 1:
-                factors.append(expr.Pow(_normalized_coord(metric, i), a))
-        terms.append(expr.mul(*factors) if len(factors) > 1 else factors[0])
-    return ScalarField.from_expression(expr.add(*terms))
+    """Random polynomial in domain-normalized coordinates: O(scale) on the box.
+
+    sum_alpha c_alpha prod_i ((x_i - center_i) / width_i)^alpha_i, expanded in x.
+    """
+    n = metric.n
+    boxes = [((lo + hi) / 2.0, (hi - lo) / 2.0) for lo, hi in metric.domain]
+    coeffs = {}
+    for alpha, c in sorted(random_polynomial(rng, n, degree, scale).items()):
+        term = {(): c}
+        for (center, width), a in zip(boxes, alpha):
+            s, t = 1.0 / width, -center / width  # (x - center) / width = s x + t
+            powers = [math.comb(a, k) * math.prod([s] * k + [t] * (a - k)) for k in range(a + 1)]
+            term = {beta + (k,): v * w for beta, v in term.items() for k, w in enumerate(powers)}
+        for beta, v in term.items():
+            coeffs[beta] = coeffs.get(beta, 0.0) + v
+    return ScalarField.from_polynomial(coeffs, n)
 
 
 def domain_z_field(rng, metric, scale=0.3) -> ScalarField:
     """Positive rescaling field with O(1) log on the chart box."""
     p = domain_poly_field(rng, metric, 2, scale)
-    return ScalarField.from_expression(expr.Call("exp", expr.parse(p.description)))
+    return ScalarField(lambda x, k: jets.algebra(metric.n, k).exp(p._fn(x, k)),
+                       f"exp({p.description})")

@@ -26,10 +26,13 @@ from .metrics import MetricError
 
 
 class FrameError(MetricError):
-    def __init__(self, pivot, value, expected_sign):
+    """The metric has no frame of its signature at a point: bad input, not a failed law."""
+
+    def __init__(self, pivot, value, expected_sign, point):
         self.pivot = pivot
+        self.point = point
         super().__init__(
-            f"vielbein factorization pivot {pivot} has value {value:.3e}, "
+            f"vielbein factorization at point {point}: pivot {pivot} has value {value:.3e}, "
             f"sign disagrees with eta entry {expected_sign:+.0f}"
         )
 
@@ -87,7 +90,7 @@ class Geometry:
             for m in range(k):
                 dk -= alg.mul(alg.mul(L[k, m], L[k, m]), d[m])
             if np.sign(dk[0]) != self.eta[k, k]:
-                raise FrameError(k, float(dk[0]), self.eta[k, k])
+                raise FrameError(k, float(dk[0]), self.eta[k, k], self.point)
             d.append(dk)
             for i in range(k + 1, n):
                 num = a[i, k].copy()
@@ -292,20 +295,6 @@ def christoffel(metric, point):
     return Geometry(metric, point).gamma2
 
 
-def curvature_tensors(metric, point):
-    geom = Geometry(metric, point)
-    return geom.riemann1, geom.ricci1, geom.scalar1
-
-
 def schouten(metric, point):
     geom = Geometry(metric, point)
     return geom.schouten1, geom.schouten_trace1
-
-
-def conformal_tensors(metric, point):
-    geom = Geometry(metric, point)
-    return geom.cotton, geom.weyl
-
-
-def spin_connection(metric, point):
-    return Geometry(metric, point).spin2

@@ -48,7 +48,3 @@ def fd_second(f, x, i, j, h=1e-4):
             )
 
     return (4.0 * central(h / 2) - central(h)) / 3.0
-
-
-def fd_gradient(f, x, h=1e-5):
-    return np.stack([fd_first(f, x, i, h) for i in range(len(x))])

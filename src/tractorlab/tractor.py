@@ -139,13 +139,6 @@ def weyl_matrix_field(metric, z_field) -> JetField:
     return JetField(fn, n, max_order=2, label="tractorGT(z)")
 
 
-def weyl_transform(metric, z_field, t_values, point, order=0):
-    """Apply the tractor Weyl matrix at a point to a triple (jet arrays)."""
-    alg = jets.algebra(metric.n, order)
-    u = weyl_matrix_field(metric, z_field).at(point, order)
-    return matvec(alg, u, np.asarray(t_values))
-
-
 def inner(metric, point, t, t2, order=0):
     """rho sigma' + l_mu g^{mu nu} l'_nu + sigma rho' (jet arrays in, jet out)."""
     alg = jets.algebra(metric.n, order)
@@ -308,7 +301,7 @@ def equivalence_check(metric, points, rng, cmap=None, z_field=None):
     ell = [random_poly_field(rng, n, 2) for _ in range(n)]
     t = section_field(metric, sigma, ell, random_poly_field(rng, n, 2))  # (sigma, l_nu, rho)
 
-    a0, a1 = jets.algebra(n, 0), jets.algebra(n, 1)
+    a0 = jets.algebra(n, 0)
 
     def phi_l_fn(point, order):
         alg = jets.algebra(n, order)

@@ -59,6 +59,20 @@ def test_bad_input_is_a_one_line_error_with_exit_code_2(args, tmp_path, capsys):
     assert err.startswith("tractorlab: error: ") and err.count("\n") == 1
 
 
+def test_a_metric_with_no_frame_at_a_sample_point_exits_2(tmp_path, capsys):
+    # Lorentzian at every point (it passes the signature check), but g_00 = x1 > 0
+    # puts the first frame pivot at the wrong sign wherever x1 > 0
+    path = tmp_path / "frame.ini"
+    path.write_text("[metric]\nn=4\nsignature=lorentzian\n[components]\n"
+                    "g_00 = x1\ng_01 = 1\ng_11 = 0\ng_22 = 1\ng_33 = 1\n")
+    code = cli.main(["run", "--metric", str(path), "--suite", "riemann-laws",
+                     "--points", "5", "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tractorlab: error: vielbein factorization at point (")
+    assert "pivot 0" in err and err.count("\n") == 1
+
+
 def test_failing_check_reports_worst_point(tmp_path):
     # an absurdly tight tolerance forces honest failures with diagnostics
     # (the Bianchi check uses finite differences, so its residual is genuine)

@@ -125,6 +125,7 @@ def test_vielbein_pivot_error():
     with pytest.raises(FrameError) as err:
         Geometry(m, (0.0, 0.0, 0.0, 0.0)).e3
     assert err.value.pivot == 0
+    assert err.value.point == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_spin_connection_properties(bumpy, rng):
