@@ -77,14 +77,14 @@ def embed_algebra(eps, v, tau, iota, eta, check=True):
     return m
 
 
-def split_algebra(m, eta):
+def split_algebra(m):
     """Inverse of embed_algebra: recover (eps, v, tau, iota) exactly."""
     return m[0, 0], m[1:-1, 1:-1].copy(), m[1:-1, 0].copy(), m[0, 1:-1].copy()
 
 
 def grading_parts(m, eta):
     """Split into (g_-1, g_0, g_+1) matrices: tau part, (eps, v) part, iota part."""
-    eps, v, tau, iota = split_algebra(m, eta)
+    eps, v, tau, iota = split_algebra(m)
     n = eta.shape[0]
     zero = np.zeros(n)
     return (
@@ -336,7 +336,7 @@ def transform_connection(conn: ConnectionField, gfield: JetField, label="") -> C
         g = alg_hi.truncate(g_hi, order)
         ginv = alg.inv_matrix(g)
         w = conn.at(point, order)
-        dg = np.stack([alg_hi.deriv(g_hi, mu) for mu in range(n)])
+        dg = alg_hi.grad(g_hi)
         core = alg.matmul(alg.matmul(ginv[None], w), g[None])
         return core + alg.matmul(ginv[None], dg)
 
@@ -349,7 +349,7 @@ def transform_connection(conn: ConnectionField, gfield: JetField, label="") -> C
         col = conn.col0(point, order)  # (n, N, NC)
         g00 = g[0, 0]
         out = alg.mul(g00, matvec(alg, ginv[None], col))
-        dg0 = np.stack([alg_hi.deriv(g_hi[:, 0], mu) for mu in range(n)])  # (n, N, NC)
+        dg0 = alg_hi.grad(g_hi[:, 0])  # (n, N, NC)
         out += matvec(alg, ginv[None], dg0)
         return out
 
@@ -386,7 +386,7 @@ def curvature(conn: ConnectionField):
         alg = jets.algebra(n, order)
         w_hi = conn.at(point, order + 1)
         w = alg_hi.truncate(w_hi, order)
-        dw = np.stack([alg_hi.deriv(w_hi, mu) for mu in range(n)])  # [mu, nu, N, N]
+        dw = alg_hi.grad(w_hi)  # [mu, nu, N, N]
         ww = alg.matmul(w[:, None], w[None, :])  # [mu, nu] -> w_mu w_nu
         return dw - np.einsum("mn...->nm...", dw) + ww - np.einsum("mn...->nm...", ww)
 
@@ -399,13 +399,13 @@ def section_derivative(conn: ConnectionField, phi: JetField, point, order=0):
     alg_hi = jets.algebra(n, order + 1)
     alg = jets.algebra(n, order)
     p_hi = phi.at(point, order + 1)
-    dp = np.stack([alg_hi.deriv(p_hi, mu) for mu in range(n)])
+    dp = alg_hi.grad(p_hi)
     w = conn.at(point, order)
     p = alg_hi.truncate(p_hi, order)
     return dp + matvec(alg, w, p[None, :])
 
 
-def normality_report(curv_value, einv_value, eta):
+def normality_report(curv_value, einv_value):
     """Max norms of the torsion, trace, and Ricci-type Weyl trace blocks."""
     f = curv_value[:, :, 0, 0]
     torsion = curv_value[:, :, 1:-1, 0]

@@ -128,7 +128,7 @@ class Geometry:
     def gamma2(self):
         """Christoffel symbols with order-2 jets."""
         alg = self.alg(2)
-        dg = np.stack([self.alg(3).deriv(self.g3, mu) for mu in range(self.n)])  # [mu, b, nu]
+        dg = self.alg(3).grad(self.g3)  # [mu, b, nu]
         t = (
             np.einsum("mbn...->bmn...", dg)
             + np.einsum("nbm...->bmn...", dg)
@@ -142,7 +142,7 @@ class Geometry:
     def riemann1(self):
         """R^rho_{sigma mu nu} with order-1 jets."""
         alg, n = self.alg(1), self.n
-        dgam = np.stack([self.alg(2).deriv(self.gamma2, mu) for mu in range(n)])
+        dgam = self.alg(2).grad(self.gamma2)
         dterm = np.einsum("mrns...->rsmn...", dgam) - np.einsum("nrms...->rsmn...", dgam)
         gam = self.alg(2).truncate(self.gamma2, 1)
         a = np.ascontiguousarray(gam.reshape(n * n, n, alg.ncoef))  # [(rho,mu), lam]
@@ -206,7 +206,7 @@ class Geometry:
     def spin2(self):
         """Spin connection A^a_{b mu}, stored [mu, a, b], order-2 jets."""
         n, alg = self.n, self.alg(2)
-        de = np.stack([self.alg(3).deriv(self.e3, mu) for mu in range(n)])  # d_mu e^a_nu
+        de = self.alg(3).grad(self.e3)  # d_mu e^a_nu
         einv = self.einv(2)
         e2 = self.e(2)
         out = np.empty((n, n, n, alg.ncoef))
@@ -237,7 +237,7 @@ class Geometry:
         if k < 1:
             raise MetricError("covariant derivative needs at least order-1 jets")
         alg_in, alg_out, n = self.alg(k), self.alg(k - 1), self.n
-        out = np.stack([alg_in.deriv(tensor, mu) for mu in range(n)])
+        out = alg_in.grad(tensor)
         if not valences:
             return out
         t_low = alg_in.truncate(tensor, k - 1)
@@ -263,11 +263,9 @@ class Geometry:
         k = self._order_of(scalar_jets)
         if k < 2:
             raise MetricError("laplacian needs at least order-2 jets")
-        alg, n = self.alg(k), self.n
-        grad = np.stack([alg.deriv(scalar_jets, mu) for mu in range(n)])
-        hess = np.stack(
-            [self.alg(k - 1).deriv(grad, mu) for mu in range(n)]
-        )  # [mu, nu]
+        alg = self.alg(k)
+        grad = alg.grad(scalar_jets)
+        hess = self.alg(k - 1).grad(grad)  # [mu, nu]
         alg2 = self.alg(k - 2)
         gam = self.alg(2).truncate(self.gamma2, k - 2)
         grad2 = self.alg(k - 1).truncate(grad, k - 2)

@@ -81,7 +81,7 @@ class GradedValue:
         alg = self.alg
         out = {}
         for t, a in self.components.items():
-            da = np.stack([alg.deriv(a, mu) for mu in range(self.n)])
+            da = alg.grad(a)
             out[t] = ((-1) ** len(t)) * da
         return GradedValue(self.n, self.p + 1, self.order - 1, out)
 

@@ -2,6 +2,14 @@
 invariance, or algebraic identity of the pipeline on a configured metric and
 reports the worst residual against its tolerance.
 
+A check is written in three steps: its random draws (gauges, rescalings,
+sections), then a `residual(p)` function that evaluates the law at one chart
+point, then `return ctx.sweep(rng, residual, rule)`.  The sweep draws the
+points of a count rule from `COUNTS` and tracks the worst residual.  A
+residual is a scalar, an array, a dict of named blocks, or a list of these.
+The few checks with no chart points or with two point sets keep a loop of
+their own.
+
 Checks are deterministic: every check derives its own RNG from (seed,
 check_id), so results are bit-identical across runs and independent of
 execution order.
@@ -21,6 +29,15 @@ from .tractor import DEFAULT_Z
 
 SUITES: dict = {}
 META: dict = {}
+
+# How many chart points a check samples, as a function of `--points` N.
+COUNTS = {
+    "all": lambda n: n,
+    "half": lambda n: max(5, n // 2),
+    "third": lambda n: max(4, n // 3),
+    "quarter": lambda n: max(3, n // 4),
+    "few": lambda n: min(3, n),
+}
 
 
 def check(suite, check_id, law, tol):
@@ -72,18 +89,16 @@ class Tracker:
         self.max = 0.0
         self.worst = None
         self.blocks = {}
+        self.note = None
 
     def add(self, point, value):
-        if isinstance(value, dict):
-            for k, v in value.items():
-                v = float(np.abs(v).max()) if np.ndim(v) else float(abs(v))
+        """Track one residual: a scalar, an array, or a dict of named blocks."""
+        for k, v in value.items() if isinstance(value, dict) else [(None, value)]:
+            v = float(np.abs(v).max())
+            if k is not None:
                 self.blocks[k] = max(self.blocks.get(k, 0.0), v)
-                if v > self.max:
-                    self.max, self.worst = v, tuple(point) if point is not None else None
-        else:
-            v = float(np.abs(value).max()) if np.ndim(value) else float(abs(value))
             if v > self.max:
-                self.max, self.worst = v, tuple(point) if point is not None else None
+                self.max, self.worst = v, None if point is None else tuple(point)
 
 
 class Context:
@@ -106,6 +121,16 @@ class Context:
         pts = metrics.sample_points(self.metric, count or self.npoints, rng)
         self.points_drawn += len(pts)
         return pts
+
+    def sweep(self, rng, residual, rule):
+        """Track `residual(point)` over the points of a count rule; a list
+        result adds each of its elements at that point."""
+        tr = Tracker()
+        for p in map(tuple, self.points(rng, COUNTS[rule](self.npoints))):
+            res = residual(p)
+            for r in res if isinstance(res, list) else [res]:
+                tr.add(p, r)
+        return tr
 
     def tol(self, check_id):
         return float(self.tol_overrides.get(check_id, META[check_id]["tol"]))
@@ -180,135 +205,131 @@ def random_section(rng, metric):
 
 @check("riemann-laws", "metricity", "nabla_lam g_{mu nu} = 0", 1e-11)
 def check_metricity(ctx, rng):
-    tr = Tracker()
-    for p in ctx.points(rng):
+    def residual(p):
         geom = Geometry(ctx.metric, p)
-        tr.add(p, geom.covariant_derivative(geom.g(2), "dd"))
-    return tr
+        return geom.covariant_derivative(geom.g(2), "dd")
+    return ctx.sweep(rng, residual, "all")
 
 
 @check("riemann-laws", "frame-residuals", "e^T eta e = g, e e^-1 = 1, g g^-1 = 1", 1e-11)
 def check_frame(ctx, rng):
-    tr = Tracker()
     n = ctx.metric.n
     alg = jets.algebra(n, 3)
     eye = np.eye(n)
-    for p in ctx.points(rng):
+
+    def residual(p):
         geom = Geometry(ctx.metric, p)
         ete = alg.matmul(np.swapaxes(geom.e3, 0, 1), alg.matmul(alg.const(ctx.metric.eta), geom.e3))
-        tr.add(p, {
+        return {
             "e^T.eta.e - g": ete - geom.g3,
             "e.e^-1 - 1": _value(alg.matmul(geom.e3, geom.einv3)) - eye,
             "g.g^-1 - 1": _value(alg.matmul(geom.g3, geom.ginv3)) - eye,
-        })
-    return tr
+        }
+    return ctx.sweep(rng, residual, "all")
 
 
 @check("riemann-laws", "curvature-symmetries",
        "Gamma and Ricci symmetric; lowered Riemann pair-antisymmetric; first Bianchi", 1e-9)
 def check_curvature_symmetries(ctx, rng):
-    tr = Tracker()
-    for p in ctx.points(rng):
+    def residual(p):
         geom = Geometry(ctx.metric, p)
         gam = _value(geom.gamma2)
         riem_up = _value(geom.riemann1)
         g = _value(geom.g(1))
         riem = np.einsum("ra,asmn->rsmn", g, riem_up)
-        tr.add(p, {
+        return {
             "Gamma(mu,nu) sym": gam - gam.swapaxes(1, 2),
             "Ricci sym": _value(geom.ricci1) - _value(geom.ricci1).T,
             "R antisym last": riem + riem.swapaxes(2, 3),
             "R antisym first": riem + riem.swapaxes(0, 1),
             "R pair sym": riem - np.einsum("rsmn->mnrs", riem),
             "first Bianchi": riem_up + np.einsum("rmns->rsmn", riem_up) + np.einsum("rnsm->rsmn", riem_up),
-        })
-    return tr
+        }
+    return ctx.sweep(rng, residual, "all")
 
 
 @check("riemann-laws", "conformal-traces",
        "Weyl totally trace-free; Cotton g-trace free", 1e-9)
 def check_conformal_traces(ctx, rng):
-    tr = Tracker()
-    for p in ctx.points(rng):
+    def residual(p):
         geom = Geometry(ctx.metric, p)
         w = geom.weyl
         g = _value(geom.g(1))
         ginv = np.linalg.inv(g)
-        tr.add(p, {
+        return {
             "W^r_{s r n}": np.einsum("rsrn->sn", w),
             "W^r_{s m r}": np.einsum("rsmr->sm", w),
             "g^{sm} W^r_{s m n}": np.einsum("sm,rsmn->rn", ginv, w),
             "g^{mn} C_{m l, n}": np.einsum("mn,mln->l", ginv, geom.cotton),
-        })
-    return tr
+        }
+    return ctx.sweep(rng, residual, "all")
 
 
 @check("riemann-laws", "schouten-weyl-law",
        "P(z^2 g) = P + nabla Upsilon - Upsilon Upsilon + Upsilon^2/2 g", 1e-8)
 def check_schouten_weyl(ctx, rng):
-    tr = Tracker()
     zf = random_z_field(rng, ctx.metric)
     hat = ctx.metric.rescale(zf)
-    for p in ctx.points(rng, max(4, ctx.npoints // 3)):
+
+    def residual(p):
         geom, geom_hat = Geometry(ctx.metric, p), Geometry(hat, p)
-        ups = dressing.upsilon_row(zf, tuple(p), 1, ctx.metric.n)
+        ups = dressing.upsilon_row(zf, p, 1, ctx.metric.n)
         nab_u = _value(geom.covariant_derivative(ups, "d"))
         u0 = _value(jets.algebra(ctx.metric.n, 1).truncate(ups, 0))
         ups2 = u0 @ np.linalg.inv(_value(geom.g(0))) @ u0
         expected = _value(geom.schouten1) + nab_u - np.outer(u0, u0) + 0.5 * ups2 * _value(geom.g(0))
-        tr.add(p, _value(geom_hat.schouten1) - expected)
-    return tr
+        return _value(geom_hat.schouten1) - expected
+    return ctx.sweep(rng, residual, "third")
 
 
 @check("riemann-laws", "weyl-conformal-invariance",
        "W^r_{s m n}(z^2 g) = W^r_{s m n}(g)", 1e-7)
 def check_weyl_invariance(ctx, rng):
-    tr = Tracker()
     zf = random_z_field(rng, ctx.metric)
     hat = ctx.metric.rescale(zf)
-    for p in ctx.points(rng, max(4, ctx.npoints // 3)):
-        tr.add(p, Geometry(hat, p).weyl - Geometry(ctx.metric, p).weyl)
-    return tr
+
+    def residual(p):
+        return Geometry(hat, p).weyl - Geometry(ctx.metric, p).weyl
+    return ctx.sweep(rng, residual, "third")
 
 
 @check("riemann-laws", "contracted-bianchi",
        "nabla^mu (R_{mu nu} - R/2 g_{mu nu}) = 0", 1e-7)
 def check_contracted_bianchi(ctx, rng):
-    tr = Tracker()
     n = ctx.metric.n
     a1 = jets.algebra(n, 1)
-    for p in ctx.points(rng):
+
+    def residual(p):
         geom = Geometry(ctx.metric, p)
         einstein = geom.ricci1 - 0.5 * a1.mul(geom.scalar1, geom.g(1))
         nab = _value(geom.covariant_derivative(einstein, "dd"))  # [lam, mu, nu]
         ginv = np.linalg.inv(_value(geom.g(0)))
-        tr.add(p, np.einsum("lm,lmn->n", ginv, nab))
-    return tr
+        return np.einsum("lm,lmn->n", ginv, nab)
+    return ctx.sweep(rng, residual, "all")
 
 
 @check("riemann-laws", "spin-connection",
        "A eta-antisymmetric and torsion-free: d theta + A ^ theta = 0", 1e-10)
 def check_spin_connection(ctx, rng):
-    tr = Tracker()
     n = ctx.metric.n
     a3 = jets.algebra(n, 3)
     eta = ctx.metric.eta
-    for p in ctx.points(rng):
+
+    def residual(p):
         geom = Geometry(ctx.metric, p)
         A = _value(geom.spin2)
         anti = np.einsum("ac,mcb->mab", eta, A) + np.einsum("bc,mca->mab", eta, A)
-        dev = _value(np.stack([a3.deriv(geom.e3, mu) for mu in range(n)]))  # d_mu e^a_nu
+        dev = _value(a3.grad(geom.e3))  # d_mu e^a_nu
         ev = _value(geom.e(2))
         t1 = np.einsum("man->amn", dev) - np.einsum("nam->amn", dev)
         t2 = np.einsum("mab,bn->amn", A, ev) - np.einsum("nab,bm->amn", A, ev)
-        tr.add(p, {"eta-antisymmetry": anti, "torsion": t1 + t2})
-    return tr
+        return {"eta-antisymmetry": anti, "torsion": t1 + t2}
+    return ctx.sweep(rng, residual, "all")
 
 
 @check("riemann-laws", "fd-oracle",
        "Christoffel and Riemann agree with finite-difference derivatives of g", 1e-5)
 def check_fd_oracle(ctx, rng):
-    tr = Tracker()
     n = ctx.metric.n
     metric = ctx.metric
 
@@ -318,7 +339,7 @@ def check_fd_oracle(ctx, rng):
     def gamma_val(x):
         return _value(Geometry(metric, x).gamma2)
 
-    for p in ctx.points(rng, min(3, ctx.npoints)):
+    def residual(p):
         dg = np.stack([oracle.fd_first(g_val, p, mu) for mu in range(n)])
         ginv = np.linalg.inv(g_val(p))
         gam_fd = 0.5 * np.einsum(
@@ -335,11 +356,11 @@ def check_fd_oracle(ctx, rng):
             - np.einsum("rnl,lms->rsmn", gam, gam)
         )
         scale = 1.0 + np.abs(riem_fd).max()
-        tr.add(p, {
+        return {
             "Gamma vs fd": gam - gam_fd,
             "Riemann vs fd": (_value(Geometry(metric, p).riemann1) - riem_fd) / scale,
-        })
-    return tr
+        }
+    return ctx.sweep(rng, residual, "few")
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +384,7 @@ def check_algebra(ctx, rng):
         comm = m1 @ m2 - m2 @ m1
         h = cartan.h_matrix(float(np.exp(rng.normal() * 0.3)), random_eta_orthogonal(rng, eta),
                             rng.normal(size=n) * 0.4, eta)
-        eps, vv, tau, iota = cartan.split_algebra(m1, eta)
+        eps, vv, tau, iota = cartan.split_algebra(m1)
         tr.add(None, {
             "bracket closure": cartan.sigma_antisymmetry(comm, eta) / (1 + np.abs(comm).max()),
             "H membership": cartan.sigma_membership(h, eta),
@@ -375,7 +396,6 @@ def check_algebra(ctx, rng):
 @check("cartan-gauge", "gt0-table",
        "gauge transform by (z, S): block table of the transformed connection", 1e-9)
 def check_gt0(ctx, rng):
-    tr = Tracker()
     n = ctx.metric.n
     wn = ctx.pipeline()["wn"]
     zf = random_z_field(rng, ctx.metric)
@@ -384,27 +404,26 @@ def check_gt0(ctx, rng):
     w0 = cartan.transform_connection(wn, gam0)
     a1 = jets.algebra(n, 1)
     Sinv = np.linalg.inv(S)
-    for p in ctx.points(rng, max(5, ctx.npoints // 2)):
-        p = tuple(p)
+
+    def residual(p):
         b0 = {k: _value(v) for k, v in cartan.conn_blocks(w0.at(p, 0)).items()}
         bn = {k: _value(a1.truncate(v, 0)) for k, v in cartan.conn_blocks(wn.at(p, 1)).items()}
         ups = _value(dressing.upsilon_row(zf, p, 0, n))
         zv = zf.jet(p, 0).value
-        tr.add(p, {
+        return {
             "a": b0["a"] - (bn["a"] + ups),
             "P": b0["P"] - bn["P"] @ S / zv,
             "theta": b0["theta"] - zv * np.einsum("ab,bm->am", Sinv, bn["theta"]),
             "A": b0["A"] - np.einsum("ab,mbc,cd->mad", Sinv, bn["A"], S),
             "P^t": b0["P_t"] - (Sinv @ bn["P_t"].T / zv).T,
             "theta^t": b0["theta_t"] - zv * bn["theta_t"] @ S,
-        })
-    return tr
+        }
+    return ctx.sweep(rng, residual, "half")
 
 
 @check("cartan-gauge", "gt1-table",
        "gauge transform by K1(r): block table of the transformed connection", 1e-9)
 def check_gt1(ctx, rng):
-    tr = Tracker()
     n = ctx.metric.n
     eta_inv = np.linalg.inv(ctx.metric.eta)
     wn = ctx.pipeline()["wn"]
@@ -412,18 +431,18 @@ def check_gt1(ctx, rng):
     gam1 = cartan.h_field(ctx.metric, r=r_fields)
     w1g = cartan.transform_connection(wn, gam1)
     a1 = jets.algebra(n, 1)
-    for p in ctx.points(rng, max(5, ctx.npoints // 2)):
-        p = tuple(p)
+
+    def residual(p):
         b1 = {k: _value(v) for k, v in cartan.conn_blocks(w1g.at(p, 0)).items()}
         bn = {k: _value(a1.truncate(v, 0)) for k, v in cartan.conn_blocks(wn.at(p, 1)).items()}
         rj = r_fields.coeffs(p, 1)
         r = _value(a1.truncate(rj, 0))
         rt = eta_inv @ r
-        dr = _value(np.stack([a1.deriv(rj, mu) for mu in range(n)]))  # d_mu r_b
+        dr = _value(a1.grad(rj))  # d_mu r_b
         drt = np.einsum("ab,mb->ma", eta_inv, dr)
         rrt = float(r @ rt)
         av, Pv, thv, Av, Ptv, thtv = (bn[k] for k in ("a", "P", "theta", "A", "P_t", "theta_t"))
-        tr.add(p, {
+        return {
             "a": b1["a"] - (av - np.einsum("b,bm->m", r, thv)),
             "theta": b1["theta"] - thv,
             "theta^t": b1["theta_t"] - thtv,
@@ -434,14 +453,13 @@ def check_gt1(ctx, rng):
                                  - np.einsum("a,mb,b->ma", rt, thtv, rt) + Ptv
                                  + np.einsum("a,m->ma", rt, av) + drt),
             "-a (corner)": b1["a"] - (av - np.einsum("mb,b->m", thtv, rt)),
-        })
-    return tr
+        }
+    return ctx.sweep(rng, residual, "half")
 
 
 @check("cartan-gauge", "gtvphi-table",
        "section transforms: (z,S) and K1(r) columns", 1e-9)
 def check_gtvphi(ctx, rng):
-    tr = Tracker()
     n = ctx.metric.n
     eta_inv = np.linalg.inv(ctx.metric.eta)
     phi = random_section(rng, ctx.metric)
@@ -453,20 +471,20 @@ def check_gtvphi(ctx, rng):
     phi0 = cartan.transform_section(phi, gam0)
     phi1 = cartan.transform_section(phi, gam1)
     Sinv = np.linalg.inv(S)
-    for p in ctx.points(rng, max(5, ctx.npoints // 2)):
-        p = tuple(p)
+
+    def residual(p):
         pv = _value(phi.at(p, 0))
         rho, ell, sig = pv[0], pv[1:-1], pv[-1]
         zv = zf.jet(p, 0).value
         r = _value(r_fields.coeffs(p, 0))
         rt = eta_inv @ r
-        tr.add(p, {
+        return {
             "gamma0": _value(phi0.at(p, 0)) - np.concatenate([[rho / zv], Sinv @ ell, [zv * sig]]),
             "gamma1": _value(phi1.at(p, 0)) - np.concatenate(
                 [[rho - r @ ell + 0.5 * (r @ rt) * sig], ell - rt * sig, [sig]]
             ),
-        })
-    return tr
+        }
+    return ctx.sweep(rng, residual, "half")
 
 
 @check("cartan-gauge", "sigma-pairing",
@@ -489,7 +507,6 @@ def check_sigma_pairing(ctx, rng):
 @check("cartan-gauge", "curvature-tensoriality",
        "curvature of the transformed connection = g^-1 Omega g", 1e-8)
 def check_curv_tensorial(ctx, rng):
-    tr = Tracker()
     n = ctx.metric.n
     wn = ctx.pipeline()["wn"]
     zf = random_z_field(rng, ctx.metric)
@@ -500,69 +517,65 @@ def check_curv_tensorial(ctx, rng):
     curv_direct = cartan.curvature(wg)
     a0 = jets.algebra(n, 0)
     a1 = jets.algebra(n, 1)
-    for p in ctx.points(rng, max(5, ctx.npoints // 2)):
-        p = tuple(p)
+
+    def residual(p):
         g = a1.truncate(gam.at(p, 1), 0)
         ginv = a0.inv_matrix(g)
         conj = a0.matmul(a0.matmul(ginv[None, None], curv_base(p, 0)), g[None, None])
-        tr.add(p, _value(curv_direct(p, 0) - conj))
-    return tr
+        return _value(curv_direct(p, 0) - conj)
+    return ctx.sweep(rng, residual, "half")
 
 
 @check("cartan-gauge", "soldering-metric",
        "metric induced by the (z,S)-transformed connection is z^2 g", 1e-9)
 def check_soldering(ctx, rng):
-    tr = Tracker()
     n = ctx.metric.n
     wn = ctx.pipeline()["wn"]
     zf = random_z_field(rng, ctx.metric)
     gam0 = cartan.h_field(ctx.metric, z=zf, S=random_eta_orthogonal(rng, ctx.metric.eta))
     wg = cartan.transform_connection(wn, gam0)
     a0 = jets.algebra(n, 0)
-    for p in ctx.points(rng, max(5, ctx.npoints // 2)):
-        p = tuple(p)
+
+    def residual(p):
         e, _ = wg.frame(p, 0)
         induced = _value(a0.matmul(np.swapaxes(e, 0, 1), a0.matmul(a0.const(ctx.metric.eta), e)))
         zv = zf.jet(p, 0).value
-        tr.add(p, induced - zv**2 * _value(Geometry(ctx.metric, p).g(0)))
-    return tr
+        return induced - zv**2 * _value(Geometry(ctx.metric, p).g(0))
+    return ctx.sweep(rng, residual, "half")
 
 
 @check("cartan-gauge", "normality",
        "curvature of the normal connection: torsion, trace, and Ricci-type Weyl trace vanish", 1e-8)
 def check_normality(ctx, rng):
-    tr = Tracker()
     wn = ctx.pipeline()["wn"]
     curv = cartan.curvature(wn)
-    for p in ctx.points(rng):
-        p = tuple(p)
+
+    def residual(p):
         geom = Geometry(ctx.metric, p)
-        rep = cartan.normality_report(_value(curv(p, 0)), _value(geom.einv3), ctx.metric.eta)
-        tr.add(p, {k: v for k, v in rep.items() if k != "normal"})
-    return tr
+        rep = cartan.normality_report(_value(curv(p, 0)), _value(geom.einv3))
+        return {k: v for k, v in rep.items() if k != "normal"}
+    return ctx.sweep(rng, residual, "all")
 
 
 @check("cartan-gauge", "normality-gauge-covariant",
        "normality survives a boost gauge transform", 1e-8)
 def check_normality_cov(ctx, rng):
-    tr = Tracker()
     n = ctx.metric.n
     wn = ctx.pipeline()["wn"]
     gam1 = cartan.h_field(ctx.metric, r=[domain_poly_field(rng, ctx.metric, 2, 0.4) for _ in range(n)])
     wg = cartan.transform_connection(wn, gam1)
     curv = cartan.curvature(wg)
-    for p in ctx.points(rng, max(4, ctx.npoints // 3)):
-        p = tuple(p)
+
+    def residual(p):
         _, einv = wg.frame(p, 0)
-        rep = cartan.normality_report(_value(curv(p, 0)), _value(einv), ctx.metric.eta)
-        tr.add(p, {k: v for k, v in rep.items() if k != "normal"})
-    return tr
+        rep = cartan.normality_report(_value(curv(p, 0)), _value(einv))
+        return {k: v for k, v in rep.items() if k != "normal"}
+    return ctx.sweep(rng, residual, "third")
 
 
 @check("cartan-gauge", "bianchi",
        "d Omega + [w, Omega] = 0 (exterior derivative by finite differences)", 1e-7)
 def check_bianchi(ctx, rng):
-    tr = Tracker()
     n = ctx.metric.n
     wn = ctx.pipeline()["wn"]
     curv = cartan.curvature(wn)
@@ -570,15 +583,13 @@ def check_bianchi(ctx, rng):
     def curv_val(x):
         return _value(curv(tuple(x), 0))
 
-    for p in ctx.points(rng, min(3, ctx.npoints)):
-        p = tuple(p)
+    def residual(p):
         dF = np.stack([oracle.fd_first(curv_val, p, lam, h=1e-4) for lam in range(n)])
         w = _value(wn.at(p, 0))
         brk = np.einsum("lab,mnbc->lmnac", w, curv_val(p)) - np.einsum("mnab,lbc->lmnac", curv_val(p), w)
         t = dF + brk
-        total = t + np.einsum("lmn...->mnl...", t) + np.einsum("lmn...->nlm...", t)
-        tr.add(p, total)
-    return tr
+        return t + np.einsum("lmn...->mnl...", t) + np.einsum("lmn...->nlm...", t)
+    return ctx.sweep(rng, residual, "few")
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +603,7 @@ def check_k1_erasure(ctx, rng):
     tr = Tracker()
     n = ctx.metric.n
     wn = ctx.pipeline()["wn"]
-    pts = ctx.points(rng, min(3, ctx.npoints))
+    pts = ctx.points(rng, COUNTS["few"](ctx.npoints))
     for _ in range(20):
         gam1 = cartan.h_field(ctx.metric, r=[domain_poly_field(rng, ctx.metric, 2, 0.5) for _ in range(n)])
         wg = cartan.transform_connection(wn, gam1)
@@ -607,23 +618,21 @@ def check_k1_erasure(ctx, rng):
 @check("dressing-k1", "boost-constraint",
        "dressed connection has vanishing trace block; q = a . e^-1", 1e-10)
 def check_boost_constraint(ctx, rng):
-    tr = Tracker()
     n = ctx.metric.n
     wn = ctx.pipeline()["wn"]
     zf = random_z_field(rng, ctx.metric)
     gam = cartan.h_field(ctx.metric, z=zf, r=[domain_poly_field(rng, ctx.metric, 2, 0.4) for _ in range(n)])
     wg = cartan.transform_connection(wn, gam)
     dressed = dressing.dress(wg, dressing.boost_dressing(wg))
-    for p in ctx.points(rng, max(5, ctx.npoints // 2)):
-        p = tuple(p)
-        tr.add(p, cartan.conn_blocks(dressed.at(p, 0))["a"])
-    return tr
+
+    def residual(p):
+        return cartan.conn_blocks(dressed.at(p, 0))["a"]
+    return ctx.sweep(rng, residual, "half")
 
 
 @check("dressing-k1", "dressed-curvature",
        "u^-1 Omega u equals the structure-equation curvature of the dressed connection", 1e-9)
 def check_dressed_curvature(ctx, rng):
-    tr = Tracker()
     n = ctx.metric.n
     wn = ctx.pipeline()["wn"]
     gam1 = cartan.h_field(ctx.metric, r=[domain_poly_field(rng, ctx.metric, 2, 0.4) for _ in range(n)])
@@ -633,94 +642,90 @@ def check_dressed_curvature(ctx, rng):
     curv_base = cartan.curvature(wg)
     curv_dressed = cartan.curvature(dressed)
     a0, a1 = jets.algebra(n, 0), jets.algebra(n, 1)
-    for p in ctx.points(rng, max(4, ctx.npoints // 3)):
-        p = tuple(p)
+
+    def residual(p):
         u = a1.truncate(u1.at(p, 1), 0)
         uinv = a0.inv_matrix(u)
         conj = a0.matmul(a0.matmul(uinv[None, None], curv_base(p, 0)), u[None, None])
-        tr.add(p, _value(curv_dressed(p, 0) - conj))
-    return tr
+        return _value(curv_dressed(p, 0) - conj)
+    return ctx.sweep(rng, residual, "third")
 
 
 @check("dressing-k1", "holonomic-blocks",
        "fully dressed connection: blocks (0, P, 0; dx, Gamma, g^-1 P; 0, g dx, 0)", 1e-9)
 def check_holonomic_blocks(ctx, rng):
-    tr = Tracker()
     n = ctx.metric.n
     wl = ctx.pipeline()["wl"]
     a1 = jets.algebra(n, 1)
-    for p in ctx.points(rng):
-        p = tuple(p)
+
+    def residual(p):
         geom = Geometry(ctx.metric, p)
         b = {k: _value(v) for k, v in cartan.conn_blocks(wl.at(p, 0)).items()}
         P = _value(a1.truncate(geom.schouten1, 0))
         g = _value(geom.g(0))
         gam = _value(jets.algebra(n, 2).truncate(geom.gamma2, 0))
-        tr.add(p, {
+        return {
             "dx": b["theta"] - np.eye(n),
             "Gamma": b["A"] - np.einsum("rmn->mrn", gam),
             "P = Schouten": b["P"] - P,
             "g^-1 P": b["P_t"] - np.einsum("ra,ma->mr", np.linalg.inv(g), P),
             "g dx": b["theta_t"] - g,
             "a": b["a"],
-        })
-    return tr
+        }
+    return ctx.sweep(rng, residual, "all")
 
 
 @check("dressing-k1", "curvature-f-block",
        "f block of the dressed curvature is the antisymmetrized Schouten (zero here)", 1e-9)
 def check_f_block(ctx, rng):
-    tr = Tracker()
     wl = ctx.pipeline()["wl"]
     curv = cartan.curvature(wl)
-    for p in ctx.points(rng, max(4, ctx.npoints // 3)):
-        p = tuple(p)
-        tr.add(p, _value(curv(p, 0))[:, :, 0, 0])
-    return tr
+
+    def residual(p):
+        return _value(curv(p, 0))[:, :, 0, 0]
+    return ctx.sweep(rng, residual, "third")
 
 
 @check("dressing-k1", "tractor-metric-G",
        "G = ubar^T Sigma ubar = (0,0,-1; 0,g,0; -1,0,0) and dG = w^T G + G w", 1e-10)
 def check_metric_G(ctx, rng):
-    tr = Tracker()
     n = ctx.metric.n
     pipe = ctx.pipeline()
     ubar, wl = pipe["ubar"], pipe["wl"]
     sig = cartan.sigma_matrix(ctx.metric.eta)
     a0, a1 = jets.algebra(n, 0), jets.algebra(n, 1)
-    for p in ctx.points(rng, max(5, ctx.npoints // 2)):
-        p = tuple(p)
+
+    def residual(p):
         ub = _value(ubar.at(p, 0))
         G1 = dressing.tractor_metric_G(ctx.metric, p, 1)
         G0 = a1.truncate(G1, 0)
-        dG = np.stack([a1.deriv(G1, mu) for mu in range(n)])
+        dG = a1.grad(G1)
         w = wl.at(p, 0)
         res = dG - a0.matmul(np.swapaxes(w, -3, -2), G0[None]) - a0.matmul(G0[None], w)
-        tr.add(p, {
+        return {
             "G assembly": ub.T @ sig @ ub - _value(G0),
             "D_L G": res,
-        })
-    return tr
+        }
+    return ctx.sweep(rng, residual, "half")
 
 
 @check("dressing-k1", "G-pairing-weyl-invariant",
        "<phi_L, phi_L'>_G is invariant under the residual Weyl transform", 1e-10)
 def check_g_pairing(ctx, rng):
-    tr = Tracker()
     pipe = ctx.pipeline()
     zf = random_z_field(rng, ctx.metric)
     hat = ctx.metric.rescale(zf)
     cbar = dressing.weyl_cocycle(ctx.metric, zf, "Cbar")
     phis = [dressing.dress(dressing.dress(random_section(rng, ctx.metric), pipe["u1"]), pipe["ubar"])
             for _ in range(2)]
-    for p in ctx.points(rng, max(5, ctx.npoints // 2)):
-        p = tuple(p)
+
+    def residual(p):
         G = _value(dressing.tractor_metric_G(ctx.metric, p, 0))
         Gz = _value(dressing.tractor_metric_G(hat, p, 0))
         a, b = (_value(f.at(p, 0)) for f in phis)
         az, bz = (_value(cartan.transform_section(f, cbar).at(p, 0)) for f in phis)
-        tr.add(p, (az @ Gz @ bz) - (a @ G @ b))
-    return tr
+        return (az @ Gz @ bz) - (a @ G @ b)
+    return ctx.sweep(rng, residual, "half")
 
 
 # ---------------------------------------------------------------------------
@@ -741,7 +746,7 @@ def check_cocycle_identity(ctx, rng):
         c2 = dressing.weyl_cocycle(ctx.metric, z2, variant)
         c12 = dressing.weyl_cocycle(ctx.metric, zz, variant)
         _, z_factor = dressing.cocycle_factors(ctx.metric, z2, variant)
-        for p in ctx.points(rng, max(5, ctx.npoints // 2)):
+        for p in ctx.points(rng, COUNTS["half"](ctx.npoints)):
             p = tuple(p)
             Z2 = z_factor.at(p, 1)
             rhs = a1.matmul(c2.at(p, 1), a1.matmul(a1.inv_matrix(Z2), a1.matmul(c1.at(p, 1), Z2)))
@@ -761,7 +766,7 @@ def check_cocycle_factorization(ctx, rng):
         whole = dressing.weyl_cocycle(ctx.metric, zf, variant)
         k1f, zfac = dressing.cocycle_factors(ctx.metric, zf, variant)
         ident = dressing.weyl_cocycle(ctx.metric, one, variant)
-        for p in ctx.points(rng, max(4, ctx.npoints // 3)):
+        for p in ctx.points(rng, COUNTS["third"](ctx.npoints)):
             p = tuple(p)
             tr.add(p, {
                 f"{variant} = k1 Z": whole.at(p, 1) - a1.matmul(k1f.at(p, 1), zfac.at(p, 1)),
@@ -773,7 +778,6 @@ def check_cocycle_factorization(ctx, rng):
 @check("dressing-residual", "dressing-weyl-cocycle",
        "u1 of the rescaled connection = Z^-1 u1 C(z)", 1e-9)
 def check_dressing_weyl(ctx, rng):
-    tr = Tracker()
     n = ctx.metric.n
     wn = ctx.pipeline()["wn"]
     u1 = ctx.pipeline()["u1"]
@@ -783,18 +787,17 @@ def check_dressing_weyl(ctx, rng):
     u1z = dressing.boost_dressing(wz)
     cz = dressing.weyl_cocycle(ctx.metric, zf, "C")
     a1 = jets.algebra(n, 1)
-    for p in ctx.points(rng, max(5, ctx.npoints // 2)):
-        p = tuple(p)
+
+    def residual(p):
         z = zgauge.at(p, 1)
         rhs = a1.matmul(a1.inv_matrix(z), a1.matmul(u1.at(p, 1), cz.at(p, 1)))
-        tr.add(p, u1z.at(p, 1) - rhs)
-    return tr
+        return u1z.at(p, 1) - rhs
+    return ctx.sweep(rng, residual, "half")
 
 
 @check("dressing-residual", "iterated-cocycle",
        "(u1^Z)^Z' = (Z Z')^-1 u1 C(z z')", 1e-9)
 def check_iterated_cocycle(ctx, rng):
-    tr = Tracker()
     n = ctx.metric.n
     wn = ctx.pipeline()["wn"]
     u1 = ctx.pipeline()["u1"]
@@ -807,17 +810,16 @@ def check_iterated_cocycle(ctx, rng):
     u_iter = dressing.boost_dressing(w_final)
     c12 = dressing.weyl_cocycle(ctx.metric, zz, "C")
     a1 = jets.algebra(n, 1)
-    for p in ctx.points(rng, max(5, ctx.npoints // 2)):
-        p = tuple(p)
+
+    def residual(p):
         rhs = a1.matmul(a1.inv_matrix(g12.at(p, 1)), a1.matmul(u1.at(p, 1), c12.at(p, 1)))
-        tr.add(p, u_iter.at(p, 1) - rhs)
-    return tr
+        return u_iter.at(p, 1) - rhs
+    return ctx.sweep(rng, residual, "half")
 
 
 @check("dressing-residual", "residual-two-pipeline-1",
        "first-stage residual Weyl transform: cocycle conjugation = rescale-then-redress", 1e-9)
 def check_two_pipeline_1(ctx, rng):
-    tr = Tracker()
     pipe = ctx.pipeline()
     zf = random_z_field(rng, ctx.metric)
     cz = dressing.weyl_cocycle(ctx.metric, zf, "C")
@@ -830,19 +832,18 @@ def check_two_pipeline_1(ctx, rng):
     phi1 = dressing.dress(phi, pipe["u1"])
     phi_a = cartan.transform_section(phi1, cz)
     phi_b = dressing.dress(cartan.transform_section(phi, zgauge), u1z)
-    for p in ctx.points(rng, max(5, ctx.npoints // 2)):
-        p = tuple(p)
-        tr.add(p, {
+
+    def residual(p):
+        return {
             "connection": conn_a.at(p, 1) - conn_b.at(p, 1),
             "section": phi_a.at(p, 1) - phi_b.at(p, 1),
-        })
-    return tr
+        }
+    return ctx.sweep(rng, residual, "half")
 
 
 @check("dressing-residual", "residual-two-pipeline-L",
        "holonomic-stage residual Weyl transform: cocycle conjugation = rescale-then-redress", 1e-9)
 def check_two_pipeline_L(ctx, rng):
-    tr = Tracker()
     pipe = ctx.pipeline()
     zf = random_z_field(rng, ctx.metric)
     cbar = dressing.weyl_cocycle(ctx.metric, zf, "Cbar")
@@ -858,19 +859,18 @@ def check_two_pipeline_L(ctx, rng):
     phil_b = dressing.dress(
         dressing.dress(cartan.transform_section(phi, zgauge), u1z), dressing.frame_dressing(w1z)
     )
-    for p in ctx.points(rng, max(5, ctx.npoints // 2)):
-        p = tuple(p)
-        tr.add(p, {
+
+    def residual(p):
+        return {
             "connection": wlz_cocycle.at(p, 0) - wlz_redress.at(p, 0),
             "section": phil_a.at(p, 1) - phil_b.at(p, 1),
-        })
-    return tr
+        }
+    return ctx.sweep(rng, residual, "half")
 
 
 @check("dressing-residual", "varpi1z-table",
        "first-stage residual Weyl transform: displayed blocks", 1e-9)
 def check_varpi1z_table(ctx, rng):
-    tr = Tracker()
     n = ctx.metric.n
     eta_inv = np.linalg.inv(ctx.metric.eta)
     pipe = ctx.pipeline()
@@ -878,8 +878,8 @@ def check_varpi1z_table(ctx, rng):
     cz = dressing.weyl_cocycle(ctx.metric, zf, "C")
     w1z = cartan.transform_connection(pipe["w1"], cz)
     a1 = jets.algebra(n, 1)
-    for p in ctx.points(rng, max(5, ctx.npoints // 2)):
-        p = tuple(p)
+
+    def residual(p):
         geom = Geometry(ctx.metric, p)
         bz = {k: _value(v) for k, v in cartan.conn_blocks(w1z.at(p, 0)).items()}
         b1 = {k: _value(a1.truncate(v, 0)) for k, v in cartan.conn_blocks(pipe["w1"].at(p, 1)).items()}
@@ -889,10 +889,10 @@ def check_varpi1z_table(ctx, rng):
         upsa = _value(a1.truncate(upsa_j, 0))
         upsa_t = eta_inv @ upsa
         ups2 = upsa @ eta_inv @ upsa
-        d_upsa = _value(np.stack([a1.deriv(upsa_j, mu) for mu in range(n)]))
+        d_upsa = _value(a1.grad(upsa_j))
         # row-covector spin covariant derivative: d(row) - row A  (pipeline-pinned sign)
         nabla_upsa = d_upsa - np.einsum("c,mcb->mb", upsa, b1["A"])
-        tr.add(p, {
+        return {
             "a": bz["a"],
             "theta": bz["theta"] - zv * b1["theta"],
             "A": bz["A"] - (b1["A"] + np.einsum("am,b->mab", b1["theta"], upsa)
@@ -900,14 +900,13 @@ def check_varpi1z_table(ctx, rng):
             "P": bz["P"] - (b1["P"] + nabla_upsa
                              - np.einsum("c,cm,b->mb", upsa, b1["theta"], upsa)
                              + 0.5 * ups2 * b1["theta_t"]) / zv,
-        })
-    return tr
+        }
+    return ctx.sweep(rng, residual, "half")
 
 
 @check("dressing-residual", "phi1z-column",
        "first-stage residual Weyl transform of a dressed section: displayed column", 1e-9)
 def check_phi1z_column(ctx, rng):
-    tr = Tracker()
     n = ctx.metric.n
     eta_inv = np.linalg.inv(ctx.metric.eta)
     pipe = ctx.pipeline()
@@ -915,8 +914,8 @@ def check_phi1z_column(ctx, rng):
     cz = dressing.weyl_cocycle(ctx.metric, zf, "C")
     phi1 = dressing.dress(random_section(rng, ctx.metric), pipe["u1"])
     phi1z = cartan.transform_section(phi1, cz)
-    for p in ctx.points(rng, max(5, ctx.npoints // 2)):
-        p = tuple(p)
+
+    def residual(p):
         geom = Geometry(ctx.metric, p)
         pv = _value(phi1.at(p, 0))
         rho1, ell1, sig = pv[0], pv[1:-1], pv[-1]
@@ -928,22 +927,21 @@ def check_phi1z_column(ctx, rng):
         expected = np.concatenate(
             [[(rho1 - upsa @ ell1 + 0.5 * sig * ups2) / zv], ell1 - upsa_t * sig, [zv * sig]]
         )
-        tr.add(p, _value(phi1z.at(p, 0)) - expected)
-    return tr
+        return _value(phi1z.at(p, 0)) - expected
+    return ctx.sweep(rng, residual, "half")
 
 
 @check("dressing-residual", "omega1z-table",
        "normal-case curvature blocks under residual Weyl: C -> (C - Upsilon.W)/z, W fixed", 1e-8)
 def check_omega1z_table(ctx, rng):
-    tr = Tracker()
     n = ctx.metric.n
     pipe = ctx.pipeline()
     zf = random_z_field(rng, ctx.metric)
     cz = dressing.weyl_cocycle(ctx.metric, zf, "C")
     curv1 = cartan.curvature(pipe["w1"])
     a0, a1 = jets.algebra(n, 0), jets.algebra(n, 1)
-    for p in ctx.points(rng, max(5, ctx.npoints // 2)):
-        p = tuple(p)
+
+    def residual(p):
         geom = Geometry(ctx.metric, p)
         F1 = _value(curv1(p, 0))
         c = a1.truncate(cz.at(p, 1), 0)
@@ -952,27 +950,26 @@ def check_omega1z_table(ctx, rng):
         b1, bz = cartan.curv_blocks(F1), cartan.curv_blocks(Fz)
         zv = zf.jet(p, 0).value
         upsa = _value(dressing.upsilon_row(zf, p, 0, n)) @ _value(geom.einv(0))
-        tr.add(p, {
+        return {
             "C": bz["C"] - (b1["C"] - np.einsum("a,mnab->mnb", upsa, b1["W"])) / zv,
             "W": bz["W"] - b1["W"],
             "Theta": bz["Theta"],
             "f": bz["f"],
-        })
-    return tr
+        }
+    return ctx.sweep(rng, residual, "half")
 
 
 @check("dressing-residual", "varpiLz-table",
        "holonomic residual Weyl transform: Christoffel and Schouten transformation laws", 1e-9)
 def check_varpiLz_table(ctx, rng):
-    tr = Tracker()
     n = ctx.metric.n
     pipe = ctx.pipeline()
     zf = random_z_field(rng, ctx.metric)
     cbar = dressing.weyl_cocycle(ctx.metric, zf, "Cbar")
     wlz = cartan.transform_connection(pipe["wl"], cbar)
     a1 = jets.algebra(n, 1)
-    for p in ctx.points(rng, max(5, ctx.npoints // 2)):
-        p = tuple(p)
+
+    def residual(p):
         geom = Geometry(ctx.metric, p)
         bz = {k: _value(v) for k, v in cartan.conn_blocks(wlz.at(p, 0)).items()}
         bl = {k: _value(a1.truncate(v, 0)) for k, v in cartan.conn_blocks(pipe["wl"].at(p, 1)).items()}
@@ -983,7 +980,7 @@ def check_varpiLz_table(ctx, rng):
         ups = _value(a1.truncate(upsj, 0))
         nab_u = _value(geom.covariant_derivative(upsj, "d"))
         ups2 = ups @ ginv @ ups
-        tr.add(p, {
+        return {
             "P (Schouten law)": bz["P"] - (bl["P"] + nab_u - np.outer(ups, ups) + 0.5 * ups2 * g),
             "Gamma (Christoffel law)": bz["A"] - (
                 bl["A"] + np.einsum("m,rn->mrn", ups, np.eye(n))
@@ -991,22 +988,21 @@ def check_varpiLz_table(ctx, rng):
             ),
             "g dx": bz["theta_t"] - zv**2 * g,
             "dx": bz["theta"] - np.eye(n),
-        })
-    return tr
+        }
+    return ctx.sweep(rng, residual, "half")
 
 
 @check("dressing-residual", "phiLz-column",
        "holonomic residual Weyl transform of a dressed section: displayed column", 1e-9)
 def check_phiLz_column(ctx, rng):
-    tr = Tracker()
     n = ctx.metric.n
     pipe = ctx.pipeline()
     zf = random_z_field(rng, ctx.metric)
     cbar = dressing.weyl_cocycle(ctx.metric, zf, "Cbar")
     phil = dressing.dress(dressing.dress(random_section(rng, ctx.metric), pipe["u1"]), pipe["ubar"])
     philz = cartan.transform_section(phil, cbar)
-    for p in ctx.points(rng, max(5, ctx.npoints // 2)):
-        p = tuple(p)
+
+    def residual(p):
         geom = Geometry(ctx.metric, p)
         pv = _value(phil.at(p, 0))
         rho, ell, sig = pv[0], pv[1:-1], pv[-1]
@@ -1017,39 +1013,37 @@ def check_phiLz_column(ctx, rng):
         expected = np.concatenate(
             [[(rho - ups @ ell + 0.5 * sig * ups2) / zv], (ell - ginv @ ups * sig) / zv, [zv * sig]]
         )
-        tr.add(p, _value(philz.at(p, 0)) - expected)
-    return tr
+        return _value(philz.at(p, 0)) - expected
+    return ctx.sweep(rng, residual, "half")
 
 
 @check("dressing-residual", "omegaLz-table",
        "holonomic normal-case curvature under residual Weyl: C -> C - Upsilon.W", 1e-8)
 def check_omegaLz_table(ctx, rng):
-    tr = Tracker()
     n = ctx.metric.n
     pipe = ctx.pipeline()
     zf = random_z_field(rng, ctx.metric)
     cbar = dressing.weyl_cocycle(ctx.metric, zf, "Cbar")
     curvl = cartan.curvature(pipe["wl"])
     a0, a1 = jets.algebra(n, 0), jets.algebra(n, 1)
-    for p in ctx.points(rng, max(5, ctx.npoints // 2)):
-        p = tuple(p)
+
+    def residual(p):
         FL = _value(curvl(p, 0))
         c = a1.truncate(cbar.at(p, 1), 0)
         Fz = np.einsum("ab,mnbc,cd->mnad", _value(a0.inv_matrix(c)), FL, _value(c))
         bl, bz = cartan.curv_blocks(FL), cartan.curv_blocks(Fz)
         ups = _value(dressing.upsilon_row(zf, p, 0, n))
-        tr.add(p, {
+        return {
             "C": bz["C"] - (bl["C"] - np.einsum("a,mnab->mnb", ups, bl["W"])),
             "Theta": bz["Theta"],
             "f": bz["f"],
-        })
-    return tr
+        }
+    return ctx.sweep(rng, residual, "half")
 
 
 @check("dressing-residual", "lorentz-table",
        "residual Lorentz transform of first-stage composites: displayed table", 1e-9)
 def check_lorentz_table(ctx, rng):
-    tr = Tracker()
     n = ctx.metric.n
     pipe = ctx.pipeline()
     S = random_eta_orthogonal(rng, ctx.metric.eta)
@@ -1059,12 +1053,12 @@ def check_lorentz_table(ctx, rng):
     phi1 = dressing.dress(random_section(rng, ctx.metric), pipe["u1"])
     phi1s = cartan.transform_section(phi1, sfield)
     a1 = jets.algebra(n, 1)
-    for p in ctx.points(rng, max(5, ctx.npoints // 2)):
-        p = tuple(p)
+
+    def residual(p):
         bs = {k: _value(v) for k, v in cartan.conn_blocks(w1s.at(p, 0)).items()}
         b1 = {k: _value(a1.truncate(v, 0)) for k, v in cartan.conn_blocks(pipe["w1"].at(p, 1)).items()}
         pv = _value(phi1.at(p, 0))
-        tr.add(p, {
+        return {
             "P S": bs["P"] - b1["P"] @ S,
             "S^-1 theta": bs["theta"] - np.einsum("ab,bm->am", Sinv, b1["theta"]),
             "S^-1 A S": bs["A"] - np.einsum("ab,mbc,cd->mad", Sinv, b1["A"], S),
@@ -1072,14 +1066,13 @@ def check_lorentz_table(ctx, rng):
             "theta^t S": bs["theta_t"] - b1["theta_t"] @ S,
             "phi column": _value(phi1s.at(p, 0))
             - np.concatenate([[pv[0]], Sinv @ pv[1:-1], [pv[-1]]]),
-        })
-    return tr
+        }
+    return ctx.sweep(rng, residual, "half")
 
 
 @check("dressing-residual", "weyl-lorentz-commute",
        "residual Weyl and Lorentz actions commute (with C(z)^S = S^-1 C(z) S)", 1e-9)
 def check_weyl_lorentz_commute(ctx, rng):
-    tr = Tracker()
     pipe = ctx.pipeline()
     zf = random_z_field(rng, ctx.metric)
     S = random_eta_orthogonal(rng, ctx.metric.eta)
@@ -1089,10 +1082,10 @@ def check_weyl_lorentz_commute(ctx, rng):
     cz_s = field_matmul(field_matmul(sinv_field, cz), sfield)  # C(z)^S = S^-1 C(z) S
     route1 = cartan.transform_connection(cartan.transform_connection(pipe["w1"], cz), sfield)
     route2 = cartan.transform_connection(cartan.transform_connection(pipe["w1"], sfield), cz_s)
-    for p in ctx.points(rng, max(4, ctx.npoints // 3)):
-        p = tuple(p)
-        tr.add(p, route1.at(p, 0) - route2.at(p, 0))
-    return tr
+
+    def residual(p):
+        return route1.at(p, 0) - route2.at(p, 0)
+    return ctx.sweep(rng, residual, "third")
 
 
 # ---------------------------------------------------------------------------
@@ -1124,15 +1117,16 @@ def check_flagship(ctx, rng):
 @check("tractor-equivalence", "pairing-transport",
        "the calibrated map carries the G-pairing to the tractor pairing up to one global sign", 1e-10)
 def check_pairing_transport(ctx, rng):
-    tr = Tracker()
     n = ctx.metric.n
     a0 = jets.algebra(n, 0)
     cmap = ctx.calibration()
     sign = None
-    for p in ctx.points(rng, max(5, ctx.npoints // 2)):
-        p = tuple(p)
+
+    def residual(p):
+        nonlocal sign
         geom = Geometry(ctx.metric, p)
         G = _value(dressing.tractor_metric_G(ctx.metric, p, 0))
+        out = []
         for _ in range(3):
             a = a0.const(rng.normal(size=n + 2))
             b = a0.const(rng.normal(size=n + 2))
@@ -1142,7 +1136,9 @@ def check_pairing_transport(ctx, rng):
             rhs = float(_value(tractor.inner(ctx.metric, p, ta, tb)))
             if sign is None:
                 sign = 1.0 if abs(rhs - lhs) < abs(rhs + lhs) else -1.0
-            tr.add(p, lhs - sign * rhs)
+            out.append(lhs - sign * rhs)
+        return out
+    tr = ctx.sweep(rng, residual, "half")
     tr.note = f"global sign: {int(sign)}"
     return tr
 
@@ -1155,29 +1151,25 @@ def check_pairing_transport(ctx, rng):
 @check("tractor-weyl", "gt-covariance",
        "transform-then-differentiate = differentiate-then-transform for the tractor derivative", 1e-8)
 def check_tractor_gt_covariance(ctx, rng):
-    tr = Tracker()
     n = ctx.metric.n
     zf = random_z_field(rng, ctx.metric)
     hat = ctx.metric.rescale(zf)
     u = tractor.weyl_matrix_field(ctx.metric, zf)
-    t = cartan.section_field(ctx.metric, domain_poly_field(rng, ctx.metric, 2, 1.0),
-                             [domain_poly_field(rng, ctx.metric, 2, 1.0) for _ in range(n)],
-                             domain_poly_field(rng, ctx.metric, 2, 1.0))
+    t = random_section(rng, ctx.metric)
     t_hat = apply_matrix_field(u, t)
     a0 = jets.algebra(n, 0)
-    for p in ctx.points(rng, max(5, ctx.npoints // 2)):
-        p = tuple(p)
+
+    def residual(p):
         lhs = tractor.derivative(hat, t_hat, p, 0)
         u0 = jets.algebra(n, 2).truncate(u.at(p, 2), 0)
         rhs = cartan.matvec(a0, u0[None], tractor.derivative(ctx.metric, t, p, 0))
-        tr.add(p, lhs - rhs)
-    return tr
+        return lhs - rhs
+    return ctx.sweep(rng, residual, "half")
 
 
 @check("tractor-weyl", "prolongation-covariance",
        "prolonging z*sigma in the rescaled metric = Weyl matrix times the prolongation", 1e-8)
 def check_prolong_covariance(ctx, rng):
-    tr = Tracker()
     n = ctx.metric.n
     zf = random_z_field(rng, ctx.metric)
     sig = domain_poly_field(rng, ctx.metric, 2, 1.0)
@@ -1187,34 +1179,30 @@ def check_prolong_covariance(ctx, rng):
     t_hat = tractor.prolong_field(hat, zsig)
     u = tractor.weyl_matrix_field(ctx.metric, zf)
     a0 = jets.algebra(n, 0)
-    for p in ctx.points(rng, max(5, ctx.npoints // 2)):
-        p = tuple(p)
+
+    def residual(p):
         rhs = cartan.matvec(a0, jets.algebra(n, 2).truncate(u.at(p, 2), 0), t.at(p, 0))
-        tr.add(p, t_hat.at(p, 0) - rhs)
-    return tr
+        return t_hat.at(p, 0) - rhs
+    return ctx.sweep(rng, residual, "half")
 
 
 @check("tractor-weyl", "pairing-invariance",
        "the tractor pairing is Weyl-invariant; differentiation satisfies the product rule", 1e-9)
 def check_tractor_pairing(ctx, rng):
-    tr = Tracker()
     n = ctx.metric.n
     zf = random_z_field(rng, ctx.metric)
     hat = ctx.metric.rescale(zf)
     u = tractor.weyl_matrix_field(ctx.metric, zf)
-    mk = lambda: cartan.section_field(ctx.metric, domain_poly_field(rng, ctx.metric, 2, 1.0),
-                                      [domain_poly_field(rng, ctx.metric, 2, 1.0) for _ in range(n)],
-                                      domain_poly_field(rng, ctx.metric, 2, 1.0))
-    t1, t2 = mk(), mk()
+    t1, t2 = random_section(rng, ctx.metric), random_section(rng, ctx.metric)
     t1h, t2h = apply_matrix_field(u, t1), apply_matrix_field(u, t2)
     a1 = jets.algebra(n, 1)
-    for p in ctx.points(rng, max(5, ctx.npoints // 2)):
-        p = tuple(p)
+
+    def residual(p):
         inv_res = _value(tractor.inner(hat, p, t1h.at(p, 0), t2h.at(p, 0))) - _value(
             tractor.inner(ctx.metric, p, t1.at(p, 0), t2.at(p, 0))
         )
         pair_jet = tractor.inner(ctx.metric, p, t1.at(p, 1), t2.at(p, 1), order=1)
-        dpair = np.stack([a1.deriv(pair_jet, mu) for mu in range(n)])
+        dpair = a1.grad(pair_jet)
         d1 = tractor.derivative(ctx.metric, t1, p, 0)
         d2 = tractor.derivative(ctx.metric, t2, p, 0)
         prod = np.stack([
@@ -1222,48 +1210,45 @@ def check_tractor_pairing(ctx, rng):
             + _value(tractor.inner(ctx.metric, p, a1.truncate(t1.at(p, 1), 0), d2[mu]))
             for mu in range(n)
         ])
-        tr.add(p, {"Weyl invariance": inv_res, "metricity": _value(dpair) - prod})
-    return tr
+        return {"Weyl invariance": inv_res, "metricity": _value(dpair) - prod}
+    return ctx.sweep(rng, residual, "half")
 
 
 @check("tractor-weyl", "metric-compatibility",
        "dG = M^T G + G M for the prolongation connection and its metric", 1e-9)
 def check_tractor_metric_comp(ctx, rng):
-    tr = Tracker()
     n = ctx.metric.n
     a0, a1 = jets.algebra(n, 0), jets.algebra(n, 1)
-    for p in ctx.points(rng, max(5, ctx.npoints // 2)):
-        p = tuple(p)
+
+    def residual(p):
         geom = Geometry(ctx.metric, p)
         m1 = tractor.connection_matrices(geom, 1)
         G1 = tractor.metric_matrix(ctx.metric, p, 1)
-        dG = np.stack([a1.deriv(G1, mu) for mu in range(n)])
+        dG = a1.grad(G1)
         G0, m0 = a1.truncate(G1, 0), a1.truncate(m1, 0)
-        tr.add(p, dG - a0.matmul(np.swapaxes(m0, -3, -2), G0[None]) - a0.matmul(G0[None], m0))
-    return tr
+        return dG - a0.matmul(np.swapaxes(m0, -3, -2), G0[None]) - a0.matmul(G0[None], m0)
+    return ctx.sweep(rng, residual, "half")
 
 
 @check("tractor-weyl", "curvature-two-ways",
        "commutator curvature = assembled Cotton/Weyl block matrix; top row zero", 1e-7)
 def check_tractor_curvature(ctx, rng):
-    tr = Tracker()
-    for p in ctx.points(rng):
-        p = tuple(p)
+    def residual(p):
         comm, _, disc = tractor.curvature_two_ways(ctx.metric, p)
-        tr.add(p, {"two-pipeline": disc, "top row": np.abs(comm[:, :, 0, :]).max()})
-    return tr
+        return {"two-pipeline": disc, "top row": np.abs(comm[:, :, 0, :]).max()}
+    return ctx.sweep(rng, residual, "all")
 
 
 @check("tractor-weyl", "ae-witness",
        "for sigma = 1 the middle derivative row equals minus the trace-free Schouten; "
        "Einstein metrics give a parallel tractor", 1e-8)
 def check_ae_witness(ctx, rng):
-    tr = Tracker()
     n = ctx.metric.n
     t1 = tractor.prolong_field(ctx.metric, ScalarField.constant(1.0))
     einstein = True
-    for p in ctx.points(rng, max(5, ctx.npoints // 2)):
-        p = tuple(p)
+
+    def residual(p):
+        nonlocal einstein
         geom = Geometry(ctx.metric, p)
         der = _value(tractor.derivative(ctx.metric, t1, p, 0))
         P = _value(jets.algebra(n, 1).truncate(geom.schouten1, 0))
@@ -1271,14 +1256,16 @@ def check_ae_witness(ctx, rng):
         ginv = np.linalg.inv(g)
         tfp = P - (np.tensordot(ginv, P, axes=2) / n) * g
         res = tractor.ae_residual(ctx.metric, ScalarField.constant(1.0), p)
-        tr.add(p, {
+        out = [{
             "middle row = -TF(P)": der[:, 1:-1] + tfp,
             "AE residual = -TF(P)": res + tfp,
-        })
+        }]
         if np.abs(tfp).max() > 1e-9 * (1 + np.abs(P).max()):
             einstein = False
         elif np.abs(der).max() > 1e-9:
-            tr.add(p, {"parallel tractor on Einstein metric": der})
+            out.append({"parallel tractor on Einstein metric": der})
+        return out
+    tr = ctx.sweep(rng, residual, "half")
     tr.note = "Einstein witness: parallel tractor verified" if einstein else \
         "generic metric: non-parallel, residual identity verified"
     return tr
@@ -1306,112 +1293,110 @@ def _random_ghost(ctx, rng, generators=3, with_s=True, with_iota=True, with_eps=
 @check("brst-algebra", "ghost-membership",
        "assembled ghosts are Sigma-antisymmetric algebra elements", 1e-11)
 def check_ghost_membership(ctx, rng):
-    tr = Tracker()
     ghost = _random_ghost(ctx, rng)
-    for p in ctx.points(rng, max(4, ctx.npoints // 3)):
-        tr.add(p, brst.sigma_membership_residual(ghost, tuple(p)))
-    return tr
+
+    def residual(p):
+        return brst.sigma_membership_residual(ghost, p)
+    return ctx.sweep(rng, residual, "third")
 
 
 @check("brst-algebra", "dressed-ghost-first",
        "first-stage composite ghost equals c(eps) + v_s; the boost ghost disappears", 1e-9)
 def check_dressed_ghost_first(ctx, rng):
-    tr = Tracker()
     wn = ctx.pipeline()["wn"]
     ghost = _random_ghost(ctx, rng)
     ghost_iota = _random_ghost(ctx, rng, generators=2, with_s=False, with_eps=False)
-    for p in ctx.points(rng, max(4, ctx.npoints // 3)):
-        p = tuple(p)
+
+    def residual(p):
         _, _, mismatch = brst.dressed_ghost(ctx.metric, wn, ghost, "first", p, 0)
         v1_iota, _, _ = brst.dressed_ghost(ctx.metric, wn, ghost_iota, "first", p, 0)
-        tr.add(p, {"closed form": mismatch, "boost ghost erased": v1_iota.max_abs()})
-    return tr
+        return {"closed form": mismatch, "boost ghost erased": v1_iota.max_abs()}
+    return ctx.sweep(rng, residual, "third")
 
 
 @check("brst-algebra", "dressed-ghost-full",
        "full composite ghost equals the holonomic cocycle linearization", 1e-9)
 def check_dressed_ghost_full(ctx, rng):
-    tr = Tracker()
     wn = ctx.pipeline()["wn"]
     ghost = _random_ghost(ctx, rng)
     ghost_no_eps = _random_ghost(ctx, rng, generators=2, with_eps=False)
-    for p in ctx.points(rng, max(4, ctx.npoints // 3)):
-        p = tuple(p)
+
+    def residual(p):
         _, _, mismatch = brst.dressed_ghost(ctx.metric, wn, ghost, "full", p, 0)
         vw0, _, _ = brst.dressed_ghost(ctx.metric, wn, ghost_no_eps, "full", p, 0)
-        tr.add(p, {"closed form": mismatch, "Lorentz+boost erased": vw0.max_abs()})
-    return tr
+        return {"closed form": mismatch, "Lorentz+boost erased": vw0.max_abs()}
+    return ctx.sweep(rng, residual, "third")
 
 
 @check("brst-algebra", "residual-invariance-L",
        "transformations of fully dressed fields vanish for eps = 0 ghosts", 1e-9)
 def check_residual_invariance(ctx, rng):
-    tr = Tracker()
     pipe = ctx.pipeline()
     ghost = _random_ghost(ctx, rng, generators=2, with_eps=False)
     phil = dressing.dress(dressing.dress(random_section(rng, ctx.metric), pipe["u1"]), pipe["ubar"])
-    for p in ctx.points(rng, max(4, ctx.npoints // 3)):
-        p = tuple(p)
+
+    def residual(p):
         vw_hi, _, _ = brst.dressed_ghost(ctx.metric, pipe["wn"], ghost, "full", p, 1)
         s_w = brst.brst_connection_with(pipe["wl"], vw_hi, p, 0)
         s_phi = brst.brst_section(brst.section_graded(phil, p, 0), vw_hi.truncate(0))
-        tr.add(p, {"s w_L": s_w.max_abs(), "s phi_L": s_phi.max_abs()})
-    return tr
+        return {"s w_L": s_w.max_abs(), "s phi_L": s_phi.max_abs()}
+    return ctx.sweep(rng, residual, "third")
 
 
 @check("brst-algebra", "sphi-column",
        "transformation of a dressed section: displayed column", 1e-9)
 def check_sphi_column(ctx, rng):
-    tr = Tracker()
     n = ctx.metric.n
     pipe = ctx.pipeline()
     ghost = _random_ghost(ctx, rng, generators=2, with_s=False, with_iota=False)
     phil = dressing.dress(dressing.dress(random_section(rng, ctx.metric), pipe["u1"]), pipe["ubar"])
     a1 = jets.algebra(n, 1)
-    for p in ctx.points(rng, max(4, ctx.npoints // 3)):
-        p = tuple(p)
+
+    def residual(p):
         geom = Geometry(ctx.metric, p)
         ginv = np.linalg.inv(_value(geom.g(0)))
         vw, _, _ = brst.dressed_ghost(ctx.metric, pipe["wn"], ghost, "full", p, 0)
         s_phi = brst.brst_section(brst.section_graded(phil, p, 0), vw)
         pv = _value(phil.at(p, 0))
         rho, ell, sig = pv[0], pv[1:-1], pv[-1]
+        out = []
         for k, (eps_f, _, _) in enumerate(ghost.parts):
             eps_hi = eps_f.coeffs(p, 1)
             eps = float(eps_hi[0])
-            de = _value(np.stack([a1.deriv(eps_hi, mu) for mu in range(n)]))
+            de = _value(a1.grad(eps_hi))
             expected = np.concatenate(
                 [[-eps * rho - de @ ell], -eps * ell - (ginv @ de) * sig, [eps * sig]]
             )
             got = _value(s_phi.component((k,)))[:, 0]
-            tr.add(p, {"column": got - expected})
-    return tr
+            out.append({"column": got - expected})
+        return out
+    return ctx.sweep(rng, residual, "third")
 
 
 @check("brst-algebra", "s-wL-blocks",
        "Weyl transformation of the holonomic connection: covariant-Hessian and 2 eps g blocks", 1e-8)
 def check_s_wl_blocks(ctx, rng):
-    tr = Tracker()
     n = ctx.metric.n
     pipe = ctx.pipeline()
     ghost = _random_ghost(ctx, rng, generators=2, with_s=False, with_iota=False)
     a1 = jets.algebra(n, 1)
-    for p in ctx.points(rng, max(4, ctx.npoints // 3)):
-        p = tuple(p)
+
+    def residual(p):
         geom = Geometry(ctx.metric, p)
         g = _value(geom.g(0))
         ginv = np.linalg.inv(g)
         P = _value(a1.truncate(geom.schouten1, 0))
         vw_hi, _, _ = brst.dressed_ghost(ctx.metric, pipe["wn"], ghost, "full", p, 1)
         s_w = brst.brst_connection_with(pipe["wl"], vw_hi, p, 0)
+        out = []
         for k, (eps_f, _, _) in enumerate(ghost.parts):
             eps_j = eps_f.coeffs(p, 2)
             eps = float(eps_j[0])
-            de_j = np.stack([jets.algebra(n, 2).deriv(eps_j, mu) for mu in range(n)])
+            de_j = jets.algebra(n, 2).grad(eps_j)
             de = _value(a1.truncate(de_j, 0))
             hess = _value(geom.covariant_derivative(de_j, "d"))  # nabla_mu d_nu eps
             comp = _value(s_w.component((k,)))  # (n, N, N)
-            tr.add(p, {
+            out.append({
                 "P row: +nabla d eps": comp[:, 0, 1:-1] - hess,
                 "Gamma block": comp[:, 1:-1, 1:-1] - (
                     np.einsum("m,rn->mrn", de, np.eye(n)) + np.einsum("n,rm->mrn", de, np.eye(n))
@@ -1425,33 +1410,34 @@ def check_s_wl_blocks(ctx, rng):
                     comp[:, -1, :1].ravel(), comp[:, -1, -1:].ravel(), comp[:, 0, -1:].ravel(),
                 ]),
             })
-    return tr
+        return out
+    return ctx.sweep(rng, residual, "third")
 
 
 @check("brst-algebra", "s-omega-nl-blocks",
        "Weyl transformation of the holonomic normal curvature has exactly two nonzero blocks", 1e-8)
 def check_s_omega_blocks(ctx, rng):
-    tr = Tracker()
     n = ctx.metric.n
     pipe = ctx.pipeline()
     ghost = _random_ghost(ctx, rng, generators=2, with_s=False, with_iota=False)
     curvl = cartan.curvature(pipe["wl"])
     a1 = jets.algebra(n, 1)
-    for p in ctx.points(rng, max(4, ctx.npoints // 3)):
-        p = tuple(p)
+
+    def residual(p):
         geom = Geometry(ctx.metric, p)
         ginv = np.linalg.inv(_value(geom.g(0)))
         FL = _value(curvl(p, 0))
         bl = cartan.curv_blocks(FL)
         vw, _, _ = brst.dressed_ghost(ctx.metric, pipe["wn"], ghost, "full", p, 0)
         s_f = brst.brst_curvature(brst.curvature_graded(lambda q, o: curvl(q, o), p, 0, n), vw)
+        out = []
         for k, (eps_f, _, _) in enumerate(ghost.parts):
             eps_j = eps_f.coeffs(p, 1)
             eps = float(eps_j[0])
-            de = _value(np.stack([a1.deriv(eps_j, mu) for mu in range(n)]))
+            de = _value(a1.grad(eps_j))
             comp = _value(s_f.component((k,)))  # (n, n, N, N)
             bc = cartan.curv_blocks(comp)
-            tr.add(p, {
+            out.append({
                 "C row: -de.W": bc["C"] - (-np.einsum("a,mnab->mnb", de, bl["W"])),
                 "C^t col: W g^-1 de - 2 eps g^-1 C": bc["C_t"] - (
                     np.einsum("mnab,bc,c->mna", bl["W"], ginv, de)
@@ -1461,19 +1447,19 @@ def check_s_omega_blocks(ctx, rng):
                     [bc["f"].ravel(), bc["Theta"].ravel(), bc["W"].ravel()]
                 ),
             })
-    return tr
+        return out
+    return ctx.sweep(rng, residual, "third")
 
 
 @check("brst-algebra", "sv-composite",
        "transformation of the full composite ghost: single g^-1 block", 1e-9)
 def check_sv_composite(ctx, rng):
-    tr = Tracker()
     n = ctx.metric.n
     pipe = ctx.pipeline()
     ghost = _random_ghost(ctx, rng, generators=2, with_s=False, with_iota=False)
     a1 = jets.algebra(n, 1)
-    for p in ctx.points(rng, max(4, ctx.npoints // 3)):
-        p = tuple(p)
+
+    def residual(p):
         geom = Geometry(ctx.metric, p)
         ginv = np.linalg.inv(_value(geom.g(0)))
         vw, _, _ = brst.dressed_ghost(ctx.metric, pipe["wn"], ghost, "full", p, 0)
@@ -1482,17 +1468,17 @@ def check_sv_composite(ctx, rng):
         for eps_f, _, _ in ghost.parts:
             ej = eps_f.coeffs(p, 1)
             eps.append(float(ej[0]))
-            de.append(_value(np.stack([a1.deriv(ej, mu) for mu in range(n)])))
+            de.append(_value(a1.grad(ej)))
         comp = sv.component((0, 1))
         expected_block = -2.0 * (eps[0] * ginv @ de[1] - eps[1] * ginv @ de[0])
         got = _value(comp)
         residual_other = got.copy()
         residual_other[1:-1, -1] = 0.0
-        tr.add(p, {
+        return {
             "g^-1 block": got[1:-1, -1] - expected_block,
             "other entries": residual_other,
-        })
-    return tr
+        }
+    return ctx.sweep(rng, residual, "third")
 
 
 @check("brst-algebra", "finite-consistency",
@@ -1526,45 +1512,44 @@ def check_finite_consistency(ctx, rng):
 
 @check("brst-nilpotency", "s2-section", "s^2 phi = 0", 1e-8)
 def check_s2_section(ctx, rng):
-    tr = Tracker()
     ghost = _random_ghost(ctx, rng)
     phi = random_section(rng, ctx.metric)
-    for p in ctx.points(rng, max(4, ctx.npoints // 3)):
-        tr.add(tuple(p), brst.s2_section(phi, ghost, tuple(p)))
-    return tr
+
+    def residual(p):
+        return brst.s2_section(phi, ghost, p)
+    return ctx.sweep(rng, residual, "third")
 
 
 @check("brst-nilpotency", "s2-ghost", "s^2 v = 0", 1e-8)
 def check_s2_ghost(ctx, rng):
-    tr = Tracker()
     ghost = _random_ghost(ctx, rng)
-    for p in ctx.points(rng, max(4, ctx.npoints // 3)):
-        tr.add(tuple(p), brst.s2_ghost(ghost, tuple(p)))
-    return tr
+
+    def residual(p):
+        return brst.s2_ghost(ghost, p)
+    return ctx.sweep(rng, residual, "third")
 
 
 @check("brst-nilpotency", "s2-connection", "s^2 w = 0", 1e-8)
 def check_s2_connection(ctx, rng):
-    tr = Tracker()
     wn = ctx.pipeline()["wn"]
     ghost = _random_ghost(ctx, rng)
-    for p in ctx.points(rng, max(3, ctx.npoints // 4)):
-        tr.add(tuple(p), brst.s2_connection(wn, ghost, tuple(p)))
-    return tr
+
+    def residual(p):
+        return brst.s2_connection(wn, ghost, p)
+    return ctx.sweep(rng, residual, "quarter")
 
 
 @check("brst-nilpotency", "s2-composite",
        "s^2 = 0 with the composite ghost on a fully dressed section", 1e-9)
 def check_s2_composite(ctx, rng):
-    tr = Tracker()
     pipe = ctx.pipeline()
     ghost = _random_ghost(ctx, rng, with_s=False, with_iota=False)
     phil = dressing.dress(dressing.dress(random_section(rng, ctx.metric), pipe["u1"]), pipe["ubar"])
-    for p in ctx.points(rng, max(3, ctx.npoints // 4)):
-        p = tuple(p)
+
+    def residual(p):
         vw, _, _ = brst.dressed_ghost(ctx.metric, pipe["wn"], ghost, "full", p, 0)
-        tr.add(p, brst.s2_section_with(brst.section_graded(phil, p, 0), vw))
-    return tr
+        return brst.s2_section_with(brst.section_graded(phil, p, 0), vw)
+    return ctx.sweep(rng, residual, "quarter")
 
 
 # ---------------------------------------------------------------------------
@@ -1582,12 +1567,9 @@ def run_check(ctx, check_id, fn):
     except FrameError:  # the metric is at fault, not the law: the whole run is bad input
         raise
     except Exception as exc:  # a failing check must not abort the run
-        return CheckResult(
-            suite=meta["suite"], check_id=check_id, law=meta["law"], metric=ctx.metric.name,
-            points=ctx.points_drawn - drawn, max_residual=float("inf"), tolerance=tol,
-            passed=False, worst_point=None, block_diff=None,
-            note=f"error: {type(exc).__name__}: {exc}",
-        )
+        tr = Tracker()
+        tr.max = float("inf")
+        tr.note = f"error: {type(exc).__name__}: {exc}"
     return CheckResult(
         suite=meta["suite"],
         check_id=check_id,
@@ -1598,8 +1580,8 @@ def run_check(ctx, check_id, fn):
         tolerance=tol,
         passed=tr.max < tol,
         worst_point=tr.worst,
-        block_diff={k: v for k, v in tr.blocks.items()} or None,
-        note=getattr(tr, "note", None),
+        block_diff=dict(tr.blocks) or None,
+        note=tr.note,
     )
 
 

@@ -59,7 +59,7 @@ def derivative(metric, t_field: JetField, point, order=0):
     alg_hi = jets.algebra(n, order + 1)
     alg = jets.algebra(n, order)
     t_hi = t_field.at(point, order + 1)
-    dt = np.stack([alg_hi.deriv(t_hi, mu) for mu in range(n)])
+    dt = alg_hi.grad(t_hi)
     m = connection_matrices(geom, order)
     return dt + matvec(alg, m, alg_hi.truncate(t_hi, order)[None, :])
 
@@ -76,7 +76,7 @@ def prolong_field(metric, sigma_field) -> JetField:
         alg_s = jets.algebra(n, min(3, order + 2))
         out = alg.zeros((n + 2,))
         out[0] = alg_s.truncate(sig, order)
-        grad = np.stack([alg_s.deriv(sig, mu) for mu in range(n)])
+        grad = alg_s.grad(sig)
         out[1:-1] = jets.algebra(n, min(3, order + 2) - 1).truncate(grad, order)
         lap = geom.laplacian(sig)
         p_sig = alg.mul(
@@ -166,7 +166,7 @@ def curvature_two_ways(metric, point):
     alg1, alg0 = jets.algebra(n, 1), jets.algebra(n, 0)
     m1 = connection_matrices(geom, 1)
     m0 = alg1.truncate(m1, 0)
-    dm = np.stack([alg1.deriv(m1, mu) for mu in range(n)])  # [mu, nu, N, N]
+    dm = alg1.grad(m1)  # [mu, nu, N, N]
     comm = alg0.matmul(m0[:, None], m0[None, :])
     f = dm - np.einsum("mn...->nm...", dm) + comm - np.einsum("mn...->nm...", comm)
     f = alg0.value(f)

@@ -85,17 +85,17 @@ def test_dressed_ghost_examples(bumpy, rng):
     assert v1.max_abs() < 1e-14
     # eps-only, first stage: off-diagonal row is d eps . e^-1
     gh_eps = brst.Ghost(bumpy, [("0.2*x0 + 0.1*x1*x2", None, None)])
-    v1, closed, mismatch = brst.dressed_ghost(bumpy, wn, gh_eps, "first", PT, 0)
+    v1, _, mismatch = brst.dressed_ghost(bumpy, wn, gh_eps, "first", PT, 0)
     assert mismatch < 1e-12
     m = _val(v1.component((0,)))
     geom = Geometry(bumpy, PT)
     eps_j = gh_eps.parts[0][0].coeffs(PT, 1)
-    de = _val(np.stack([A1.deriv(eps_j, mu) for mu in range(4)]))
+    de = _val(A1.grad(eps_j))
     row = de @ _val(geom.einv(0))
     assert np.abs(m[0, 1:-1] - row).max() < 1e-12
     assert m[0, 0] == pytest.approx(float(eps_j[0]))
     # full stage: holonomic pattern (eps, d eps, 0; 0, eps 1, g^-1 d eps; 0 0 -eps)
-    vw, closed_w, mismatch_w = brst.dressed_ghost(bumpy, wn, gh_eps, "full", PT, 0)
+    vw, _, mismatch_w = brst.dressed_ghost(bumpy, wn, gh_eps, "full", PT, 0)
     assert mismatch_w < 1e-12
     mw = _val(vw.component((0,)))
     eps = float(eps_j[0])
@@ -118,7 +118,7 @@ def test_sv_composite_single_block(bumpy):
     for eps_f, _, _ in gh.parts:
         ej = eps_f.coeffs(PT, 1)
         eps.append(float(ej[0]))
-        de.append(_val(np.stack([A1.deriv(ej, mu) for mu in range(4)])))
+        de.append(_val(A1.grad(ej)))
     expected = -2.0 * (eps[0] * ginv @ de[1] - eps[1] * ginv @ de[0])
     assert np.abs(comp[1:-1, -1] - expected).max() < 1e-12
     rest = comp.copy()

@@ -149,7 +149,7 @@ def test_normality_report_counterexample(sphere):
     pt = (0.2, -0.3, 0.1, 0.4)
     geom = Geometry(sphere, pt)
     curv = cartan.curvature(wn)(pt, 0)
-    rep = cartan.normality_report(_val(curv), _val(geom.einv3), sphere.eta)
+    rep = cartan.normality_report(_val(curv), _val(geom.einv3))
     assert rep["normal"]
 
     def no_p_at(point, order):
@@ -159,9 +159,7 @@ def test_normality_report_counterexample(sphere):
         return w
 
     hand_built = cartan.ConnectionField(no_p_at, wn.col0, 4, sphere.eta, max_order=1, label="no-P")
-    rep2 = cartan.normality_report(
-        _val(cartan.curvature(hand_built)(pt, 0)), _val(geom.einv3), sphere.eta
-    )
+    rep2 = cartan.normality_report(_val(cartan.curvature(hand_built)(pt, 0)), _val(geom.einv3))
     assert rep2["ricci_type_trace_norm"] > 1e-3
     assert not rep2["normal"]
 
@@ -198,7 +196,7 @@ def test_section_derivative_consistency(bumpy, rng):
     phi0 = A1.truncate(phi.at(pt, 1), 0)
     rhs = cartan.matvec(A0, curv, phi0[None, None, :])
     w = A1.truncate(wn.at(pt, 1), 0)
-    ddphi = np.stack([A1.deriv(dphi, mu) for mu in range(4)])  # d_mu (D_nu phi)
+    ddphi = A1.grad(dphi)  # d_mu (D_nu phi)
     wD = cartan.matvec(A0, w[:, None], A1.truncate(dphi, 0)[None, :])
     lhs_full = ddphi + wD
     lhs = lhs_full - np.einsum("mn...->nm...", lhs_full)

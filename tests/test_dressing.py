@@ -210,7 +210,6 @@ def test_f_block_is_antisymmetrized_schouten_block(bumpy):
     def at(point, order):
         w = wn.at(point, order).copy()
         alg = jets.algebra(4, order)
-        e, einv = wn.frame(point, order)
         extra = alg.const(skew_frame)  # constant frame-index perturbation P_{mu b}
         w[:, 0, 1:-1] = w[:, 0, 1:-1] + extra
         eta_inv = np.linalg.inv(bumpy.eta)

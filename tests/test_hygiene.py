@@ -1,4 +1,5 @@
-"""Repository hygiene: every public top-level name in the package has a caller."""
+"""Repository hygiene: every public top-level name in the package has a caller,
+and no function assigns a local name it never reads."""
 
 import ast
 import re
@@ -37,3 +38,43 @@ def test_every_public_definition_has_a_caller():
                    if not (path == module and first <= i <= last)):
             uncalled.append(f"{module.name}:{first} {name}")
     assert not uncalled, "public names with no caller: " + ", ".join(uncalled)
+
+
+def _own_scope(fn):
+    """Nodes of a function body, not descending into nested functions or classes."""
+    todo = list(fn.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _unused_locals(tree):
+    """(function, name, line) of each local name a function assigns but never reads.
+
+    Reads in nested functions count, and so do `nonlocal`/`global` declarations;
+    names starting with `_` are exempt.
+    """
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored = {}
+        for node in _own_scope(fn):
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                    and not node.id.startswith("_")):
+                stored[node.id] = min(node.lineno, stored.get(node.id, node.lineno))
+        read = set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, (ast.Nonlocal, ast.Global)):
+                read.update(node.names)
+        yield from ((fn.name, name, line) for name, line in sorted(stored.items()) if name not in read)
+
+
+def test_no_function_assigns_a_local_it_never_reads():
+    unused = [f"{path.relative_to(ROOT)}:{line} {fn}: {name}"
+              for root in (PACKAGE, ROOT / "tests") for path in sorted(root.rglob("*.py"))
+              for fn, name, line in _unused_locals(ast.parse(path.read_text()))]
+    assert not unused, "locals assigned but never read: " + ", ".join(unused)

@@ -204,6 +204,22 @@ def test_product_rule_exact(seed_a, seed_b):
         assert np.allclose(lhs, rhs, atol=1e-13)
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 5)])
+def test_grad_is_the_stacked_derivatives(order, lead):
+    alg = jets.algebra(4, order)
+    # a transposed draw: with leading axes, the coefficient axis is strided
+    x = np.random.default_rng(order).normal(size=(alg.ncoef,) + lead[::-1]).T
+    for a in (x, np.ascontiguousarray(x)):
+        grad = alg.grad(a)
+        assert grad.flags.c_contiguous
+        assert np.array_equal(grad, np.stack([alg.deriv(a, mu) for mu in range(alg.n)]))
+
+
+def test_grad_of_an_order_0_jet_raises():
+    with pytest.raises(jets.JetError):
+        jets.algebra(4, 0).grad(np.ones(1))
+
 # Kernel results against a reference that sums one pair of multi-indices at a
 # time.  The kernel adds the same products in another order, so results agree
 # to a few ulps of the coefficient sums, not bit for bit.

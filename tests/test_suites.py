@@ -1,6 +1,10 @@
-"""Suite registry sanity and metric-specific witnesses through the runner."""
+"""Suite registry sanity, the point sweep, and metric-specific witnesses through
+the runner."""
 
-from tractorlab import metrics, suites, tractor
+import numpy as np
+import pytest
+
+from tractorlab import suites, tractor
 
 
 def test_registry_shape():
@@ -12,7 +16,7 @@ def test_registry_shape():
     seen = set()
     for name, checks in suites.SUITES.items():
         assert checks, name
-        for cid, fn in checks:
+        for cid, _ in checks:
             assert cid not in seen
             seen.add(cid)
             assert suites.META[cid]["suite"] == name
@@ -32,15 +36,11 @@ def test_tolerance_override_applies(bumpy):
 
 
 def test_unknown_suite_raises(bumpy):
-    import pytest
-
     with pytest.raises(ValueError):
         suites.run_suites(bumpy, ["not-a-suite"], seed=0, npoints=2)
 
 
 def test_context_rejects_fewer_than_one_point(bumpy):
-    import pytest
-
     with pytest.raises(ValueError, match="npoints"):
         suites.Context(bumpy, seed=0, npoints=0)
     with pytest.raises(ValueError, match="npoints"):
@@ -53,10 +53,53 @@ def test_points_field_counts_the_points_each_check_samples(flat):
     )
     points = {r.check_id: r.points for r in results}
     assert points["fd-oracle"] == 3  # min(3, points)
+    assert points["schouten-weyl-law"] == 6  # max(4, points // 3)
     assert points["flagship-equivalence"] == 20
     assert points["soldering-metric"] == 10  # max(5, points // 2)
     assert points["convention-calibration"] == 5
     assert points["sigma-pairing"] == 0  # draws group elements, no chart points
+
+
+EXPECTED_COUNTS = {
+    "all": {1: 1, 7: 7, 20: 20},
+    "half": {1: 5, 7: 5, 20: 10},
+    "third": {1: 4, 7: 4, 20: 6},
+    "quarter": {1: 3, 7: 3, 20: 5},
+    "few": {1: 1, 7: 3, 20: 3},
+}
+
+
+@pytest.mark.parametrize("npoints", [1, 7, 20])
+@pytest.mark.parametrize("rule", sorted(EXPECTED_COUNTS))
+def test_sweep_tracks_a_residual_at_each_point_of_its_rule(flat, rule, npoints):
+    assert set(suites.COUNTS) == set(EXPECTED_COUNTS)
+    count = EXPECTED_COUNTS[rule][npoints]
+
+    def stub(p):
+        # a list result: the array dominates the maximum, the dict fills the blocks
+        x = np.asarray(p)
+        return [10.0 * x, {"sum": x.sum(), "first": x[0] * np.ones(2)}]
+
+    seen = []
+
+    def residual(p):
+        seen.append(p)
+        return stub(p)
+
+    ctx = suites.Context(flat, seed=2, npoints=npoints)
+    tr = ctx.sweep(ctx.rng("stub"), residual, rule)
+    assert ctx.points_drawn == len(seen) == count
+    assert all(type(p) is tuple for p in seen)
+
+    direct = suites.Context(flat, seed=2, npoints=npoints)
+    pts = direct.points(direct.rng("stub"), count)
+    assert np.array_equal(np.array(seen), pts)
+    hand = suites.Tracker()
+    for p in pts:
+        for r in stub(p):
+            hand.add(p, r)
+    assert (tr.max, tr.worst, tr.blocks) == (hand.max, hand.worst, hand.blocks)
+    assert tr.note is None
 
 
 def test_error_note_names_the_exception(flat, monkeypatch):

@@ -110,13 +110,13 @@ def test_curvature_two_ways_catalog():
     assert np.abs(comm).max() < 1e-8  # flat tractor curvature
 
     schw = metrics.load_metric("schwarzschild")
-    comm, assembled, disc = tractor.curvature_two_ways(schw, (0.0, 2.5, 2.5, 2.5))
+    comm, _, disc = tractor.curvature_two_ways(schw, (0.0, 2.5, 2.5, 2.5))
     assert disc < 1e-8
     assert np.abs(comm[:, :, 1:-1, 0]).max() < 1e-8  # Cotton block
     assert np.abs(comm[:, :, 1:-1, 1:-1]).max() > 1e-3  # Weyl block
 
     bumpy = metrics.load_metric("poly_perturbation", seed=11)
-    comm, assembled, disc = tractor.curvature_two_ways(bumpy, PT)
+    comm, _, disc = tractor.curvature_two_ways(bumpy, PT)
     assert disc < 1e-7
     assert np.abs(comm[:, :, 0, :]).max() < 1e-10  # top row identically zero
 
