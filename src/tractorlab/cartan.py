@@ -15,6 +15,9 @@ Connection fields expose the full matrix to jet order 1 (the Schouten block
 caps the order) and the first column (a and theta blocks) to higher order;
 the boost dressing only needs the first column, which is what keeps its jets
 exact through chains of gauge transforms.
+
+Fields evaluate at a point or a batch of points (..., n); the batch axes
+lead every result, so `at` gives (..., n, N, N, NC).
 """
 
 from __future__ import annotations
@@ -156,7 +159,7 @@ def matvec(alg, m, v):
 
 
 class ConnectionField:
-    """Matrix-valued 1-form field: at(point, order) -> (n, N, N, NC).
+    """Matrix-valued 1-form field: at(point, order) -> (..., n, N, N, NC).
 
     `col0` evaluates only the first matrix column (the a and theta blocks),
     which stays exact to higher jet order than the Schouten block allows.
@@ -176,19 +179,19 @@ class ConnectionField:
             raise jets.JetError(
                 f"connection {self.label or '<anon>'} supports order <= {self.max_order}"
             )
-        return self._at(tuple(point), order)
+        return self._at(point, order)
 
     def col0(self, point, order):
         if order > self.col0_order:
             raise jets.JetError(
                 f"connection {self.label or '<anon>'} first column supports order <= {self.col0_order}"
             )
-        return self._col0(tuple(point), order)
+        return self._col0(point, order)
 
     def frame(self, point, order):
         """Vielbein e^a_mu and inverse extracted from the soldering block."""
-        col = self.col0(point, order)  # (n, N, NC)
-        e = np.swapaxes(col[:, 1:-1], 0, 1)  # e^a_mu
+        col = self.col0(point, order)  # (..., n, N, NC)
+        e = np.swapaxes(col[..., 1:-1, :], -3, -2)  # e^a_mu
         alg = jets.algebra(self.n, order)
         return e, alg.inv_matrix(e)
 
@@ -221,31 +224,27 @@ def normal_connection(metric) -> ConnectionField:
     vielbein, A the metric spin connection, P the Schouten tensor in frame form."""
     n = metric.n
     N = n + 2
+    eta_inv = np.linalg.inv(metric.eta)
 
     def at(point, order):
         geom = Geometry(metric, point)
         alg = jets.algebra(n, order)
-        w = alg.zeros((n, N, N))
-        e = geom.e(order)
-        einv = geom.einv(order)
+        e_mu = np.swapaxes(geom.e(order), -3, -2)  # [mu, a] = e^a_mu
         a_spin = jets.algebra(n, 2).truncate(geom.spin2, order)
-        p_frame = alg.matmul(jets.algebra(n, 1).truncate(geom.schouten1, order), einv)  # P_{mu b}
-        eta_inv = np.linalg.inv(metric.eta)
-        for mu in range(n):
-            w[mu, 0, 1:-1] = p_frame[mu]
-            w[mu, 1:-1, 0] = e[:, mu]
-            w[mu, 1:-1, 1:-1] = a_spin[mu]
-            w[mu, 1:-1, -1] = eta_inv @ p_frame[mu]
-            w[mu, -1, 1:-1] = metric.eta @ e[:, mu]
+        p_frame = alg.matmul(jets.algebra(n, 1).truncate(geom.schouten1, order),
+                             geom.einv(order))  # P_{mu b}
+        w = alg.zeros(e_mu.shape[:-3] + (n, N, N))
+        w[..., 0, 1:-1, :] = p_frame
+        w[..., 1:-1, 0, :] = e_mu
+        w[..., 1:-1, 1:-1, :] = a_spin
+        w[..., 1:-1, -1, :] = eta_inv @ p_frame
+        w[..., -1, 1:-1, :] = metric.eta @ e_mu
         return w
 
     def col0(point, order):
-        geom = Geometry(metric, point)
-        alg = jets.algebra(n, order)
-        col = alg.zeros((n, N))
-        e = geom.e(order)
-        for mu in range(n):
-            col[mu, 1:-1] = e[:, mu]
+        e_mu = np.swapaxes(Geometry(metric, point).e(order), -3, -2)
+        col = jets.algebra(n, order).zeros(e_mu.shape[:-3] + (n, N))
+        col[..., 1:-1, :] = e_mu
         return col
 
     return ConnectionField(at, col0, n, metric.eta, max_order=1, col0_order=3, label="normal")
@@ -254,10 +253,11 @@ def normal_connection(metric) -> ConnectionField:
 def k1_jet_matrix(alg, q, q_up):
     """K1 for a jet-valued row q and its raised column q_up:
     rows (1, q, q.q_up/2; 0, 1, q_up; 0, 0, 1)."""
-    m = alg.const(np.eye(q.shape[0] + 2))
-    m[0, 1:-1] = q
-    m[0, -1] = 0.5 * alg.mul(q, q_up).sum(axis=0)
-    m[1:-1, -1] = q_up
+    N = q.shape[-2] + 2
+    m = alg.const(np.broadcast_to(np.eye(N), q.shape[:-2] + (N, N)))
+    m[..., 0, 1:-1, :] = q
+    m[..., 0, -1, :] = 0.5 * alg.mul(q, q_up).sum(axis=-2)
+    m[..., 1:-1, -1, :] = q_up
     return m
 
 
@@ -312,11 +312,11 @@ def section_field(metric, rho, ell, sigma) -> JetField:
     ell_f = RowField.coerce(ell)
 
     def fn(point, order):
-        alg = jets.algebra(n, order)
-        out = alg.zeros((n + 2,))
-        out[0] = rho_f.coeffs(point, order)
-        out[1:-1] = ell_f.coeffs(point, order)
-        out[-1] = sig_f.coeffs(point, order)
+        rho = rho_f.coeffs(point, order)
+        out = jets.algebra(n, order).zeros(rho.shape[:-1] + (n + 2,))
+        out[..., 0, :] = rho
+        out[..., 1:-1, :] = ell_f.coeffs(point, order)
+        out[..., -1, :] = sig_f.coeffs(point, order)
         return out
 
     return JetField(fn, n, max_order=3, label="section")
@@ -329,28 +329,29 @@ def transform_connection(conn: ConnectionField, gfield: JetField, label="") -> C
     """chi -> g^-1 chi g + g^-1 dg for a matrix-valued 1-form field."""
     n = conn.n
 
+    # g and its inverse get an axis for the direction mu of the 1-form
     def at(point, order):
         alg_hi = jets.algebra(n, order + 1)
         alg = jets.algebra(n, order)
         g_hi = gfield.at(point, order + 1)
         g = alg_hi.truncate(g_hi, order)
-        ginv = alg.inv_matrix(g)
+        ginv = alg.inv_matrix(g)[..., None, :, :, :]
         w = conn.at(point, order)
-        dg = alg_hi.grad(g_hi)
-        core = alg.matmul(alg.matmul(ginv[None], w), g[None])
-        return core + alg.matmul(ginv[None], dg)
+        dg = np.moveaxis(alg_hi.grad(g_hi), 0, -4)
+        core = alg.matmul(alg.matmul(ginv, w), g[..., None, :, :, :])
+        return core + alg.matmul(ginv, dg)
 
     def col0(point, order):
         alg_hi = jets.algebra(n, order + 1)
         alg = jets.algebra(n, order)
         g_hi = gfield.at(point, order + 1)
         g = alg_hi.truncate(g_hi, order)
-        ginv = alg.inv_matrix(g)
-        col = conn.col0(point, order)  # (n, N, NC)
-        g00 = g[0, 0]
-        out = alg.mul(g00, matvec(alg, ginv[None], col))
-        dg0 = alg_hi.grad(g_hi[:, 0])  # (n, N, NC)
-        out += matvec(alg, ginv[None], dg0)
+        ginv = alg.inv_matrix(g)[..., None, :, :, :]
+        col = conn.col0(point, order)  # (..., n, N, NC)
+        g00 = g[..., 0, 0, :][..., None, None, :]
+        out = alg.mul(g00, matvec(alg, ginv, col))
+        dg0 = np.moveaxis(alg_hi.grad(g_hi[..., :, 0, :]), 0, -3)  # (..., n, N, NC)
+        out += matvec(alg, ginv, dg0)
         return out
 
     max_order = min(conn.max_order, gfield.max_order - 1)
@@ -394,15 +395,15 @@ def curvature(conn: ConnectionField):
 
 
 def section_derivative(conn: ConnectionField, phi: JetField, point, order=0):
-    """D phi = d phi + w phi, per direction: (n, N, NC)."""
+    """D phi = d phi + w phi, per direction: (..., n, N, NC)."""
     n = conn.n
     alg_hi = jets.algebra(n, order + 1)
     alg = jets.algebra(n, order)
     p_hi = phi.at(point, order + 1)
-    dp = alg_hi.grad(p_hi)
+    dp = np.moveaxis(alg_hi.grad(p_hi), 0, -3)
     w = conn.at(point, order)
     p = alg_hi.truncate(p_hi, order)
-    return dp + matvec(alg, w, p[None, :])
+    return dp + matvec(alg, w, p[..., None, :, :])
 
 
 def normality_report(curv_value, einv_value):

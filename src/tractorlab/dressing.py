@@ -9,7 +9,8 @@ Residual Weyl transformations of dressed fields act through the cocycle
 matrices C(z) (frame form) and Cbar(z) (holonomic form); residual Lorentz
 transformations act through constant diag(1, S, 1) conjugation.  The same
 transform_* combinators implement gauge transformation and dressing: only the
-transformation law of the acting field differs, never the formula.
+transformation law of the acting field differs, never the formula.  The
+boost and frame dressings evaluate at a point or a batch of points (..., n).
 """
 
 from __future__ import annotations
@@ -27,22 +28,23 @@ from .cartan import (
     transform_connection,
     transform_section,
 )
-from .fields import JetField, ScalarField, field_matmul
+from .fields import JetField, ScalarField, field_matmul, first_point
 from .geometry import Geometry
 
 
 def boost_vector(conn: ConnectionField, point, order):
-    """q_b = a_mu e^mu_b from the connection's first column."""
+    """q_b = a_mu e^mu_b from the connection's first column: (..., n, NC)."""
     col = conn.col0(point, order)
     alg = jets.algebra(conn.n, order)
-    a = col[:, 0]  # (n, NC)
-    e = np.swapaxes(col[:, 1:-1], 0, 1)  # e^a_mu
+    a = col[..., :, 0, :]  # (..., n, NC)
+    e = np.swapaxes(col[..., 1:-1, :], -3, -2)  # e^a_mu
     e_val = alg.value(e)
-    scale = max(1.0, float(np.abs(e_val).max())) ** conn.n
-    if abs(np.linalg.det(e_val)) < 1e-12 * scale:
-        raise CartanError(f"soldering block is singular at {point}")
+    scale = np.maximum(1.0, np.abs(e_val).max(axis=(-2, -1))) ** conn.n
+    singular = np.abs(np.linalg.det(e_val)) < 1e-12 * scale
+    if singular.any():
+        raise CartanError(f"soldering block is singular at {first_point(point, singular)}")
     einv = alg.inv_matrix(e)
-    return alg.matmul(a[None, :], einv)[0]  # (n, NC)
+    return alg.matmul(a[..., None, :, :], einv)[..., 0, :, :]
 
 
 def boost_dressing(conn: ConnectionField) -> JetField:
@@ -53,7 +55,7 @@ def boost_dressing(conn: ConnectionField) -> JetField:
     def fn(point, order):
         alg = jets.algebra(n, order)
         q = boost_vector(conn, point, order)
-        return k1_jet_matrix(alg, q, np.tensordot(eta_inv, q, axes=(1, 0)))
+        return k1_jet_matrix(alg, q, eta_inv @ q)
 
     return JetField(fn, n, max_order=conn.col0_order, label=f"u1({conn.label})")
 
@@ -65,8 +67,8 @@ def frame_dressing(conn: ConnectionField) -> JetField:
     def fn(point, order):
         alg = jets.algebra(n, order)
         e, _ = conn.frame(point, order)
-        m = alg.const(np.eye(n + 2))
-        m[1:-1, 1:-1] = e
+        m = alg.const(np.broadcast_to(np.eye(n + 2), e.shape[:-3] + (n + 2, n + 2)))
+        m[..., 1:-1, 1:-1, :] = e
         return m
 
     return JetField(fn, n, max_order=conn.col0_order, label=f"ubar({conn.label})")

@@ -1,4 +1,5 @@
-"""Scalar/vector fields on a chart, evaluated through jets.
+"""Scalar/vector fields on a chart, evaluated through jets at a point or a
+batch of points (..., n); the batch axes lead every result.
 
 A scalar field is a rule (point, order) -> jet coefficients, and it comes
 from one of two places.  An expression (a metric's conformal factor, a spec
@@ -65,7 +66,8 @@ class ScalarField:
 
     @classmethod
     def constant(cls, c):
-        return cls(lambda p, k: jets.algebra(len(p), k).const(float(c)), str(c))
+        return cls(lambda p, k: jets.algebra(np.shape(p)[-1], k).const(
+            np.full(np.shape(p)[:-1], float(c))), str(c))
 
     def __mul__(self, other):
         """Pointwise product: the jet product of the two factors' coefficients."""
@@ -80,7 +82,7 @@ class ScalarField:
 
 
 class RowField:
-    """Tuple of scalar fields evaluated as a stacked (m, NC) jet array."""
+    """Tuple of scalar fields evaluated as a stacked (..., m, NC) jet array."""
 
     def __init__(self, components):
         self.components = [ScalarField.coerce(c) for c in components]
@@ -91,7 +93,7 @@ class RowField:
         return source if isinstance(source, cls) else cls(source)
 
     def coeffs(self, point, order) -> np.ndarray:
-        return np.stack([c.coeffs(point, order) for c in self.components])
+        return np.stack([c.coeffs(point, order) for c in self.components], axis=-2)
 
     def __len__(self):
         return len(self.components)
@@ -117,10 +119,16 @@ class JetField:
                 f"field {self.label or '<anon>'} supports jets to order {self.max_order}, "
                 f"requested {order}"
             )
-        return self._fn(tuple(point), order)
+        return self._fn(point, order)
 
     def __repr__(self):
         return f"JetField({self.label}, n={self.n}, max_order={self.max_order})"
+
+
+def first_point(points, bad):
+    """The first point of a batch (..., n) at which the mask `bad` (...) holds, as floats."""
+    at = np.asarray(points, dtype=float)[np.unravel_index(np.argmax(bad), np.shape(bad))]
+    return tuple(float(x) for x in at)
 
 
 def field_matmul(a: JetField, b: JetField, label="") -> JetField:

@@ -1,5 +1,6 @@
 """Metric-level tensors: vielbein, Christoffel, curvature, Schouten/Cotton/Weyl,
-spin connection, and covariant derivatives, all evaluated through jets at a point.
+spin connection, and covariant derivatives, all evaluated through jets at a
+point or a batch of points (..., n); the batch axes lead every tensor.
 
 Index conventions (storage order):
     gamma[alpha, mu, nu]          Gamma^alpha_{mu nu}
@@ -22,6 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from . import jets
+from .fields import first_point
 from .metrics import MetricError
 
 
@@ -38,24 +40,31 @@ class FrameError(MetricError):
 
 
 class Geometry:
-    """Lazy cache of the curvature pipeline of one metric at one point."""
+    """Lazy cache of the curvature pipeline of one metric at a point or a batch
+    of points (..., n); every tensor carries the batch axes in front."""
 
     def __new__(cls, metric, point):
         # memoized per metric: suites hit the same points through many fields
-        key = tuple(float(x) for x in point)
+        point = np.array(point, dtype=float)
+        key = (point.shape, point.tobytes())
         cache = metric.__dict__.setdefault("_geometry_cache", {})
         hit = cache.get(key)
         if hit is not None:
             return hit
         self = super().__new__(cls)
         self.metric = metric
-        self.point = key
+        self.point = point
+        self._key = key
         self.n = metric.n
         self.eta = metric.eta
         if len(cache) > 4096:
             cache.clear()
         cache[key] = self
         return self
+
+    def release(self):
+        """Drop this Geometry from its metric's memo, for a batch that is evaluated once."""
+        self.metric.__dict__["_geometry_cache"].pop(self._key, None)
 
     def alg(self, order):
         return jets.algebra(self.n, order)
@@ -80,23 +89,40 @@ class Geometry:
 
     @cached_property
     def _ldl(self):
-        """Signature-aware LDL^T of g with jets: g = L D L^T, pivots in chart order."""
+        """Signature-aware LDL^T of g with jets: g = L D L^T, pivots in chart order.
+
+        A pivot whose sign disagrees with eta fails its point, which then
+        divides by a stand-in pivot so that the rest of the batch factors; the
+        first failing point of the batch is reported with its first bad pivot.
+        """
         n, alg = self.n, self.alg(3)
-        a = self.g3.copy()
-        L = alg.const(np.eye(n))
+        a = self.g3
+        L = alg.const(np.broadcast_to(np.eye(n), a.shape[:-1]))
         d = []
+        bad_pivot = np.full(a.shape[:-3], -1)
+        bad_value = np.zeros(a.shape[:-3])
         for k in range(n):
-            dk = a[k, k].copy()
+            dk = a[..., k, k, :].copy()
             for m in range(k):
-                dk -= alg.mul(alg.mul(L[k, m], L[k, m]), d[m])
-            if np.sign(dk[0]) != self.eta[k, k]:
-                raise FrameError(k, float(dk[0]), self.eta[k, k], self.point)
+                dk -= alg.mul(alg.mul(L[..., k, m, :], L[..., k, m, :]), d[m])
+            bad = np.sign(dk[..., 0]) != self.eta[k, k]
+            if bad.any():
+                first = bad & (bad_pivot < 0)
+                bad_pivot[first] = k
+                bad_value[first] = dk[..., 0][first]
+                dk[bad] = alg.const(self.eta[k, k])
             d.append(dk)
             for i in range(k + 1, n):
-                num = a[i, k].copy()
+                num = a[..., i, k, :].copy()
                 for m in range(k):
-                    num -= alg.mul(alg.mul(L[i, m], L[k, m]), d[m])
-                L[i, k] = alg.div(num, dk)
+                    num -= alg.mul(alg.mul(L[..., i, m, :], L[..., k, m, :]), d[m])
+                L[..., i, k, :] = alg.div(num, dk)
+        failed = bad_pivot >= 0
+        if failed.any():
+            idx = np.unravel_index(np.argmax(failed), failed.shape)
+            k = int(bad_pivot[idx])
+            raise FrameError(k, float(bad_value[idx]), self.eta[k, k],
+                             first_point(self.point, failed))
         return L, d
 
     @cached_property
@@ -104,12 +130,8 @@ class Geometry:
         """Vielbein e^a_mu with e^T eta e = g; deterministic triangular choice."""
         L, d = self._ldl
         alg = self.alg(3)
-        e = alg.zeros((self.n, self.n))
-        for a_idx in range(self.n):
-            root = alg.sqrt(self.eta[a_idx, a_idx] * d[a_idx])
-            for mu in range(self.n):
-                e[a_idx, mu] = alg.mul(root, L[mu, a_idx])
-        return e
+        root = alg.sqrt(np.diag(self.eta)[:, None] * np.stack(d, axis=-2))  # [..., a]
+        return alg.mul(root[..., :, None, :], np.swapaxes(L, -3, -2))  # root_a L[mu, a]
 
     @cached_property
     def einv3(self):
@@ -127,47 +149,44 @@ class Geometry:
     @cached_property
     def gamma2(self):
         """Christoffel symbols with order-2 jets."""
-        alg = self.alg(2)
-        dg = self.alg(3).grad(self.g3)  # [mu, b, nu]
-        t = (
-            np.einsum("mbn...->bmn...", dg)
-            + np.einsum("nbm...->bmn...", dg)
-            - np.einsum("bmn...->bmn...", dg)
-        )
-        flat = np.ascontiguousarray(t.reshape(self.n, self.n * self.n, alg.ncoef))
+        alg, n = self.alg(2), self.n
+        dg = np.moveaxis(self.alg(3).grad(self.g3), 0, -4)  # [..., mu, b, nu]
+        t = np.einsum("...mbnc->...bmnc", dg) + np.einsum("...nbmc->...bmnc", dg) - dg
+        flat = np.ascontiguousarray(t.reshape(t.shape[:-4] + (n, n * n, alg.ncoef)))
         out = alg.matmul(self.ginv(2), flat)
-        return 0.5 * out.reshape(self.n, self.n, self.n, alg.ncoef)
+        return 0.5 * out.reshape(t.shape)
 
     @cached_property
     def riemann1(self):
         """R^rho_{sigma mu nu} with order-1 jets."""
         alg, n = self.alg(1), self.n
-        dgam = self.alg(2).grad(self.gamma2)
-        dterm = np.einsum("mrns...->rsmn...", dgam) - np.einsum("nrms...->rsmn...", dgam)
+        dgam = np.moveaxis(self.alg(2).grad(self.gamma2), 0, -5)
+        dterm = np.einsum("...mrnsc->...rsmnc", dgam) - np.einsum("...nrmsc->...rsmnc", dgam)
         gam = self.alg(2).truncate(self.gamma2, 1)
-        a = np.ascontiguousarray(gam.reshape(n * n, n, alg.ncoef))  # [(rho,mu), lam]
-        b = np.ascontiguousarray(gam.reshape(n, n * n, alg.ncoef))  # [lam, (nu,sigma)]
-        gg = alg.matmul(a, b).reshape(n, n, n, n, alg.ncoef)  # [rho, mu, nu, sigma]
-        ggterm = np.einsum("rmns...->rsmn...", gg) - np.einsum("rnms...->rsmn...", gg)
+        lead = gam.shape[:-4]
+        a = np.ascontiguousarray(gam.reshape(lead + (n * n, n, alg.ncoef)))  # [(rho,mu), lam]
+        b = np.ascontiguousarray(gam.reshape(lead + (n, n * n, alg.ncoef)))  # [lam, (nu,sigma)]
+        gg = alg.matmul(a, b).reshape(gam.shape[:-1] + (n, alg.ncoef))  # [rho, mu, nu, sigma]
+        ggterm = np.einsum("...rmnsc->...rsmnc", gg) - np.einsum("...rnmsc->...rsmnc", gg)
         return dterm + ggterm
 
     @cached_property
     def ricci1(self):
-        return np.einsum("msmn...->sn...", self.riemann1)
+        return np.einsum("...msmnc->...snc", self.riemann1)
 
     @cached_property
     def scalar1(self):
-        return self.alg(1).mul(self.ginv(1), self.ricci1).sum(axis=(0, 1))
+        return self.alg(1).mul(self.ginv(1), self.ricci1).sum(axis=(-3, -2))
 
     @cached_property
     def schouten1(self):
         n, alg = self.n, self.alg(1)
-        trace_part = alg.mul(self.scalar1 / (2.0 * (n - 1.0)), self.g(1))
+        trace_part = alg.mul((self.scalar1 / (2.0 * (n - 1.0)))[..., None, None, :], self.g(1))
         return (-1.0 / (n - 2.0)) * (self.ricci1 - trace_part)
 
     @cached_property
     def schouten_trace1(self):
-        return self.alg(1).mul(self.ginv(1), self.schouten1).sum(axis=(0, 1))
+        return self.alg(1).mul(self.ginv(1), self.schouten1).sum(axis=(-3, -2))
 
     @cached_property
     def schouten_up1(self):
@@ -183,7 +202,7 @@ class Geometry:
     def cotton(self):
         """C_{mu lam, nu} (values), antisymmetric in (mu, lam)."""
         ns = self.nabla_schouten
-        return ns - ns.swapaxes(0, 1)
+        return ns - np.swapaxes(ns, -3, -2)
 
     @cached_property
     def weyl1(self):
@@ -192,10 +211,10 @@ class Geometry:
         delta = np.eye(n)
         P, Pup, g = self.schouten1, self.schouten_up1, self.g(1)
         w = self.riemann1.copy()
-        w += np.einsum("rm,ns...->rsmn...", delta, P)
-        w -= np.einsum("rn,ms...->rsmn...", delta, P)
-        w += alg.mul(Pup[:, None, :, None, :], g[None, :, None, :, :])  # P^r_m g_{s n}
-        w -= alg.mul(Pup[:, None, None, :, :], g[None, :, :, None, :])  # P^r_n g_{s m}
+        w += np.einsum("rm,...nsc->...rsmnc", delta, P)
+        w -= np.einsum("rn,...msc->...rsmnc", delta, P)
+        w += alg.mul(Pup[..., :, None, :, None, :], g[..., None, :, None, :, :])  # P^r_m g_{s n}
+        w -= alg.mul(Pup[..., :, None, None, :, :], g[..., None, :, :, None, :])  # P^r_n g_{s m}
         return w
 
     @cached_property
@@ -204,56 +223,55 @@ class Geometry:
 
     @cached_property
     def spin2(self):
-        """Spin connection A^a_{b mu}, stored [mu, a, b], order-2 jets."""
-        n, alg = self.n, self.alg(2)
-        de = self.alg(3).grad(self.e3)  # d_mu e^a_nu
-        einv = self.einv(2)
-        e2 = self.e(2)
-        out = np.empty((n, n, n, alg.ncoef))
-        for mu in range(n):
-            deinv_mu = -alg.matmul(alg.matmul(einv, de[mu]), einv)  # d_mu e^nu_b
-            ge = alg.matmul(self.gamma2[:, mu, :], einv)  # Gamma^nu_{mu lam} e^lam_b
-            out[mu] = alg.matmul(e2, deinv_mu + ge)
-        return out
+        """Spin connection A^a_{b mu}, stored [mu, a, b], order-2 jets; every
+        direction mu is one slice of the same batched products."""
+        alg = self.alg(2)
+        de = np.moveaxis(self.alg(3).grad(self.e3), 0, -4)  # d_mu e^a_nu
+        einv = self.einv(2)[..., None, :, :, :]
+        deinv = -alg.matmul(alg.matmul(einv, de), einv)  # d_mu e^nu_b
+        gam = np.einsum("...nmlc->...mnlc", self.gamma2)  # [mu, nu, lam] = Gamma^nu_{mu lam}
+        ge = alg.matmul(gam, einv)  # Gamma^nu_{mu lam} e^lam_b
+        return alg.matmul(self.e(2)[..., None, :, :, :], deinv + ge)
 
     # -- covariant derivative ---------------------------------------------------
 
     def covariant_derivative(self, tensor, valences, order=None):
-        """Levi-Civita covariant derivative; the new (derivative) index comes first.
+        """Levi-Civita covariant derivative; the new (derivative) index comes first,
+        after the batch axes.
 
-        `tensor` is a jet array with one axis per tensor index plus the trailing
-        coefficient axis; `valences` is a string of 'u'/'d' per index ('' for a
-        scalar).  The output order is one below the input order.
+        `tensor` is a jet array with the batch axes, one axis per tensor index
+        and the trailing coefficient axis; `valences` is a string of 'u'/'d'
+        per index ('' for a scalar).  The output order is one below the input
+        order.
         """
         tensor = np.asarray(tensor)
+        nb = self.point.ndim - 1
         k = self._order_of(tensor)
         if order is not None and order < k:
             tensor = self.alg(k).truncate(tensor, order)
             k = order
-        if tensor.ndim - 1 != len(valences):
+        if tensor.ndim - 1 - nb != len(valences):
             raise MetricError(
-                f"tensor has {tensor.ndim - 1} index axes but valence string is {valences!r}"
+                f"tensor has {tensor.ndim - 1 - nb} index axes but valence string is {valences!r}"
             )
         if k < 1:
             raise MetricError("covariant derivative needs at least order-1 jets")
-        alg_in, alg_out, n = self.alg(k), self.alg(k - 1), self.n
-        out = alg_in.grad(tensor)
+        alg_in, alg_out = self.alg(k), self.alg(k - 1)
+        out = np.moveaxis(alg_in.grad(tensor), 0, nb)
         if not valences:
             return out
         t_low = alg_in.truncate(tensor, k - 1)
         gam = self.alg(2).truncate(self.gamma2, k - 1)
         for slot, val in enumerate(valences):
-            moved = np.moveaxis(t_low, slot, 0)  # [lam, rest..., NC]
-            rest_nd = moved.ndim - 2
-            pad = (n, n) + (1,) * rest_nd + (alg_out.ncoef,)
-            corr = np.zeros((n, n) + moved.shape[1:])
-            for lam in range(n):
-                if val == "u":
-                    block = gam[:, :, lam]  # [i, mu]
-                else:
-                    block = gam[lam].swapaxes(0, 1)  # [i, mu] from Gamma^lam_{mu i}
-                corr += alg_out.mul(block.reshape(pad), moved[lam])
-            corr = np.moveaxis(corr.swapaxes(0, 1), 1, slot + 1)  # [mu, ..., i at slot]
+            moved = np.moveaxis(t_low, nb + slot, nb)  # [..., lam, rest..., NC]
+            if val == "u":
+                blocks = np.moveaxis(gam, -2, -4)  # [..., lam, i, mu] = Gamma^i_{mu lam}
+            else:
+                blocks = np.swapaxes(gam, -3, -2)  # [..., lam, i, mu] = Gamma^lam_{mu i}
+            pad = (1,) * (moved.ndim - nb - 2)
+            blocks = blocks.reshape(blocks.shape[:-1] + pad + blocks.shape[-1:])
+            corr = alg_out.mul(blocks, np.expand_dims(moved, (nb + 1, nb + 2))).sum(axis=nb)
+            corr = np.moveaxis(np.swapaxes(corr, nb, nb + 1), nb + 1, nb + slot + 1)
             out = out + corr if val == "u" else out - corr
         return out
 
@@ -264,13 +282,13 @@ class Geometry:
         if k < 2:
             raise MetricError("laplacian needs at least order-2 jets")
         alg = self.alg(k)
-        grad = alg.grad(scalar_jets)
-        hess = self.alg(k - 1).grad(grad)  # [mu, nu]
+        grad = np.moveaxis(alg.grad(scalar_jets), 0, -2)
+        hess = np.moveaxis(self.alg(k - 1).grad(grad), 0, -3)  # [..., mu, nu]
         alg2 = self.alg(k - 2)
         gam = self.alg(2).truncate(self.gamma2, k - 2)
         grad2 = self.alg(k - 1).truncate(grad, k - 2)
-        term = hess - alg2.mul(gam, grad2[:, None, None, :]).sum(axis=0)
-        return alg2.mul(self.ginv(k - 2), term).sum(axis=(0, 1))
+        term = hess - alg2.mul(gam, grad2[..., :, None, None, :]).sum(axis=-4)
+        return alg2.mul(self.ginv(k - 2), term).sum(axis=(-3, -2))
 
     def _order_of(self, arr):
         nc = np.asarray(arr).shape[-1]

@@ -137,12 +137,17 @@ class JetAlgebra:
         return (np.asarray(a)[..., self._i_idx] * np.asarray(b)[..., self._j_idx]) @ self._scatter
 
     def matmul(self, a, b):
-        """Contract jet matrices over adjacent axes: (...,r,k,NC)@(...,k,c,NC)."""
+        """Contract jet matrices over adjacent axes: (...,r,k,NC)@(...,k,c,NC).
+
+        The M gathered pairs go in front of the matrix axes, so one batched
+        `np.matmul` forms every pair's (r, c) product; the scatter then sums
+        the pairs into their target coefficients.
+        """
         a, b = np.asarray(a), np.asarray(b)
         if self.order == 0:
             return (a[..., 0] @ b[..., 0])[..., None]
-        prod = np.einsum("...rkm,...kcm->...rcm", a[..., self._i_idx], b[..., self._j_idx])
-        return prod @ self._scatter
+        prod = np.moveaxis(a[..., self._i_idx], -1, -3) @ np.moveaxis(b[..., self._j_idx], -1, -3)
+        return np.moveaxis(prod, -3, -1) @ self._scatter
 
     def powi(self, a, k):
         if k < 0:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import inspect
+import itertools
 import math
 import os
 import re
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr, jets
-from .fields import ScalarField, random_polynomial
+from .fields import ScalarField, first_point, random_polynomial
 
 CATALOG = (
     "flat_euclidean",
@@ -80,14 +81,15 @@ class MetricField:
         self.spec = spec
 
     def g(self, point, order):
-        """Component jets g_{mu,nu}: array (n, n, NC)."""
-        key = (tuple(point), order)
+        """Component jets g_{mu,nu} at a point or a batch of points (..., n): (..., n, n, NC)."""
+        point = np.array(point, dtype=float)
+        key = (point.shape, point.tobytes(), order)
         cache = self.__dict__.setdefault("_g_cache", {})
         hit = cache.get(key)
         if hit is None:
             if len(cache) > 8192:
                 cache.clear()
-            hit = self._g_fn(key[0], order)
+            hit = self._g_fn(point, order)
             hit.flags.writeable = False  # shared across callers
             cache[key] = hit
         return hit
@@ -105,30 +107,40 @@ class MetricField:
             z = z_field.coeffs(point, order)
             alg = jets.algebra(self.n, order)
             z2 = alg.mul(z, z)
-            return alg.mul(z2, self.g(point, order))
+            return alg.mul(z2[..., None, None, :], self.g(point, order))
 
         name = label or f"{self.name}*z^2"
         return MetricField(name, self.n, self.signature, g_fn, self.domain)
 
     def check_signature(self, samples=20, seed=0):
-        """Eigenvalue-sign check of g at sampled points of the domain box."""
-        rng = np.random.default_rng(seed)
-        pts = sample_points(self, samples, rng)
+        """Eigenvalue-sign check of g at sampled points of the domain box and at
+        the corners of the box they are sampled from, in one batched call."""
+        pts = sample_points(self, samples, np.random.default_rng(seed))
+        lo, hi = sample_box(self)
+        corners = np.array(list(itertools.product(*zip(lo, hi))))
+        pts = np.concatenate([pts, corners])
+        eig = np.linalg.eigvalsh(jets.algebra(self.n, 0).value(self.g(pts, 0)))
         r, s = self.signature
-        for p in pts:
-            value = jets.algebra(self.n, 0).value(self.g(p, 0))
-            eig = np.linalg.eigvalsh(value)
-            if np.any(np.abs(eig) < 1e-9) or (eig < 0).sum() != r or (eig > 0).sum() != s:
-                raise SignatureError(self.name, p, eig, self.signature)
+        bad = (np.abs(eig) < 1e-9).any(axis=-1) | ((eig < 0).sum(axis=-1) != r) | (
+            (eig > 0).sum(axis=-1) != s)
+        if bad.any():
+            raise SignatureError(self.name, first_point(pts, bad), eig[np.argmax(bad)],
+                                 self.signature)
         return True
+
+
+def sample_box(metric, shrink=0.1):
+    """Lower and upper corners of the domain box, shrunk away from its boundary."""
+    lo = np.array([d[0] for d in metric.domain])
+    hi = np.array([d[1] for d in metric.domain])
+    margin = shrink * (hi - lo) / 2.0
+    return lo + margin, hi - margin
 
 
 def sample_points(metric, count, rng, shrink=0.1):
     """Uniform points in the domain box, shrunk away from the boundary."""
-    lo = np.array([d[0] for d in metric.domain])
-    hi = np.array([d[1] for d in metric.domain])
-    margin = shrink * (hi - lo) / 2.0
-    return rng.uniform(lo + margin, hi - margin, size=(count, metric.n))
+    lo, hi = sample_box(metric, shrink)
+    return rng.uniform(lo, hi, size=(count, metric.n))
 
 
 def metric_from_spec(spec: MetricSpec) -> MetricField:

@@ -7,6 +7,10 @@ composite sections come out as (rho_L, l_L^mu, sigma) with l contravariant.
 The dictionary between the two conventions is not hand-asserted: it is
 calibrated by a finite search over reversal/index-lowering/sign candidates
 against the Weyl transformation law, and the survivor is used everywhere.
+
+The connection matrices, the tractor derivative and the equivalence oracle
+work at a point or a batch of points (..., n), with the batch axes in front;
+the calibration samples one point at a time.
 """
 
 from __future__ import annotations
@@ -37,31 +41,29 @@ def connection_matrices(geom: Geometry, order=1):
               | 0, g^{alpha beta} P_{mu beta}, 0)
     """
     n = geom.n
-    alg = jets.algebra(n, order)
-    m = alg.zeros((n, n + 2, n + 2))
-    P = jets.algebra(n, 1).truncate(geom.schouten1, order)
-    Pup = jets.algebra(n, 1).truncate(geom.schouten_up1, order)  # P^alpha_mu
-    gam = jets.algebra(n, 2).truncate(geom.gamma2, order)
     g = geom.g(order)
+    m = jets.algebra(n, order).zeros(g.shape[:-3] + (n, n + 2, n + 2))
     for mu in range(n):
-        m[mu, 0, 1 + mu] = alg.const(-1.0)
-        m[mu, 1:-1, 0] = -P[mu]
-        m[mu, 1:-1, 1:-1] = -np.einsum("an...->na...", gam[:, mu])  # row nu, col alpha
-        m[mu, 1:-1, -1] = g[mu]
-        m[mu, -1, 1:-1] = Pup[:, mu]
+        m[..., mu, 0, 1 + mu, 0] = -1.0
+    m[..., 1:-1, 0, :] = -jets.algebra(n, 1).truncate(geom.schouten1, order)
+    gam = jets.algebra(n, 2).truncate(geom.gamma2, order)
+    m[..., 1:-1, 1:-1, :] = -np.einsum("...amnc->...mnac", gam)  # row nu, col alpha
+    m[..., 1:-1, -1, :] = g
+    Pup = jets.algebra(n, 1).truncate(geom.schouten_up1, order)  # P^alpha_mu
+    m[..., -1, 1:-1, :] = np.swapaxes(Pup, -3, -2)
     return m
 
 
 def derivative(metric, t_field: JetField, point, order=0):
-    """nabla^T_mu t = d_mu t + M_mu t, per direction: (n, N, NC)."""
+    """nabla^T_mu t = d_mu t + M_mu t, per direction: (..., n, N, NC)."""
     geom = Geometry(metric, point)
     n = metric.n
     alg_hi = jets.algebra(n, order + 1)
     alg = jets.algebra(n, order)
     t_hi = t_field.at(point, order + 1)
-    dt = alg_hi.grad(t_hi)
+    dt = np.moveaxis(alg_hi.grad(t_hi), 0, -3)
     m = connection_matrices(geom, order)
-    return dt + matvec(alg, m, alg_hi.truncate(t_hi, order)[None, :])
+    return dt + matvec(alg, m, alg_hi.truncate(t_hi, order)[..., None, :, :])
 
 
 def prolong_field(metric, sigma_field) -> JetField:
@@ -255,9 +257,10 @@ def calibrate_convention_map(metric, z_field, points, rng, tol=1e-8):
     trials = []
     for point in points:
         point = tuple(point)
-        geom, geom_hat = Geometry(metric, point), Geometry(rescaled, point)
+        geom = Geometry(metric, point)
         g, ginv = geom.g(0), geom.ginv(0)
-        g_hat, ginv_hat = geom_hat.g(0), geom_hat.ginv(0)
+        # the rescaled metric is needed only to order 0, not as a whole Geometry
+        g_hat, ginv_hat = rescaled.g(point, 0), rescaled.g_inv(point, 0)
         cbar_inv = a0.inv_matrix(jets.algebra(n, 1).truncate(cbar.at(point, 1), 0))
         u = jets.algebra(n, 2).truncate(gt.at(point, 2), 0)
         for _ in range(4):
@@ -310,14 +313,13 @@ def equivalence_check(metric, points, rng, cmap=None, z_field=None):
 
     phi_l = JetField(phi_l_fn, n, max_order=3, label="m^-1(t)")
 
-    worst = (0.0, None)
-    for point in points:
-        point = tuple(point)
-        geom = Geometry(metric, point)
-        lhs_cols = section_derivative(wl, phi_l, point, 0)  # (n, N, NC0)
-        lhs = cmap.apply(a0, lhs_cols, geom.g(0)[None], geom.ginv(0)[None])
-        rhs = derivative(metric, t, point, 0)
-        res = float(np.abs(lhs - rhs).max())
-        if res > worst[0]:
-            worst = (res, point)
+    # every point in one batch; the worst is the first point with the largest residual
+    x = np.asarray(points, dtype=float)
+    geom = Geometry(metric, x)
+    lhs_cols = section_derivative(wl, phi_l, x, 0)  # (P, n, N, NC0)
+    lhs = cmap.apply(a0, lhs_cols, geom.g(0)[..., None, :, :, :], geom.ginv(0)[..., None, :, :, :])
+    res = np.abs(lhs - derivative(metric, t, x, 0)).max(axis=(-3, -2, -1))
+    geom.release()  # no later caller evaluates this batch: free its curvature stack now
+    i = int(np.argmax(res))  # a NaN residual counts as the worst
+    worst = (0.0, None) if res[i] == 0 else (float(res[i]), tuple(points[i]))
     return {"max_residual": worst[0], "worst_point": worst[1], "map": cmap, "points": len(points)}

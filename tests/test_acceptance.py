@@ -8,11 +8,10 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 import conftest
 from tractorlab import brst, cartan, dressing, jets, metrics, oracle, suites, tractor
-from tractorlab.fields import RowField, ScalarField, domain_poly_field, random_polynomial
+from tractorlab.fields import ScalarField, domain_poly_field, random_polynomial
 from tractorlab.geometry import Geometry
 
 A0 = jets.algebra(4, 0)

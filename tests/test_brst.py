@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from tractorlab import brst, cartan, dressing, jets, metrics
-from tractorlab.fields import ScalarField
+from tractorlab import brst, cartan, jets
 from tractorlab.geometry import Geometry
 from tractorlab.ghosts import GradedValue, merge_sign
 

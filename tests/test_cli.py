@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from tractorlab import cli
+from tractorlab import cli, metrics
 
 
 def run_cli(tmp_path, *args):
@@ -71,6 +72,22 @@ def test_a_metric_with_no_frame_at_a_sample_point_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("tractorlab: error: vielbein factorization at point (")
     assert "pivot 0" in err and err.count("\n") == 1
+
+
+def test_a_metric_with_the_wrong_signature_only_near_a_corner_exits_2(tmp_path, capsys):
+    # g_00 < 0 only where x0 + x1 + x2 + x3 > 3.5: the signature check's 20
+    # samples miss that corner of the box, and its corner (0.9, 0.9, 0.9, 0.9) hits it
+    path = tmp_path / "corner.ini"
+    path.write_text("[metric]\nn=4\n[components]\n"
+                    "g_00 = 3.5 - (x0 + x1 + x2 + x3)\ng_11 = 1\ng_22 = 1\ng_33 = 1\n")
+    metric = metrics.metric_from_spec(metrics.parse_metric_file(path))
+    assert (metrics.sample_points(metric, 20, np.random.default_rng(0)).sum(axis=1) < 3.5).all()
+    code = cli.main(["run", "--metric", str(path), "--suite", "riemann-laws",
+                     "--points", "1", "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tractorlab: error: ") and err.count("\n") == 1
+    assert "fails signature check at (0.9, 0.9, 0.9, 0.9)" in err
 
 
 def test_failing_check_reports_worst_point(tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tractorlab import cartan, dressing, jets, metrics
+from tractorlab import cartan, dressing, jets
 from tractorlab.fields import ScalarField
 from tractorlab.geometry import Geometry
 

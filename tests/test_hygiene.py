@@ -1,5 +1,6 @@
 """Repository hygiene: every public top-level name in the package has a caller,
-and no function assigns a local name it never reads."""
+no function assigns a local name it never reads, and no module imports a name
+it never reads."""
 
 import ast
 import re
@@ -78,3 +79,29 @@ def test_no_function_assigns_a_local_it_never_reads():
               for root in (PACKAGE, ROOT / "tests") for path in sorted(root.rglob("*.py"))
               for fn, name, line in _unused_locals(ast.parse(path.read_text()))]
     assert not unused, "locals assigned but never read: " + ", ".join(unused)
+
+
+def _unused_imports(tree):
+    """(name, line) of each name a module imports but never reads.
+
+    `from __future__` imports are exempt; an attribute chain such as
+    `np.linalg` reads its base name.
+    """
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    unused = [f"{path.relative_to(ROOT)}:{line} {name}"
+              for root in (PACKAGE, ROOT / "tests") for path in sorted(root.rglob("*.py"))
+              for line, name in _unused_imports(ast.parse(path.read_text()))]
+    assert not unused, "imports never read: " + ", ".join(unused)

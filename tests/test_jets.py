@@ -250,13 +250,19 @@ def _assert_close(got, want):
     np.testing.assert_allclose(got, want, rtol=0, atol=KERNEL_TOL)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
-@pytest.mark.parametrize("order", [0, 1, 2, 3])
-def test_mul_matches_multi_index_reference(n, order):
+def _batches(cases):
+    """Each case at batch 2 (id: the case) and at batch 20 (id: the case, then "batch20")."""
+    return [pytest.param(*case, batch, id="-".join(map(str, case)) + suffix)
+            for batch, suffix in ((2, ""), (20, "-batch20")) for case in cases]
+
+
+@pytest.mark.parametrize("order, n, batch",
+                         _batches([(order, n) for n in (3, 4, 5) for order in range(4)]))
+def test_mul_matches_multi_index_reference(n, order, batch):
     rng = np.random.default_rng([n, order])
     alg = jets.algebra(n, order)
-    a = rng.normal(size=(2, alg.ncoef))
-    b = rng.normal(size=(2, alg.ncoef))
+    a = rng.normal(size=(batch, alg.ncoef))
+    b = rng.normal(size=(batch, alg.ncoef))
     _assert_close(alg.mul(a, b), _ref_mul_nd(alg, a, b))
     _assert_close(alg.mul(a[0], b[1]), _ref_mul(alg, a[0], b[1]))
 
@@ -304,12 +310,12 @@ def _matmul_by_mul(alg, a, b):
     return out
 
 
-@pytest.mark.parametrize("order", [0, 1, 3])
-def test_matmul_matches_loop_of_mul(order):
+@pytest.mark.parametrize("order, batch", _batches([(order,) for order in range(4)]))
+def test_matmul_matches_loop_of_mul(order, batch):
     rng = np.random.default_rng(order)
     alg = jets.algebra(3, order)
-    a = rng.normal(size=(2, 3, 4, 3, alg.ncoef))
-    b = rng.normal(size=(2, 3, 3, 2, alg.ncoef))
+    a = rng.normal(size=(batch, 3, 4, 3, alg.ncoef))
+    b = rng.normal(size=(batch, 3, 3, 2, alg.ncoef))
     _assert_close(alg.matmul(a, b), _matmul_by_mul(alg, a, b))
     # mismatched leading axes broadcast
     col = rng.normal(size=(2, 1, 4, 3, alg.ncoef))
