@@ -186,7 +186,7 @@ def linearized_boost(metric, ghost: Ghost, point, order, holonomic=False) -> Gra
         m = alg.zeros((n + 2, n + 2))
         if eps_f is not None:
             e_hi = eps_f.coeffs(point, order + 1)
-            de = alg_hi.grad(e_hi)  # d_mu eps
+            de = alg_hi.grad(e_hi, 0)  # d_mu eps
             if holonomic:
                 m[0, 1:-1] = de
                 m[1:-1, -1] = matvec(alg, geom.ginv(order), de)

@@ -337,7 +337,7 @@ def transform_connection(conn: ConnectionField, gfield: JetField, label="") -> C
         g = alg_hi.truncate(g_hi, order)
         ginv = alg.inv_matrix(g)[..., None, :, :, :]
         w = conn.at(point, order)
-        dg = np.moveaxis(alg_hi.grad(g_hi), 0, -4)
+        dg = alg_hi.grad(g_hi, 2)
         core = alg.matmul(alg.matmul(ginv, w), g[..., None, :, :, :])
         return core + alg.matmul(ginv, dg)
 
@@ -350,7 +350,7 @@ def transform_connection(conn: ConnectionField, gfield: JetField, label="") -> C
         col = conn.col0(point, order)  # (..., n, N, NC)
         g00 = g[..., 0, 0, :][..., None, None, :]
         out = alg.mul(g00, matvec(alg, ginv, col))
-        dg0 = np.moveaxis(alg_hi.grad(g_hi[..., :, 0, :]), 0, -3)  # (..., n, N, NC)
+        dg0 = alg_hi.grad(g_hi[..., :, 0, :], 1)  # (..., n, N, NC)
         out += matvec(alg, ginv, dg0)
         return out
 
@@ -387,7 +387,7 @@ def curvature(conn: ConnectionField):
         alg = jets.algebra(n, order)
         w_hi = conn.at(point, order + 1)
         w = alg_hi.truncate(w_hi, order)
-        dw = alg_hi.grad(w_hi)  # [mu, nu, N, N]
+        dw = alg_hi.grad(w_hi, 3)  # [mu, nu, N, N]
         ww = alg.matmul(w[:, None], w[None, :])  # [mu, nu] -> w_mu w_nu
         return dw - np.einsum("mn...->nm...", dw) + ww - np.einsum("mn...->nm...", ww)
 
@@ -400,7 +400,7 @@ def section_derivative(conn: ConnectionField, phi: JetField, point, order=0):
     alg_hi = jets.algebra(n, order + 1)
     alg = jets.algebra(n, order)
     p_hi = phi.at(point, order + 1)
-    dp = np.moveaxis(alg_hi.grad(p_hi), 0, -3)
+    dp = alg_hi.grad(p_hi, 1)
     w = conn.at(point, order)
     p = alg_hi.truncate(p_hi, order)
     return dp + matvec(alg, w, p[..., None, :, :])

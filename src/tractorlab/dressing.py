@@ -98,7 +98,7 @@ def upsilon_row(z_field: ScalarField, point, order, n):
     zj = z_field.coeffs(point, order + 1)
     if zj[0] <= 0:
         raise CartanError(f"Weyl rescaling must be positive, got {zj[0]} at {point}")
-    dz = alg_hi.grad(zj)
+    dz = alg_hi.grad(zj, 0)
     return alg.mul(alg.reciprocal(alg_hi.truncate(zj, order)), dz)
 
 

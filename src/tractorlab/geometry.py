@@ -63,8 +63,12 @@ class Geometry:
         return self
 
     def release(self):
-        """Drop this Geometry from its metric's memo, for a batch that is evaluated once."""
+        """Drop this Geometry and its metric's g jets at this point from the memos,
+        for a batch that is evaluated once."""
         self.metric.__dict__["_geometry_cache"].pop(self._key, None)
+        g_cache = self.metric.__dict__.get("_g_cache", {})
+        for order in range(4):
+            g_cache.pop(self._key + (order,), None)
 
     def alg(self, order):
         return jets.algebra(self.n, order)
@@ -150,7 +154,7 @@ class Geometry:
     def gamma2(self):
         """Christoffel symbols with order-2 jets."""
         alg, n = self.alg(2), self.n
-        dg = np.moveaxis(self.alg(3).grad(self.g3), 0, -4)  # [..., mu, b, nu]
+        dg = self.alg(3).grad(self.g3, 2)  # [..., mu, b, nu]
         t = np.einsum("...mbnc->...bmnc", dg) + np.einsum("...nbmc->...bmnc", dg) - dg
         flat = np.ascontiguousarray(t.reshape(t.shape[:-4] + (n, n * n, alg.ncoef)))
         out = alg.matmul(self.ginv(2), flat)
@@ -160,7 +164,7 @@ class Geometry:
     def riemann1(self):
         """R^rho_{sigma mu nu} with order-1 jets."""
         alg, n = self.alg(1), self.n
-        dgam = np.moveaxis(self.alg(2).grad(self.gamma2), 0, -5)
+        dgam = self.alg(2).grad(self.gamma2, 3)
         dterm = np.einsum("...mrnsc->...rsmnc", dgam) - np.einsum("...nrmsc->...rsmnc", dgam)
         gam = self.alg(2).truncate(self.gamma2, 1)
         lead = gam.shape[:-4]
@@ -226,7 +230,7 @@ class Geometry:
         """Spin connection A^a_{b mu}, stored [mu, a, b], order-2 jets; every
         direction mu is one slice of the same batched products."""
         alg = self.alg(2)
-        de = np.moveaxis(self.alg(3).grad(self.e3), 0, -4)  # d_mu e^a_nu
+        de = self.alg(3).grad(self.e3, 2)  # d_mu e^a_nu
         einv = self.einv(2)[..., None, :, :, :]
         deinv = -alg.matmul(alg.matmul(einv, de), einv)  # d_mu e^nu_b
         gam = np.einsum("...nmlc->...mnlc", self.gamma2)  # [mu, nu, lam] = Gamma^nu_{mu lam}
@@ -257,7 +261,7 @@ class Geometry:
         if k < 1:
             raise MetricError("covariant derivative needs at least order-1 jets")
         alg_in, alg_out = self.alg(k), self.alg(k - 1)
-        out = np.moveaxis(alg_in.grad(tensor), 0, nb)
+        out = alg_in.grad(tensor, len(valences))
         if not valences:
             return out
         t_low = alg_in.truncate(tensor, k - 1)
@@ -282,8 +286,8 @@ class Geometry:
         if k < 2:
             raise MetricError("laplacian needs at least order-2 jets")
         alg = self.alg(k)
-        grad = np.moveaxis(alg.grad(scalar_jets), 0, -2)
-        hess = np.moveaxis(self.alg(k - 1).grad(grad), 0, -3)  # [..., mu, nu]
+        grad = alg.grad(scalar_jets, 0)
+        hess = self.alg(k - 1).grad(grad, 1)  # [..., mu, nu]
         alg2 = self.alg(k - 2)
         gam = self.alg(2).truncate(self.gamma2, k - 2)
         grad2 = self.alg(k - 1).truncate(grad, k - 2)

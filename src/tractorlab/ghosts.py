@@ -81,7 +81,7 @@ class GradedValue:
         alg = self.alg
         out = {}
         for t, a in self.components.items():
-            da = alg.grad(a)
+            da = alg.grad(a, a.ndim - 1)
             out[t] = ((-1) ** len(t)) * da
         return GradedValue(self.n, self.p + 1, self.order - 1, out)
 

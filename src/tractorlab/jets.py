@@ -258,13 +258,15 @@ class JetAlgebra:
             raise JetError("cannot differentiate an order-0 jet")
         return np.asarray(a)[..., self._diff_src[mu]] * self._diff_fac[mu]
 
-    def grad(self, a):
-        """All first derivatives d/dx_mu, stacked on a new leading axis mu."""
+    def grad(self, a, valence):
+        """All first derivatives d/dx_mu of a jet tensor with `valence` index axes
+        behind any batch axes: (..., *idx, NC) -> (..., n, *idx, NC'), the new
+        axis mu right after the batch axes."""
         if self.order == 0:
             raise JetError("cannot differentiate an order-0 jet")
         out = np.asarray(a)[..., self._diff_src]
         out *= self._diff_fac  # in place: one temporary fewer at the peak
-        return np.ascontiguousarray(np.moveaxis(out, -2, 0))
+        return np.ascontiguousarray(np.moveaxis(out, -2, -2 - valence))
 
     def partial(self, a, alpha):
         """Raw partial derivative d^alpha f (alpha! times the coefficient)."""

@@ -31,6 +31,11 @@ CATALOG = (
     "poly_perturbation",
 )
 
+# sample points keep this fraction of the domain box's width from its boundary
+SAMPLE_SHRINK = 0.1
+# the signature check adds the 2^n sampling-box corners up to this dimension
+CORNER_MAX_DIM = 10
+
 
 class MetricError(ValueError):
     pass
@@ -113,12 +118,13 @@ class MetricField:
         return MetricField(name, self.n, self.signature, g_fn, self.domain)
 
     def check_signature(self, samples=20, seed=0):
-        """Eigenvalue-sign check of g at sampled points of the domain box and at
-        the corners of the box they are sampled from, in one batched call."""
+        """Eigenvalue-sign check of g at sampled points of the domain box and, up to
+        dimension CORNER_MAX_DIM, at the corners of the box they are sampled from,
+        in one batched call."""
         pts = sample_points(self, samples, np.random.default_rng(seed))
-        lo, hi = sample_box(self)
-        corners = np.array(list(itertools.product(*zip(lo, hi))))
-        pts = np.concatenate([pts, corners])
+        if self.n <= CORNER_MAX_DIM:
+            lo, hi = sample_box(self)
+            pts = np.concatenate([pts, np.array(list(itertools.product(*zip(lo, hi))))])
         eig = np.linalg.eigvalsh(jets.algebra(self.n, 0).value(self.g(pts, 0)))
         r, s = self.signature
         bad = (np.abs(eig) < 1e-9).any(axis=-1) | ((eig < 0).sum(axis=-1) != r) | (
@@ -129,17 +135,18 @@ class MetricField:
         return True
 
 
-def sample_box(metric, shrink=0.1):
-    """Lower and upper corners of the domain box, shrunk away from its boundary."""
+def sample_box(metric):
+    """Lower and upper corners of the domain box, shrunk by SAMPLE_SHRINK of its
+    width away from its boundary."""
     lo = np.array([d[0] for d in metric.domain])
     hi = np.array([d[1] for d in metric.domain])
-    margin = shrink * (hi - lo) / 2.0
+    margin = SAMPLE_SHRINK * (hi - lo) / 2.0
     return lo + margin, hi - margin
 
 
-def sample_points(metric, count, rng, shrink=0.1):
-    """Uniform points in the domain box, shrunk away from the boundary."""
-    lo, hi = sample_box(metric, shrink)
+def sample_points(metric, count, rng):
+    """Uniform points in the sampling box."""
+    lo, hi = sample_box(metric)
     return rng.uniform(lo, hi, size=(count, metric.n))
 
 

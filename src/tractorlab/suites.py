@@ -319,7 +319,7 @@ def check_spin_connection(ctx, rng):
         geom = Geometry(ctx.metric, p)
         A = _value(geom.spin2)
         anti = np.einsum("ac,mcb->mab", eta, A) + np.einsum("bc,mca->mab", eta, A)
-        dev = _value(a3.grad(geom.e3))  # d_mu e^a_nu
+        dev = _value(a3.grad(geom.e3, 2))  # d_mu e^a_nu
         ev = _value(geom.e(2))
         t1 = np.einsum("man->amn", dev) - np.einsum("nam->amn", dev)
         t2 = np.einsum("mab,bn->amn", A, ev) - np.einsum("nab,bm->amn", A, ev)
@@ -438,7 +438,7 @@ def check_gt1(ctx, rng):
         rj = r_fields.coeffs(p, 1)
         r = _value(a1.truncate(rj, 0))
         rt = eta_inv @ r
-        dr = _value(a1.grad(rj))  # d_mu r_b
+        dr = _value(a1.grad(rj, 1))  # d_mu r_b
         drt = np.einsum("ab,mb->ma", eta_inv, dr)
         rrt = float(r @ rt)
         av, Pv, thv, Av, Ptv, thtv = (bn[k] for k in ("a", "P", "theta", "A", "P_t", "theta_t"))
@@ -699,7 +699,7 @@ def check_metric_G(ctx, rng):
         ub = _value(ubar.at(p, 0))
         G1 = dressing.tractor_metric_G(ctx.metric, p, 1)
         G0 = a1.truncate(G1, 0)
-        dG = a1.grad(G1)
+        dG = a1.grad(G1, 2)
         w = wl.at(p, 0)
         res = dG - a0.matmul(np.swapaxes(w, -3, -2), G0[None]) - a0.matmul(G0[None], w)
         return {
@@ -889,7 +889,7 @@ def check_varpi1z_table(ctx, rng):
         upsa = _value(a1.truncate(upsa_j, 0))
         upsa_t = eta_inv @ upsa
         ups2 = upsa @ eta_inv @ upsa
-        d_upsa = _value(a1.grad(upsa_j))
+        d_upsa = _value(a1.grad(upsa_j, 1))
         # row-covector spin covariant derivative: d(row) - row A  (pipeline-pinned sign)
         nabla_upsa = d_upsa - np.einsum("c,mcb->mb", upsa, b1["A"])
         return {
@@ -1202,7 +1202,7 @@ def check_tractor_pairing(ctx, rng):
             tractor.inner(ctx.metric, p, t1.at(p, 0), t2.at(p, 0))
         )
         pair_jet = tractor.inner(ctx.metric, p, t1.at(p, 1), t2.at(p, 1), order=1)
-        dpair = a1.grad(pair_jet)
+        dpair = a1.grad(pair_jet, 0)
         d1 = tractor.derivative(ctx.metric, t1, p, 0)
         d2 = tractor.derivative(ctx.metric, t2, p, 0)
         prod = np.stack([
@@ -1224,7 +1224,7 @@ def check_tractor_metric_comp(ctx, rng):
         geom = Geometry(ctx.metric, p)
         m1 = tractor.connection_matrices(geom, 1)
         G1 = tractor.metric_matrix(ctx.metric, p, 1)
-        dG = a1.grad(G1)
+        dG = a1.grad(G1, 2)
         G0, m0 = a1.truncate(G1, 0), a1.truncate(m1, 0)
         return dG - a0.matmul(np.swapaxes(m0, -3, -2), G0[None]) - a0.matmul(G0[None], m0)
     return ctx.sweep(rng, residual, "half")
@@ -1363,7 +1363,7 @@ def check_sphi_column(ctx, rng):
         for k, (eps_f, _, _) in enumerate(ghost.parts):
             eps_hi = eps_f.coeffs(p, 1)
             eps = float(eps_hi[0])
-            de = _value(a1.grad(eps_hi))
+            de = _value(a1.grad(eps_hi, 0))
             expected = np.concatenate(
                 [[-eps * rho - de @ ell], -eps * ell - (ginv @ de) * sig, [eps * sig]]
             )
@@ -1392,7 +1392,7 @@ def check_s_wl_blocks(ctx, rng):
         for k, (eps_f, _, _) in enumerate(ghost.parts):
             eps_j = eps_f.coeffs(p, 2)
             eps = float(eps_j[0])
-            de_j = jets.algebra(n, 2).grad(eps_j)
+            de_j = jets.algebra(n, 2).grad(eps_j, 0)
             de = _value(a1.truncate(de_j, 0))
             hess = _value(geom.covariant_derivative(de_j, "d"))  # nabla_mu d_nu eps
             comp = _value(s_w.component((k,)))  # (n, N, N)
@@ -1434,7 +1434,7 @@ def check_s_omega_blocks(ctx, rng):
         for k, (eps_f, _, _) in enumerate(ghost.parts):
             eps_j = eps_f.coeffs(p, 1)
             eps = float(eps_j[0])
-            de = _value(a1.grad(eps_j))
+            de = _value(a1.grad(eps_j, 0))
             comp = _value(s_f.component((k,)))  # (n, n, N, N)
             bc = cartan.curv_blocks(comp)
             out.append({
@@ -1468,7 +1468,7 @@ def check_sv_composite(ctx, rng):
         for eps_f, _, _ in ghost.parts:
             ej = eps_f.coeffs(p, 1)
             eps.append(float(ej[0]))
-            de.append(_value(a1.grad(ej)))
+            de.append(_value(a1.grad(ej, 0)))
         comp = sv.component((0, 1))
         expected_block = -2.0 * (eps[0] * ginv @ de[1] - eps[1] * ginv @ de[0])
         got = _value(comp)

@@ -61,7 +61,7 @@ def derivative(metric, t_field: JetField, point, order=0):
     alg_hi = jets.algebra(n, order + 1)
     alg = jets.algebra(n, order)
     t_hi = t_field.at(point, order + 1)
-    dt = np.moveaxis(alg_hi.grad(t_hi), 0, -3)
+    dt = alg_hi.grad(t_hi, 1)
     m = connection_matrices(geom, order)
     return dt + matvec(alg, m, alg_hi.truncate(t_hi, order)[..., None, :, :])
 
@@ -78,7 +78,7 @@ def prolong_field(metric, sigma_field) -> JetField:
         alg_s = jets.algebra(n, min(3, order + 2))
         out = alg.zeros((n + 2,))
         out[0] = alg_s.truncate(sig, order)
-        grad = alg_s.grad(sig)
+        grad = alg_s.grad(sig, 0)
         out[1:-1] = jets.algebra(n, min(3, order + 2) - 1).truncate(grad, order)
         lap = geom.laplacian(sig)
         p_sig = alg.mul(
@@ -168,7 +168,7 @@ def curvature_two_ways(metric, point):
     alg1, alg0 = jets.algebra(n, 1), jets.algebra(n, 0)
     m1 = connection_matrices(geom, 1)
     m0 = alg1.truncate(m1, 0)
-    dm = alg1.grad(m1)  # [mu, nu, N, N]
+    dm = alg1.grad(m1, 3)  # [mu, nu, N, N]
     comm = alg0.matmul(m0[:, None], m0[None, :])
     f = dm - np.einsum("mn...->nm...", dm) + comm - np.einsum("mn...->nm...", comm)
     f = alg0.value(f)
@@ -316,10 +316,13 @@ def equivalence_check(metric, points, rng, cmap=None, z_field=None):
     # every point in one batch; the worst is the first point with the largest residual
     x = np.asarray(points, dtype=float)
     geom = Geometry(metric, x)
-    lhs_cols = section_derivative(wl, phi_l, x, 0)  # (P, n, N, NC0)
-    lhs = cmap.apply(a0, lhs_cols, geom.g(0)[..., None, :, :, :], geom.ginv(0)[..., None, :, :, :])
-    res = np.abs(lhs - derivative(metric, t, x, 0)).max(axis=(-3, -2, -1))
-    geom.release()  # no later caller evaluates this batch: free its curvature stack now
+    try:
+        lhs_cols = section_derivative(wl, phi_l, x, 0)  # (P, n, N, NC0)
+        lhs = cmap.apply(a0, lhs_cols, geom.g(0)[..., None, :, :, :],
+                         geom.ginv(0)[..., None, :, :, :])
+        res = np.abs(lhs - derivative(metric, t, x, 0)).max(axis=(-3, -2, -1))
+    finally:
+        geom.release()  # no later caller evaluates this batch: free its curvature stack
     i = int(np.argmax(res))  # a NaN residual counts as the worst
     worst = (0.0, None) if res[i] == 0 else (float(res[i]), tuple(points[i]))
     return {"max_residual": worst[0], "worst_point": worst[1], "map": cmap, "points": len(points)}

@@ -160,11 +160,11 @@ def test_criterion_6_bilinear_forms():
         geom = Geometry(metric, p)
         m1 = tractor.connection_matrices(geom, 1)
         G1 = tractor.metric_matrix(metric, p, 1)
-        dG = A1.grad(G1)
+        dG = A1.grad(G1, 2)
         G0, m0 = A1.truncate(G1, 0), A1.truncate(m1, 0)
         res = dG - A0.matmul(np.swapaxes(m0, -3, -2), G0[None]) - A0.matmul(G0[None], m0)
         GL1 = dressing.tractor_metric_G(metric, p, 1)
-        dGL = A1.grad(GL1)
+        dGL = A1.grad(GL1, 2)
         GL0 = A1.truncate(GL1, 0)
         w = wl.at(p, 0)
         res_l = dGL - A0.matmul(np.swapaxes(w, -3, -2), GL0[None]) - A0.matmul(GL0[None], w)

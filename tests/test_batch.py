@@ -157,3 +157,27 @@ def test_equivalence_check_kernel_calls_do_not_grow_with_points(monkeypatch):
         counts.append(dict(calls))
     assert counts[0] == counts[1]
     assert counts[0]["matmul"] > 0 and counts[0]["mul"] > 0
+
+
+def _batch_memos(metric, pts):
+    """Memo entries a metric holds for the batch `pts`: its Geometry and its g jets."""
+    key = (pts.shape, pts.tobytes())
+    return ([k for k in metric.__dict__.get("_geometry_cache", {}) if k == key]
+            + [k for k in metric.__dict__.get("_g_cache", {}) if k[:2] == key])
+
+
+def test_equivalence_check_releases_its_batch_even_when_it_raises():
+    metric = metrics.load_metric("schwarzschild")
+    rng = np.random.default_rng(8)
+    cmap = tractor.calibrate_convention_map(
+        metric, ScalarField.from_expression(tractor.DEFAULT_Z),
+        metrics.sample_points(metric, 5, rng), rng)
+    pts = metrics.sample_points(metric, 6, rng)
+    tractor.equivalence_check(metric, pts, rng, cmap=cmap)
+    assert _batch_memos(metric, pts) == []
+    # the second point has no frame: the batch fails partway through its Geometry
+    bad = _no_frame_metric()
+    pts = np.array([(-0.5, 0.5, 0, 0), (0.5, 0.5, 0, 0)], dtype=float)
+    with pytest.raises(FrameError):
+        tractor.equivalence_check(bad, pts, rng, cmap=cmap)
+    assert _batch_memos(bad, pts) == []

@@ -89,7 +89,7 @@ def test_dressed_ghost_examples(bumpy, rng):
     m = _val(v1.component((0,)))
     geom = Geometry(bumpy, PT)
     eps_j = gh_eps.parts[0][0].coeffs(PT, 1)
-    de = _val(A1.grad(eps_j))
+    de = _val(A1.grad(eps_j, 0))
     row = de @ _val(geom.einv(0))
     assert np.abs(m[0, 1:-1] - row).max() < 1e-12
     assert m[0, 0] == pytest.approx(float(eps_j[0]))
@@ -117,7 +117,7 @@ def test_sv_composite_single_block(bumpy):
     for eps_f, _, _ in gh.parts:
         ej = eps_f.coeffs(PT, 1)
         eps.append(float(ej[0]))
-        de.append(_val(A1.grad(ej)))
+        de.append(_val(A1.grad(ej, 0)))
     expected = -2.0 * (eps[0] * ginv @ de[1] - eps[1] * ginv @ de[0])
     assert np.abs(comp[1:-1, -1] - expected).max() < 1e-12
     rest = comp.copy()

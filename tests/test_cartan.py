@@ -196,7 +196,7 @@ def test_section_derivative_consistency(bumpy, rng):
     phi0 = A1.truncate(phi.at(pt, 1), 0)
     rhs = cartan.matvec(A0, curv, phi0[None, None, :])
     w = A1.truncate(wn.at(pt, 1), 0)
-    ddphi = A1.grad(dphi)  # d_mu (D_nu phi)
+    ddphi = A1.grad(dphi, 2)  # d_mu (D_nu phi)
     wD = cartan.matvec(A0, w[:, None], A1.truncate(dphi, 0)[None, :])
     lhs_full = ddphi + wD
     lhs = lhs_full - np.einsum("mn...->nm...", lhs_full)

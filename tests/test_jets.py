@@ -210,15 +210,19 @@ def test_grad_is_the_stacked_derivatives(order, lead):
     alg = jets.algebra(4, order)
     # a transposed draw: with leading axes, the coefficient axis is strided
     x = np.random.default_rng(order).normal(size=(alg.ncoef,) + lead[::-1]).T
-    for a in (x, np.ascontiguousarray(x)):
-        grad = alg.grad(a)
-        assert grad.flags.c_contiguous
-        assert np.array_equal(grad, np.stack([alg.deriv(a, mu) for mu in range(alg.n)]))
+    stacked = np.stack([alg.deriv(x, mu) for mu in range(alg.n)])
+    # every split of the leading axes into batch axes and `valence` index axes:
+    # mu lands after the batch axes
+    for valence in range(len(lead) + 1):
+        for a in (x, np.ascontiguousarray(x)):
+            grad = alg.grad(a, valence)
+            assert grad.flags.c_contiguous
+            assert np.array_equal(grad, np.moveaxis(stacked, 0, len(lead) - valence))
 
 
 def test_grad_of_an_order_0_jet_raises():
     with pytest.raises(jets.JetError):
-        jets.algebra(4, 0).grad(np.ones(1))
+        jets.algebra(4, 0).grad(np.ones(1), 0)
 
 # Kernel results against a reference that sums one pair of multi-indices at a
 # time.  The kernel adds the same products in another order, so results agree

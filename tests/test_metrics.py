@@ -183,6 +183,21 @@ def test_sample_points_respect_box(schw, rng):
         assert (pts[:, i] <= hi - margin + 1e-12).all()
 
 
+@pytest.mark.parametrize("n, points", [(metrics.CORNER_MAX_DIM, 20 + 2 ** metrics.CORNER_MAX_DIM),
+                                       (metrics.CORNER_MAX_DIM + 1, 20)])
+def test_signature_check_adds_the_box_corners_up_to_a_fixed_dimension(n, points):
+    flat = metrics.flat_euclidean(n)
+    shapes = []
+
+    def g_fn(point, order):
+        shapes.append(np.shape(point))
+        return flat.g(point, order)
+
+    metric = metrics.MetricField("flat", n, (0, n), g_fn, flat.domain)
+    assert metric.check_signature()
+    assert shapes == [(points, n)]
+
+
 def test_whole_catalog_passes_signature_check():
     for name in metrics.CATALOG:
         m = metrics.load_metric(name)  # load_metric runs the signature check
