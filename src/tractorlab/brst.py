@@ -10,6 +10,10 @@ linearize the finite transformation tables (the finite/infinitesimal
 consistency suite measures exactly that).  Dressing the ghost with the boost
 and frame dressings collapses it to the composite ghosts carrying only the
 Weyl (and, at the first stage, Lorentz) directions.
+
+Ghost values, rules and measured residuals take a point (n,) or a batch of
+points (..., n): graded coefficients carry the batch axes in front, and a
+measured residual (`max_abs`) is one maximum per point.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import jets
-from .cartan import ConnectionField
+from .cartan import ConnectionField, matvec, sigma_matrix, transform_connection, transform_section
 from .dressing import boost_dressing, dress, frame_dressing
 from .fields import JetField, RowField, ScalarField
 from .geometry import Geometry
@@ -53,22 +57,22 @@ class Ghost:
         return len(self.parts)
 
     def _gen_matrix(self, k, point, order, select):
-        """Matrix of generator k restricted to the chosen directions."""
+        """Matrix of generator k restricted to the chosen directions: (..., N, N, NC)."""
         n = self.n
         alg = jets.algebra(n, order)
         eta_inv = np.linalg.inv(self.eta)
-        m = alg.zeros((n + 2, n + 2))
+        m = alg.zeros(np.shape(point)[:-1] + (n + 2, n + 2))
         eps_f, s_m, iota_f = self.parts[k]
         if "eps" in select and eps_f is not None:
             e = eps_f.coeffs(point, order)
-            m[0, 0] += e
-            m[-1, -1] -= e
+            m[..., 0, 0, :] += e
+            m[..., -1, -1, :] -= e
         if "s" in select and s_m is not None:
-            m[1:-1, 1:-1] += alg.const(s_m)
+            m[..., 1:-1, 1:-1, :] += alg.const(s_m)
         if "iota" in select and iota_f is not None:
             row = iota_f.coeffs(point, order)
-            m[0, 1:-1] += row
-            m[1:-1, -1] += np.tensordot(eta_inv, row, axes=(1, 0))
+            m[..., 0, 1:-1, :] += row
+            m[..., 1:-1, -1, :] += eta_inv @ row
         return m
 
     def value(self, point, order, select=("eps", "s", "iota")) -> GradedValue:
@@ -85,15 +89,11 @@ class Ghost:
 
 
 def sigma_membership_residual(ghost: Ghost, point, order=1):
-    from .cartan import sigma_matrix
-
-    v = ghost.value(point, order)
+    """Largest Sigma-antisymmetry defect of the ghost's generators, per point."""
     s = sigma_matrix(ghost.eta)
-    worst = 0.0
-    for m in v.components.values():
-        val = jets.algebra(ghost.n, order).value(m)
-        worst = max(worst, float(np.abs(val.T @ s + s @ val).max()))
-    return worst
+    vals = [m[..., 0] for m in ghost.value(point, order).components.values()]
+    return np.max([np.abs(np.swapaxes(v, -2, -1) @ s + s @ v).max(axis=(-2, -1))
+                   for v in vals], axis=0)
 
 
 # -- transformation rules -------------------------------------------------------
@@ -124,7 +124,7 @@ def brst_ghost(ghost_value: GradedValue) -> GradedValue:
 
 
 def section_graded(phi: JetField, point, order) -> GradedValue:
-    return even(phi.n, order, phi.at(point, order)[:, None], form_degree=0)
+    return even(phi.n, order, phi.at(point, order)[..., :, None, :], form_degree=0)
 
 
 def curvature_graded(curv_fn, point, order, n) -> GradedValue:
@@ -174,8 +174,6 @@ def linearized_boost(metric, ghost: Ghost, point, order, holonomic=False) -> Gra
     Frame form: [[0, de.e^-1, 0], [0, 0, (de.e^-1)^t], [0, 0, 0]]; holonomic
     form has the row d eps and the column g^-1 d eps instead.
     """
-    from .cartan import matvec
-
     n = metric.n
     alg = jets.algebra(n, order)
     alg_hi = jets.algebra(n, order + 1)
@@ -183,17 +181,17 @@ def linearized_boost(metric, ghost: Ghost, point, order, holonomic=False) -> Gra
     eta_inv = np.linalg.inv(metric.eta)
     parts = {}
     for k, (eps_f, _, _) in enumerate(ghost.parts):
-        m = alg.zeros((n + 2, n + 2))
+        m = alg.zeros(np.shape(point)[:-1] + (n + 2, n + 2))
         if eps_f is not None:
             e_hi = eps_f.coeffs(point, order + 1)
             de = alg_hi.grad(e_hi, 0)  # d_mu eps
             if holonomic:
-                m[0, 1:-1] = de
-                m[1:-1, -1] = matvec(alg, geom.ginv(order), de)
+                m[..., 0, 1:-1, :] = de
+                m[..., 1:-1, -1, :] = matvec(alg, geom.ginv(order), de)
             else:
-                p_row = alg.matmul(de[None, :], geom.einv(order))[0]  # de . e^-1
-                m[0, 1:-1] = p_row
-                m[1:-1, -1] = np.tensordot(eta_inv, p_row, axes=(1, 0))
+                p_row = alg.matmul(de[..., None, :, :], geom.einv(order))[..., 0, :, :]  # de . e^-1
+                m[..., 0, 1:-1, :] = p_row
+                m[..., 1:-1, -1, :] = eta_inv @ p_row
         parts[k] = m
     return odd(n, order, parts)
 
@@ -207,9 +205,10 @@ def dressed_ghost(metric, conn: ConnectionField, ghost: Ghost, stage, point, ord
     linearization at the full stage.
     """
     n = metric.n
+    alg = jets.algebra(n, order)
     u1 = boost_dressing(conn)
-    u1_g = even(n, order, u1.at(point, order))
-    u1_inv = even(n, order, jets.algebra(n, order).inv_matrix(u1.at(point, order)))
+    u1_val = u1.at(point, order)
+    u1_g, u1_inv = even(n, order, u1_val), even(n, order, alg.inv_matrix(u1_val))
 
     v = ghost.value(point, order)
     v_eps = ghost.value(point, order, select=("eps",))
@@ -224,9 +223,8 @@ def dressed_ghost(metric, conn: ConnectionField, ghost: Ghost, stage, point, ord
     if stage == "first":
         return v1, closed1, (v1 - closed1).max_abs()
 
-    ubar = frame_dressing(dress(conn, u1))
-    ub = even(n, order, ubar.at(point, order))
-    ub_inv = even(n, order, jets.algebra(n, order).inv_matrix(ubar.at(point, order)))
+    ubar = frame_dressing(dress(conn, u1)).at(point, order)
+    ub, ub_inv = even(n, order, ubar), even(n, order, alg.inv_matrix(ubar))
     tilde_v_eps = _tilde_eps(metric, ghost, point, order)
     s_ub = tilde_v_eps.matmul(ub) - v_s.matmul(ub)
     v_w = ub_inv.matmul(v1.matmul(ub) + s_ub)
@@ -239,9 +237,10 @@ def _tilde_eps(metric, ghost, point, order):
     alg = jets.algebra(n, order)
     parts = {}
     for k, (eps_f, _, _) in enumerate(ghost.parts):
-        m = alg.zeros((n + 2, n + 2))
+        m = alg.zeros(np.shape(point)[:-1] + (n + 2, n + 2))
         if eps_f is not None:
-            m[1:-1, 1:-1] = alg.mul(eps_f.coeffs(point, order), alg.const(np.eye(n)))
+            eps = eps_f.coeffs(point, order)
+            m[..., 1:-1, 1:-1, :] = alg.mul(eps[..., None, None, :], alg.const(np.eye(n)))
         parts[k] = m
     return odd(n, order, parts)
 
@@ -256,7 +255,7 @@ def exp_field(metric, coeff_field: JetField, t, terms=16) -> JetField:
     def fn(point, order):
         alg = jets.algebra(n, order)
         m = t * coeff_field.at(point, order)
-        out = alg.const(np.eye(m.shape[0]))
+        out = alg.const(np.broadcast_to(np.eye(m.shape[-2]), m.shape[:-1]))
         power = out
         for j in range(1, terms):
             power = alg.matmul(power, m) / j
@@ -269,8 +268,6 @@ def exp_field(metric, coeff_field: JetField, t, terms=16) -> JetField:
 def finite_consistency(metric, conn: ConnectionField, ghost: Ghost, kind, point,
                        ts=(1e-2, 1e-3, 1e-4), phi: JetField = None):
     """Slope of ||(chi^{exp(t v)} - chi)/t - s chi|| against t (expect ~1)."""
-    from .cartan import transform_connection, transform_section
-
     coeff = ghost.matrix_field(0)
     if kind == "connection":
         s_chi = brst_connection(conn, ghost, point, 0).component((0,))

@@ -16,8 +16,9 @@ caps the order) and the first column (a and theta blocks) to higher order;
 the boost dressing only needs the first column, which is what keeps its jets
 exact through chains of gauge transforms.
 
-Fields evaluate at a point or a batch of points (..., n); the batch axes
-lead every result, so `at` gives (..., n, N, N, NC).
+Every field, transform and curvature evaluates at a point (n,) or a batch of
+points (..., n), with the batch axes in front of every result: `at` gives
+(..., n, N, N, NC) and a curvature (..., n, n, N, N, NC).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import jets
-from .fields import JetField, RowField, ScalarField
+from .fields import JetField, RowField, ScalarField, require_positive
 from .geometry import Geometry
 
 
@@ -197,25 +198,25 @@ class ConnectionField:
 
 
 def conn_blocks(w):
-    """Named views of a connection value (n, N, N, NC)."""
+    """Named views of connection jets (..., n, N, N, NC)."""
     return {
-        "a": w[:, 0, 0],
-        "P": w[:, 0, 1:-1],
-        "theta": np.swapaxes(w[:, 1:-1, 0], 0, 1),  # theta^a_mu
-        "A": w[:, 1:-1, 1:-1],  # [mu, a, b]
-        "P_t": w[:, 1:-1, -1],
-        "theta_t": w[:, -1, 1:-1],
+        "a": w[..., 0, 0, :],
+        "P": w[..., 0, 1:-1, :],
+        "theta": np.swapaxes(w[..., 1:-1, 0, :], -3, -2),  # theta^a_mu
+        "A": w[..., 1:-1, 1:-1, :],  # [mu, a, b]
+        "P_t": w[..., 1:-1, -1, :],
+        "theta_t": w[..., -1, 1:-1, :],
     }
 
 
 def curv_blocks(f):
-    """Named views of a curvature value (n, n, N, N, ...)."""
+    """Named views of curvature values (..., n, n, N, N)."""
     return {
-        "f": f[:, :, 0, 0],
-        "C": f[:, :, 0, 1:-1],
-        "Theta": f[:, :, 1:-1, 0],
-        "W": f[:, :, 1:-1, 1:-1],
-        "C_t": f[:, :, 1:-1, -1],
+        "f": f[..., 0, 0],
+        "C": f[..., 0, 1:-1],
+        "Theta": f[..., 1:-1, 0],
+        "W": f[..., 1:-1, 1:-1],
+        "C_t": f[..., 1:-1, -1],
     }
 
 
@@ -275,18 +276,17 @@ def h_field(metric, z=None, S=None, r=None) -> JetField:
 
     def fn(point, order):
         alg = jets.algebra(n, order)
-        k0 = alg.const(np.eye(N))
+        k0 = alg.const(np.broadcast_to(np.eye(N), np.shape(point)[:-1] + (N, N)))
         if z_f is not None:
             zj = z_f.coeffs(point, order)
-            if zj[0] <= 0:
-                raise CartanError(f"Weyl factor must be positive, got {zj[0]} at {point}")
-            k0[0, 0] = zj
-            k0[-1, -1] = alg.reciprocal(zj)
-        k0[1:-1, 1:-1] = alg.const(s_mat)
+            require_positive(zj[..., 0], point, CartanError, "Weyl factor")
+            k0[..., 0, 0, :] = zj
+            k0[..., -1, -1, :] = alg.reciprocal(zj)
+        k0[..., 1:-1, 1:-1, :] = alg.const(s_mat)
         if r_f is None:
             return k0
-        rj = r_f.coeffs(point, order)  # (n, NC)
-        return alg.matmul(k0, k1_jet_matrix(alg, rj, np.tensordot(eta_inv, rj, axes=(1, 0))))
+        rj = r_f.coeffs(point, order)  # (..., n, NC)
+        return alg.matmul(k0, k1_jet_matrix(alg, rj, eta_inv @ rj))
 
     label = f"h(z={getattr(z_f, 'description', '1')},r={'yes' if r_f else 'no'})"
     return JetField(fn, n, max_order=3, label=label)
@@ -296,7 +296,8 @@ def constant_field(metric, matrix) -> JetField:
     matrix = np.asarray(matrix, dtype=float)
 
     def fn(point, order):
-        return jets.algebra(metric.n, order).const(matrix)
+        return jets.algebra(metric.n, order).const(
+            np.broadcast_to(matrix, np.shape(point)[:-1] + matrix.shape))
 
     return JetField(fn, metric.n, max_order=3, label="const")
 
@@ -377,8 +378,8 @@ def transform_section(phi: JetField, gfield: JetField, label="") -> JetField:
 def curvature(conn: ConnectionField):
     """Structure-equation curvature F_{mu nu} = d_mu w_nu - d_nu w_mu + [w_mu, w_nu].
 
-    Returns a closure (point, order) -> (n, n, N, N, NC); order is capped one
-    below the connection's.
+    Returns a closure (point, order) -> (..., n, n, N, N, NC); order is capped
+    one below the connection's.
     """
     n = conn.n
 
@@ -387,9 +388,9 @@ def curvature(conn: ConnectionField):
         alg = jets.algebra(n, order)
         w_hi = conn.at(point, order + 1)
         w = alg_hi.truncate(w_hi, order)
-        dw = alg_hi.grad(w_hi, 3)  # [mu, nu, N, N]
-        ww = alg.matmul(w[:, None], w[None, :])  # [mu, nu] -> w_mu w_nu
-        return dw - np.einsum("mn...->nm...", dw) + ww - np.einsum("mn...->nm...", ww)
+        dw = alg_hi.grad(w_hi, 3)  # [..., mu, nu, N, N]
+        ww = alg.matmul(w[..., :, None, :, :, :], w[..., None, :, :, :, :])  # w_mu w_nu
+        return dw - np.swapaxes(dw, -5, -4) + ww - np.swapaxes(ww, -5, -4)
 
     return fn
 
@@ -407,16 +408,15 @@ def section_derivative(conn: ConnectionField, phi: JetField, point, order=0):
 
 
 def normality_report(curv_value, einv_value):
-    """Max norms of the torsion, trace, and Ricci-type Weyl trace blocks."""
-    f = curv_value[:, :, 0, 0]
-    torsion = curv_value[:, :, 1:-1, 0]
-    wblk = curv_value[:, :, 1:-1, 1:-1]  # [mu, nu, a, b]
-    w_frame = np.einsum("mnab,mc,nd->abcd", wblk, einv_value, einv_value)
-    ricci_trace = np.einsum("abad->bd", w_frame)
+    """Per-point max norms of the torsion, trace, and Ricci-type Weyl trace blocks
+    of curvature values (..., n, n, N, N), given the inverse frame (..., n, n)."""
+    blocks = curv_blocks(curv_value)
+    w_frame = np.einsum("...mnab,...mc,...nd->...abcd", blocks["W"], einv_value, einv_value)
+    ricci_trace = np.einsum("...abad->...bd", w_frame)
     report = {
-        "torsion_norm": float(np.abs(torsion).max()),
-        "f_norm": float(np.abs(f).max()),
-        "ricci_type_trace_norm": float(np.abs(ricci_trace).max()),
+        "torsion_norm": np.abs(blocks["Theta"]).max(axis=(-3, -2, -1)),
+        "f_norm": np.abs(blocks["f"]).max(axis=(-2, -1)),
+        "ricci_type_trace_norm": np.abs(ricci_trace).max(axis=(-2, -1)),
     }
-    report["normal"] = all(v < 1e-8 for v in report.values())
+    report["normal"] = np.all([v < 1e-8 for v in report.values()], axis=0)
     return report

@@ -9,8 +9,9 @@ Residual Weyl transformations of dressed fields act through the cocycle
 matrices C(z) (frame form) and Cbar(z) (holonomic form); residual Lorentz
 transformations act through constant diag(1, S, 1) conjugation.  The same
 transform_* combinators implement gauge transformation and dressing: only the
-transformation law of the acting field differs, never the formula.  The
-boost and frame dressings evaluate at a point or a batch of points (..., n).
+transformation law of the acting field differs, never the formula.  Every
+dressing, cocycle and helper here evaluates at a point (n,) or a batch of
+points (..., n), with the batch axes in front of every result.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .cartan import (
     transform_connection,
     transform_section,
 )
-from .fields import JetField, ScalarField, field_matmul, first_point
+from .fields import JetField, ScalarField, field_matmul, first_point, require_positive
 from .geometry import Geometry
 
 
@@ -66,7 +67,7 @@ def frame_dressing(conn: ConnectionField) -> JetField:
 
     def fn(point, order):
         alg = jets.algebra(n, order)
-        e, _ = conn.frame(point, order)
+        e = np.swapaxes(conn.col0(point, order)[..., 1:-1, :], -3, -2)  # e^a_mu
         m = alg.const(np.broadcast_to(np.eye(n + 2), e.shape[:-3] + (n + 2, n + 2)))
         m[..., 1:-1, 1:-1, :] = e
         return m
@@ -92,14 +93,13 @@ def dress(chi, u: JetField, label=""):
 
 
 def upsilon_row(z_field: ScalarField, point, order, n):
-    """Upsilon_mu = z^-1 d_mu z as a jet row (n, NC)."""
+    """Upsilon_mu = z^-1 d_mu z as a jet row (..., n, NC)."""
     alg_hi = jets.algebra(n, order + 1)
     alg = jets.algebra(n, order)
     zj = z_field.coeffs(point, order + 1)
-    if zj[0] <= 0:
-        raise CartanError(f"Weyl rescaling must be positive, got {zj[0]} at {point}")
+    require_positive(zj[..., 0], point, CartanError, "Weyl rescaling")
     dz = alg_hi.grad(zj, 0)
-    return alg.mul(alg.reciprocal(alg_hi.truncate(zj, order)), dz)
+    return alg.mul(alg.reciprocal(alg_hi.truncate(zj, order))[..., None, :], dz)
 
 
 def weyl_cocycle(metric, z_field, variant="C") -> JetField:
@@ -121,18 +121,18 @@ def cocycle_factors(metric, z_field, variant="C"):
         ups = upsilon_row(z_field, point, order, n)  # Upsilon_mu
         geom = Geometry(metric, point)
         if variant == "C":
-            ups_a = alg.matmul(ups[None, :], geom.einv(order))[0]  # Upsilon_a
-            return k1_jet_matrix(alg, ups_a, np.tensordot(eta_inv, ups_a, axes=(1, 0)))
+            ups_a = alg.matmul(ups[..., None, :, :], geom.einv(order))[..., 0, :, :]  # Upsilon_a
+            return k1_jet_matrix(alg, ups_a, eta_inv @ ups_a)
         return k1_jet_matrix(alg, ups, matvec(alg, geom.ginv(order), ups))
 
     def z_fn(point, order):
         alg = jets.algebra(n, order)
         zj = z_field.coeffs(point, order)
-        m = alg.const(np.eye(N))
-        m[0, 0] = zj
-        m[-1, -1] = alg.reciprocal(zj)
+        m = alg.const(np.broadcast_to(np.eye(N), zj.shape[:-1] + (N, N)))
+        m[..., 0, 0, :] = zj
+        m[..., -1, -1, :] = alg.reciprocal(zj)
         if variant != "C":
-            m[1:-1, 1:-1] = alg.mul(zj, alg.const(np.eye(n)))
+            m[..., 1:-1, 1:-1, :] = alg.mul(zj[..., None, None, :], alg.const(np.eye(n)))
         return m
 
     k1_label = "k1(z)" if variant == "C" else "k1bar(z)"
@@ -165,11 +165,11 @@ def lorentz_element(metric, S) -> JetField:
 
 
 def tractor_metric_G(metric, point, order):
-    """G = ubar^T Sigma ubar = [[0,0,-1],[0,g,0],[-1,0,0]] with jets."""
-    alg = jets.algebra(metric.n, order)
+    """G = ubar^T Sigma ubar = [[0,0,-1],[0,g,0],[-1,0,0]] with jets: (..., N, N, NC)."""
+    g = Geometry(metric, point).g(order)
     N = metric.n + 2
-    G = alg.zeros((N, N))
-    G[0, -1] = alg.const(-1.0)
-    G[-1, 0] = alg.const(-1.0)
-    G[1:-1, 1:-1] = Geometry(metric, point).g(order)
+    G = jets.algebra(metric.n, order).zeros(g.shape[:-3] + (N, N))
+    G[..., 0, -1, 0] = -1.0
+    G[..., -1, 0, 0] = -1.0
+    G[..., 1:-1, 1:-1, :] = g
     return G

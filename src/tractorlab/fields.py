@@ -1,5 +1,6 @@
-"""Scalar/vector fields on a chart, evaluated through jets at a point or a
-batch of points (..., n); the batch axes lead every result.
+"""Scalar/vector fields on a chart.  Every field and helper here evaluates
+through jets at a point (n,) or a batch of points (..., n), with the batch
+axes in front of every result.
 
 A scalar field is a rule (point, order) -> jet coefficients, and it comes
 from one of two places.  An expression (a metric's conformal factor, a spec
@@ -129,6 +130,14 @@ def first_point(points, bad):
     """The first point of a batch (..., n) at which the mask `bad` (...) holds, as floats."""
     at = np.asarray(points, dtype=float)[np.unravel_index(np.argmax(bad), np.shape(bad))]
     return tuple(float(x) for x in at)
+
+
+def require_positive(values, points, error, what):
+    """Raise `error` naming the first point of the batch `points` (..., n) at which
+    `values` (...) is not positive."""
+    bad = values <= 0
+    if bad.any():
+        raise error(f"{what} must be positive, got {values[bad][0]} at {first_point(points, bad)}")
 
 
 def field_matmul(a: JetField, b: JetField, label="") -> JetField:

@@ -63,12 +63,8 @@ class Geometry:
         return self
 
     def release(self):
-        """Drop this Geometry and its metric's g jets at this point from the memos,
-        for a batch that is evaluated once."""
+        """Drop this Geometry from its metric's memo, for a batch that is evaluated once."""
         self.metric.__dict__["_geometry_cache"].pop(self._key, None)
-        g_cache = self.metric.__dict__.get("_g_cache", {})
-        for order in range(4):
-            g_cache.pop(self._key + (order,), None)
 
     def alg(self, order):
         return jets.algebra(self.n, order)
@@ -77,11 +73,13 @@ class Geometry:
 
     @cached_property
     def g3(self):
-        return self.metric.g(self.point, 3)
+        g = self.metric.g(self.point, 3)
+        g.flags.writeable = False  # shared by every field that reads this Geometry
+        return g
 
     @cached_property
     def ginv3(self):
-        return self.metric.g_inv(self.point, 3)
+        return self.alg(3).inv_matrix(self.g3)
 
     def g(self, order):
         return self.alg(3).truncate(self.g3, order)
@@ -301,20 +299,3 @@ class Geometry:
                 return k
         raise MetricError(f"coefficient axis of length {nc} matches no jet order")
 
-
-# -- spec-level convenience wrappers ------------------------------------------
-
-
-def vielbein(metric, point):
-    """Frame e^a_mu and inverse with jets; e^T eta e = g to roundoff."""
-    geom = Geometry(metric, point)
-    return geom.e3, geom.einv3
-
-
-def christoffel(metric, point):
-    return Geometry(metric, point).gamma2
-
-
-def schouten(metric, point):
-    geom = Geometry(metric, point)
-    return geom.schouten1, geom.schouten_trace1

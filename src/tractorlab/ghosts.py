@@ -4,7 +4,8 @@ A GradedValue is a sum over anticommuting generator monomials theta_T of
 matrix-valued p-form coefficients:  X = sum_T theta_T X_T, with theta's kept
 to the LEFT of the form basis (this ordering is what makes the transformation
 rules linearize the finite gauge tables componentwise).  Coefficients are jet
-arrays of shape (n,)*p + matrix_shape + (NC,).
+arrays of shape batch + (n,)*p + (rows, cols, NC): any batch axes of points
+lead, then the p form axes, then a matrix.
 
 Products carry two signs: the shuffle sign merging the generator tuples, and
 (-1)^(p_A * |S|) from moving the right factor's generators through the left
@@ -77,11 +78,12 @@ class GradedValue:
         )
 
     def d(self):
-        """Exterior derivative: adds a leading form axis, drops one jet order."""
+        """Exterior derivative: adds a form axis right after the batch axes, drops
+        one jet order."""
         alg = self.alg
         out = {}
         for t, a in self.components.items():
-            da = alg.grad(a, a.ndim - 1)
+            da = alg.grad(a, self.p + 2)
             out[t] = ((-1) ** len(t)) * da
         return GradedValue(self.n, self.p + 1, self.order - 1, out)
 
@@ -99,12 +101,7 @@ class GradedValue:
                 if sign == 0:
                     continue
                 sign *= (-1) ** (self.p * len(s))
-                if self.p:
-                    prod = alg.matmul(a, b[(None,) * self.p])
-                elif other.p:
-                    prod = alg.matmul(a[(None,) * other.p], b)
-                else:
-                    prod = alg.matmul(a, b)
+                prod = alg.matmul(_form_axes(a, other.p), _form_axes(b, self.p))
                 out[merged] = out.get(merged, 0) + sign * prod
         return GradedValue(self.n, self.p + other.p, alg.order, out)
 
@@ -114,9 +111,11 @@ class GradedValue:
         return self.matmul(other) - float(sign) * other.matmul(self)
 
     def max_abs(self):
+        """Largest coefficient magnitude at each point of the batch."""
         if not self.components:
             return 0.0
-        return max(float(np.abs(a).max()) for a in self.components.values())
+        axes = tuple(range(-3 - self.p, 0))  # form axes, matrix and jet coefficients
+        return np.max([np.abs(a).max(axis=axes) for a in self.components.values()], axis=0)
 
     def component(self, t):
         return self.components.get(tuple(t))
@@ -124,6 +123,11 @@ class GradedValue:
     def __repr__(self):
         degs = {t: a.shape for t, a in self.components.items()}
         return f"GradedValue(p={self.p}, order={self.order}, parts={degs})"
+
+
+def _form_axes(a, p):
+    """Insert p unit form axes between the batch axes and the matrix of `a`."""
+    return a.reshape(a.shape[:-3] + (1,) * p + a.shape[-3:])
 
 
 def even(n, order, array, form_degree=0):

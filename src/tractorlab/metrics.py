@@ -87,17 +87,7 @@ class MetricField:
 
     def g(self, point, order):
         """Component jets g_{mu,nu} at a point or a batch of points (..., n): (..., n, n, NC)."""
-        point = np.array(point, dtype=float)
-        key = (point.shape, point.tobytes(), order)
-        cache = self.__dict__.setdefault("_g_cache", {})
-        hit = cache.get(key)
-        if hit is None:
-            if len(cache) > 8192:
-                cache.clear()
-            hit = self._g_fn(point, order)
-            hit.flags.writeable = False  # shared across callers
-            cache[key] = hit
-        return hit
+        return self._g_fn(np.asarray(point, dtype=float), order)
 
     def g_inv(self, point, order):
         return jets.algebra(self.n, order).inv_matrix(self.g(point, order))

@@ -2,7 +2,8 @@
 
 Central differences with one Richardson extrapolation step; used by the test
 suites to cross-check first and second derivatives of anything evaluable as a
-plain function of the chart point.
+plain function of the chart point.  A batch of points (..., n) is shifted
+point by point along the same coordinate.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import numpy as np
 
 def _shift(x, i, h):
     y = np.array(x, dtype=float)
-    y[i] += h
+    y[..., i] += h
     return y
 
 

@@ -8,9 +8,9 @@ The dictionary between the two conventions is not hand-asserted: it is
 calibrated by a finite search over reversal/index-lowering/sign candidates
 against the Weyl transformation law, and the survivor is used everywhere.
 
-The connection matrices, the tractor derivative and the equivalence oracle
-work at a point or a batch of points (..., n), with the batch axes in front;
-the calibration samples one point at a time.
+Every field and function here takes a point (n,) or a batch of points
+(..., n), with the batch axes in front of every result; the calibration and
+the equivalence oracle evaluate their sampled points as one batch.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jets
+from . import dressing, jets
 from .cartan import matvec, section_derivative, section_field
 from .dressing import normal_dressing_chain, upsilon_row
-from .fields import JetField, ScalarField, random_poly_field
+from .fields import JetField, ScalarField, random_poly_field, require_positive
 from .geometry import Geometry
 
 
@@ -76,15 +76,15 @@ def prolong_field(metric, sigma_field) -> JetField:
         alg = jets.algebra(n, order)
         sig = sig_f.coeffs(point, min(3, order + 2))
         alg_s = jets.algebra(n, min(3, order + 2))
-        out = alg.zeros((n + 2,))
-        out[0] = alg_s.truncate(sig, order)
+        out = alg.zeros(sig.shape[:-1] + (n + 2,))
+        out[..., 0, :] = alg_s.truncate(sig, order)
         grad = alg_s.grad(sig, 0)
-        out[1:-1] = jets.algebra(n, min(3, order + 2) - 1).truncate(grad, order)
+        out[..., 1:-1, :] = jets.algebra(n, min(3, order + 2) - 1).truncate(grad, order)
         lap = geom.laplacian(sig)
         p_sig = alg.mul(
-            jets.algebra(n, 1).truncate(geom.schouten_trace1, order), out[0]
+            jets.algebra(n, 1).truncate(geom.schouten_trace1, order), out[..., 0, :]
         )
-        out[-1] = -(jets.algebra(n, min(3, order + 2) - 2).truncate(lap, order) - p_sig) / n
+        out[..., -1, :] = -(jets.algebra(n, min(3, order + 2) - 2).truncate(lap, order) - p_sig) / n
         return out
 
     return JetField(fn, n, max_order=1, label=f"prolong({sig_f.description})")
@@ -101,10 +101,10 @@ def ae_residual(metric, sigma_field, point):
         geom.covariant_derivative(sig, ""), "d"
     )  # nabla_mu nabla_nu sigma, values
     p = a0.value(jets.algebra(n, 1).truncate(geom.schouten1, 0))
-    x = a0.value(hess) - p * float(sig[0])
+    x = a0.value(hess) - p * sig[..., None, None, 0]
     g = a0.value(geom.g(0))
-    ginv = np.linalg.inv(g)
-    return x - (np.tensordot(ginv, x, axes=2) / n) * g
+    trace = np.einsum("...ab,...ab->...", np.linalg.inv(g), x)
+    return x - (trace / n)[..., None, None] * g
 
 
 def ae_prolong(metric, sigma_field, point):
@@ -123,19 +123,18 @@ def weyl_matrix_field(metric, z_field) -> JetField:
         alg = jets.algebra(n, order)
         geom = Geometry(metric, point)
         zj = z_f.coeffs(point, order)
-        if zj[0] <= 0:
-            raise TractorError(f"Weyl rescaling must be positive, got {zj[0]}")
+        require_positive(zj[..., 0], point, TractorError, "Weyl rescaling")
         zinv = alg.reciprocal(zj)
         ups = upsilon_row(z_f, point, order, n)
         ups_up = matvec(alg, geom.ginv(order), ups)
-        ups2 = alg.mul(ups, ups_up).sum(axis=0)
-        m = alg.zeros((n + 2, n + 2))
-        m[0, 0] = zj
-        m[1:-1, 0] = alg.mul(zj, ups)
-        m[1:-1, 1:-1] = alg.mul(zj, alg.const(np.eye(n)))
-        m[-1, 0] = -0.5 * alg.mul(zinv, ups2)
-        m[-1, 1:-1] = -alg.mul(zinv, ups_up)
-        m[-1, -1] = zinv
+        ups2 = alg.mul(ups, ups_up).sum(axis=-2)
+        m = alg.zeros(zj.shape[:-1] + (n + 2, n + 2))
+        m[..., 0, 0, :] = zj
+        m[..., 1:-1, 0, :] = alg.mul(zj[..., None, :], ups)
+        m[..., 1:-1, 1:-1, :] = alg.mul(zj[..., None, None, :], alg.const(np.eye(n)))
+        m[..., -1, 0, :] = -0.5 * alg.mul(zinv, ups2)
+        m[..., -1, 1:-1, :] = -alg.mul(zinv[..., None, :], ups_up)
+        m[..., -1, -1, :] = zinv
         return m
 
     return JetField(fn, n, max_order=2, label="tractorGT(z)")
@@ -145,42 +144,43 @@ def inner(metric, point, t, t2, order=0):
     """rho sigma' + l_mu g^{mu nu} l'_nu + sigma rho' (jet arrays in, jet out)."""
     alg = jets.algebra(metric.n, order)
     ginv = Geometry(metric, point).ginv(order)
-    mid = alg.mul(matvec(alg, ginv, t[1:-1]), t2[1:-1]).sum(axis=0)
-    return alg.mul(t[-1], t2[0]) + mid + alg.mul(t[0], t2[-1])
+    mid = alg.mul(matvec(alg, ginv, t[..., 1:-1, :]), t2[..., 1:-1, :]).sum(axis=-2)
+    return alg.mul(t[..., -1, :], t2[..., 0, :]) + mid + alg.mul(t[..., 0, :], t2[..., -1, :])
 
 
 def metric_matrix(metric, point, order=0):
-    """G = [[0,0,1],[0,g^{mu nu},0],[1,0,0]]."""
-    n = metric.n
-    alg = jets.algebra(n, order)
-    G = alg.zeros((n + 2, n + 2))
-    G[0, -1] = alg.const(1.0)
-    G[-1, 0] = alg.const(1.0)
-    G[1:-1, 1:-1] = Geometry(metric, point).ginv(order)
+    """G = [[0,0,1],[0,g^{mu nu},0],[1,0,0]]: (..., N, N, NC)."""
+    ginv = Geometry(metric, point).ginv(order)
+    N = metric.n + 2
+    G = jets.algebra(metric.n, order).zeros(ginv.shape[:-3] + (N, N))
+    G[..., 0, -1, 0] = 1.0
+    G[..., -1, 0, 0] = 1.0
+    G[..., 1:-1, 1:-1, :] = ginv
     return G
 
 
 def curvature_two_ways(metric, point):
     """Commutator curvature of the prolongation connection vs the assembled
-    Cotton/Weyl block matrix; returns (commutator, assembled, max discrepancy)."""
+    Cotton/Weyl block matrix; returns (commutator, assembled, max discrepancy
+    per point)."""
     n = metric.n
     geom = Geometry(metric, point)
     alg1, alg0 = jets.algebra(n, 1), jets.algebra(n, 0)
     m1 = connection_matrices(geom, 1)
     m0 = alg1.truncate(m1, 0)
-    dm = alg1.grad(m1, 3)  # [mu, nu, N, N]
-    comm = alg0.matmul(m0[:, None], m0[None, :])
-    f = dm - np.einsum("mn...->nm...", dm) + comm - np.einsum("mn...->nm...", comm)
+    dm = alg1.grad(m1, 3)  # [..., mu, nu, N, N]
+    comm = alg0.matmul(m0[..., :, None, :, :, :], m0[..., None, :, :, :, :])
+    f = dm - np.swapaxes(dm, -5, -4) + comm - np.swapaxes(comm, -5, -4)
     f = alg0.value(f)
 
-    assembled = np.zeros((n, n, n + 2, n + 2))
+    assembled = np.zeros(f.shape)
     cot = geom.cotton  # C_{mu lam, nu}
     weyl = geom.weyl  # W^rho_{sigma mu nu}
     ginv = alg0.value(geom.ginv(0))
-    assembled[:, :, 1:-1, 0] = -cot
-    assembled[:, :, 1:-1, 1:-1] = -np.einsum("anml->mlna", weyl)
-    assembled[:, :, -1, 1:-1] = np.einsum("ab,mlb->mla", ginv, cot)
-    return f, assembled, float(np.abs(f - assembled).max())
+    assembled[..., 1:-1, 0] = -cot
+    assembled[..., 1:-1, 1:-1] = -np.einsum("...anml->...mlna", weyl)
+    assembled[..., -1, 1:-1] = np.einsum("...ab,...mlb->...mla", ginv, cot)
+    return f, assembled, np.abs(f - assembled).max(axis=(-4, -3, -2, -1))
 
 
 # -- convention map -------------------------------------------------------------
@@ -245,40 +245,31 @@ ALL_CANDIDATES = tuple(
 def calibrate_convention_map(metric, z_field, points, rng, tol=1e-8):
     """Search the candidate family for the unique map commuting with the Weyl
     transformation laws of both pipelines; fails loudly on 0 or >1 survivors."""
-    from .dressing import weyl_cocycle
-
     n = metric.n
     z_f = ScalarField.coerce(z_field)
     rescaled = metric.rescale(z_f)
-    cbar = weyl_cocycle(metric, z_f, "Cbar")
+    cbar = dressing.weyl_cocycle(metric, z_f, "Cbar")
     gt = weyl_matrix_field(metric, z_f)
     a0 = jets.algebra(n, 0)
 
-    trials = []
-    for point in points:
-        point = tuple(point)
-        geom = Geometry(metric, point)
-        g, ginv = geom.g(0), geom.ginv(0)
-        # the rescaled metric is needed only to order 0, not as a whole Geometry
-        g_hat, ginv_hat = rescaled.g(point, 0), rescaled.g_inv(point, 0)
-        cbar_inv = a0.inv_matrix(jets.algebra(n, 1).truncate(cbar.at(point, 1), 0))
-        u = jets.algebra(n, 2).truncate(gt.at(point, 2), 0)
-        for _ in range(4):
-            phi = a0.const(rng.normal(size=n + 2))
-            phi_z = matvec(a0, cbar_inv, phi)
-            trials.append((phi, phi_z, g, ginv, g_hat, ginv_hat, u))
+    # four trial sections per point: every per-point matrix gets a trial axis
+    x = np.asarray(points, dtype=float)
+    geom = Geometry(metric, x)
+    g, ginv = geom.g(0)[:, None], geom.ginv(0)[:, None]
+    # the rescaled metric is needed only to order 0, not as a whole Geometry
+    g_hat = rescaled.g(x, 0)[:, None]
+    ginv_hat = a0.inv_matrix(g_hat)
+    cbar_inv = a0.inv_matrix(jets.algebra(n, 1).truncate(cbar.at(x, 1), 0))[:, None]
+    u = jets.algebra(n, 2).truncate(gt.at(x, 2), 0)[:, None]
+    phi = a0.const(rng.normal(size=(len(x), 4, n + 2)))
+    phi_z = matvec(a0, cbar_inv, phi)
 
     survivors = []
     for cand in ALL_CANDIDATES:
-        ok = True
-        for phi, phi_z, g, ginv, g_hat, ginv_hat, u in trials:
-            lhs = cand.apply(a0, phi_z, g_hat, ginv_hat)
-            rhs = matvec(a0, u, cand.apply(a0, phi, g, ginv))
-            scale = 1.0 + np.abs(rhs).max()
-            if np.abs(lhs - rhs).max() > tol * scale:
-                ok = False
-                break
-        if ok:
+        lhs = cand.apply(a0, phi_z, g_hat, ginv_hat)
+        rhs = matvec(a0, u, cand.apply(a0, phi, g, ginv))
+        scale = 1.0 + np.abs(rhs).max(axis=(-2, -1))
+        if np.all(np.abs(lhs - rhs).max(axis=(-2, -1)) <= tol * scale):
             survivors.append(cand)
     if not survivors:
         raise CalibrationError("no convention map matches both Weyl laws; upstream convention bug")

@@ -6,8 +6,9 @@ import functools
 import numpy as np
 import pytest
 
-from tractorlab import cartan, dressing, metrics, tractor
-from tractorlab.fields import RowField, ScalarField, random_poly_field
+from tractorlab import brst, cartan, dressing, metrics, suites, tractor
+from tractorlab.fields import (RowField, ScalarField, domain_poly_field, domain_z_field,
+                               random_poly_field)
 from tractorlab.geometry import FrameError, Geometry
 from tractorlab.jets import JetAlgebra
 
@@ -134,6 +135,17 @@ def test_frame_error_names_the_first_failing_point(batch, first, pivot):
     Geometry(metric, pts[:first]).e3
 
 
+def _count_kernel_calls(monkeypatch):
+    """Counter of `JetAlgebra.mul` and `matmul` calls from now on."""
+    calls = collections.Counter()
+    for name in ("mul", "matmul"):
+        def counted(alg, a, b, _kernel=getattr(JetAlgebra, name), _name=name):
+            calls[_name] += 1
+            return _kernel(alg, a, b)
+        monkeypatch.setattr(JetAlgebra, name, counted)
+    return calls
+
+
 def test_equivalence_check_kernel_calls_do_not_grow_with_points(monkeypatch):
     """The oracle evaluates its points as one batch: 10 and 40 points cost the same
     number of jet products."""
@@ -142,12 +154,7 @@ def test_equivalence_check_kernel_calls_do_not_grow_with_points(monkeypatch):
     cmap = tractor.calibrate_convention_map(
         metric, ScalarField.from_expression(tractor.DEFAULT_Z),
         metrics.sample_points(metric, 5, rng), rng)
-    calls = collections.Counter()
-    for name in ("mul", "matmul"):
-        def counted(alg, a, b, _kernel=getattr(JetAlgebra, name), _name=name):
-            calls[_name] += 1
-            return _kernel(alg, a, b)
-        monkeypatch.setattr(JetAlgebra, name, counted)
+    calls = _count_kernel_calls(monkeypatch)
     counts = []
     for npoints in (10, 40):
         calls.clear()
@@ -160,10 +167,9 @@ def test_equivalence_check_kernel_calls_do_not_grow_with_points(monkeypatch):
 
 
 def _batch_memos(metric, pts):
-    """Memo entries a metric holds for the batch `pts`: its Geometry and its g jets."""
+    """Memo entries a metric holds for the batch `pts`: its Geometry."""
     key = (pts.shape, pts.tobytes())
-    return ([k for k in metric.__dict__.get("_geometry_cache", {}) if k == key]
-            + [k for k in metric.__dict__.get("_g_cache", {}) if k[:2] == key])
+    return [k for k in metric.__dict__.get("_geometry_cache", {}) if k == key]
 
 
 def test_equivalence_check_releases_its_batch_even_when_it_raises():
@@ -181,3 +187,167 @@ def test_equivalence_check_releases_its_batch_even_when_it_raises():
     with pytest.raises(FrameError):
         tractor.equivalence_check(bad, pts, rng, cmap=cmap)
     assert _batch_memos(bad, pts) == []
+
+
+def _graded(value):
+    """The coefficient arrays of a GradedValue, in generator order."""
+    return [value.components[t] for t in sorted(value.components)]
+
+
+def test_cartan_group_fields_curvature_and_blocks(case):
+    metric, pts = case
+    rng = np.random.default_rng(6)
+    n = metric.n
+    # gauge parameters O(1) on the chart box, as the suites draw them: a large
+    # boost row makes the curvature a difference of large terms
+    h = cartan.h_field(metric, z=domain_z_field(rng, metric),
+                       S=suites.random_eta_orthogonal(rng, metric.eta),
+                       r=[domain_poly_field(rng, metric, 2, 0.4) for _ in range(n)])
+    for order in range(h.max_order + 1):
+        _assert_stacked(h.at(pts, order), [h.at(p, order) for p in pts])
+    wn = cartan.normal_connection(metric)
+    blocks = cartan.conn_blocks(wn.at(pts, 1))
+    _assert_stacked(list(blocks.values()), [list(cartan.conn_blocks(wn.at(p, 1)).values())
+                                            for p in pts])
+    curv = cartan.curvature(cartan.transform_connection(wn, h))
+    f = curv(pts, 0)
+    _assert_stacked(f, [curv(p, 0) for p in pts])
+    _assert_stacked(list(cartan.curv_blocks(f[..., 0]).values()),
+                    [list(cartan.curv_blocks(curv(p, 0)[..., 0]).values()) for p in pts])
+    einv = Geometry(metric, pts).einv3[..., 0]
+    rep = cartan.normality_report(f[..., 0], einv)
+    singles = [cartan.normality_report(curv(p, 0)[..., 0], e) for p, e in zip(pts, einv)]
+    _assert_stacked([rep[k] for k in rep if k != "normal"],
+                    [[s[k] for k in rep if k != "normal"] for s in singles])
+    assert np.array_equal(rep["normal"], [s["normal"] for s in singles])
+
+
+def test_dressing_cocycles_and_tractor_metric(case):
+    metric, pts = case
+    zf = domain_z_field(np.random.default_rng(7), metric)
+    for order in (0, 1, 2):
+        _assert_stacked(dressing.upsilon_row(zf, pts, order, metric.n),
+                        [dressing.upsilon_row(zf, p, order, metric.n) for p in pts])
+    for variant in ("C", "Cbar"):
+        for fld in (dressing.weyl_cocycle(metric, zf, variant),
+                    *dressing.cocycle_factors(metric, zf, variant)):
+            for order in range(fld.max_order + 1):
+                _assert_stacked(fld.at(pts, order), [fld.at(p, order) for p in pts])
+    for order in (0, 1):
+        _assert_stacked(dressing.tractor_metric_G(metric, pts, order),
+                        [dressing.tractor_metric_G(metric, p, order) for p in pts])
+
+
+def test_tractor_prolongation_weyl_matrix_pairing_and_curvature(case):
+    metric, pts = case
+    rng = np.random.default_rng(8)
+    n = metric.n
+    sig = random_poly_field(rng, n, 3)
+    for fld in (tractor.prolong_field(metric, sig),
+                tractor.weyl_matrix_field(metric, domain_z_field(rng, metric))):
+        for order in range(fld.max_order + 1):
+            _assert_stacked(fld.at(pts, order), [fld.at(p, order) for p in pts])
+    _assert_stacked(tractor.ae_residual(metric, sig, pts),
+                    [tractor.ae_residual(metric, sig, p) for p in pts])
+    t1, t2 = (cartan.section_field(metric, random_poly_field(rng, n, 2),
+                                   [random_poly_field(rng, n, 2) for _ in range(n)],
+                                   random_poly_field(rng, n, 2)) for _ in range(2))
+    for order in (0, 1):
+        _assert_stacked(tractor.inner(metric, pts, t1.at(pts, order), t2.at(pts, order), order),
+                        [tractor.inner(metric, p, t1.at(p, order), t2.at(p, order), order)
+                         for p in pts])
+        _assert_stacked(tractor.metric_matrix(metric, pts, order),
+                        [tractor.metric_matrix(metric, p, order) for p in pts])
+    _assert_stacked(tractor.curvature_two_ways(metric, pts),
+                    [tractor.curvature_two_ways(metric, p) for p in pts])
+
+
+def test_brst_ghosts_composites_and_nilpotency(case):
+    metric, pts = case
+    rng = np.random.default_rng(9)
+    n = metric.n
+    comps = []
+    for _ in range(3):  # v^3 has a nonzero generator monomial only from three generators on
+        a = rng.normal(size=(n, n)) * 0.4
+        comps.append((domain_poly_field(rng, metric, 2, 0.4),
+                       a - np.linalg.inv(metric.eta) @ a.T @ metric.eta,
+                       [domain_poly_field(rng, metric, 2, 0.4) for _ in range(n)]))
+    ghost = brst.Ghost(metric, comps)
+    wn = cartan.normal_connection(metric)
+    phi = cartan.section_field(metric, random_poly_field(rng, n, 2),
+                               [random_poly_field(rng, n, 2) for _ in range(n)],
+                               random_poly_field(rng, n, 2))
+    for order in (0, 1):
+        _assert_stacked(_graded(ghost.value(pts, order)),
+                        [_graded(ghost.value(p, order)) for p in pts])
+        for holonomic in (False, True):
+            _assert_stacked(_graded(brst.linearized_boost(metric, ghost, pts, order, holonomic)),
+                            [_graded(brst.linearized_boost(metric, ghost, p, order, holonomic))
+                             for p in pts])
+    for stage in ("first", "full"):
+        def parts(p):
+            composite, closed, mismatch = brst.dressed_ghost(metric, wn, ghost, stage, p, 0)
+            return _graded(composite) + _graded(closed) + [mismatch]
+        _assert_stacked(parts(pts), [parts(p) for p in pts])
+    for measured in (lambda p: brst.s2_section(phi, ghost, p),
+                     lambda p: brst.s2_ghost(ghost, p),
+                     lambda p: brst.s2_connection(wn, ghost, p),
+                     lambda p: brst.sigma_membership_residual(ghost, p)):
+        _assert_stacked(measured(pts), [measured(p) for p in pts])
+
+
+def _draws_one_by_one(rng, count, size):
+    return np.stack([rng.normal(size=size) for _ in range(count)])
+
+
+def test_calibration_draws_the_per_point_numbers():
+    """One (P, 4, N) draw gives the numbers of four draws per point in turn, and
+    the calibration leaves its generator where the per-point draws did."""
+    metric = metrics.load_metric("round_sphere")
+    N = metric.n + 2
+    assert np.array_equal(np.random.default_rng(1).normal(size=(5, 4, N)).reshape(20, N),
+                          _draws_one_by_one(np.random.default_rng(1), 20, N))
+    rng, ref = np.random.default_rng(10), np.random.default_rng(10)
+    pts = metrics.sample_points(metric, 5, rng)
+    cmap = tractor.calibrate_convention_map(
+        metric, ScalarField.from_expression(tractor.DEFAULT_Z), pts, rng)
+    metrics.sample_points(metric, 5, ref)
+    _draws_one_by_one(ref, 5 * 4, N)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert cmap == tractor.ConventionMap(True, "g", -1, -1)
+
+
+def test_verdict_kernel_calls_do_not_depend_on_points(monkeypatch):
+    """A full verdict evaluates each check's points as one batch: at 5 and 10 points
+    it makes the same jet kernel calls (each run on a fresh metric, so no memo is
+    shared)."""
+    calls = _count_kernel_calls(monkeypatch)
+    counts = []
+    for npoints in (5, 10):
+        calls.clear()
+        results = suites.run_suites(metrics.load_metric("round_sphere"), "all", seed=3,
+                                    npoints=npoints)
+        assert all(r.passed for r in results)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+
+
+def test_each_sweep_calls_its_residual_once_on_its_batch(flat, monkeypatch):
+    sweep = suites.Context.sweep
+    recorded = []
+
+    def recording(ctx, rng, residual, rule):
+        shapes = []
+
+        def traced(p):
+            shapes.append(np.shape(p))
+            return residual(p)
+
+        recorded.append((rule, shapes))
+        return sweep(ctx, rng, traced, rule)
+
+    monkeypatch.setattr(suites.Context, "sweep", recording)
+    results = suites.run_suites(flat, ["riemann-laws", "tractor-weyl"], seed=1, npoints=7)
+    assert all(r.passed for r in results)
+    assert len(recorded) == len(results)  # every check of these suites is one sweep
+    assert all(shapes == [(suites.COUNTS[rule](7), flat.n)] for rule, shapes in recorded)

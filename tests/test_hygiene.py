@@ -3,7 +3,6 @@ no function assigns a local name it never reads, and no module imports a name
 it never reads."""
 
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -26,17 +25,26 @@ def _public_definitions():
                 yield path, node.name, node.lineno, node.end_lineno
 
 
+def _references(path):
+    """(name, line) of each code reference in a file: a name read, an attribute,
+    or an imported name; words in strings, comments and assignments do not count."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1], node.lineno
+
+
 def test_every_public_definition_has_a_caller():
     this = Path(__file__).resolve()
-    sources = {path: path.read_text().splitlines()
-               for root in SEARCHED for path in sorted(root.rglob("*.py")) if path != this}
+    refs = {path: list(_references(path))
+            for root in SEARCHED for path in sorted(root.rglob("*.py")) if path != this}
     uncalled = []
     for module, name, first, last in _public_definitions():
-        word = re.compile(rf"\b{re.escape(name)}\b")
-        if not any(word.search(line)
-                   for path, lines in sources.items()
-                   for i, line in enumerate(lines, 1)
-                   if not (path == module and first <= i <= last)):
+        if not any(ref == name and not (path == module and first <= line <= last)
+                   for path, found in refs.items() for ref, line in found):
             uncalled.append(f"{module.name}:{first} {name}")
     assert not uncalled, "public names with no caller: " + ", ".join(uncalled)
 

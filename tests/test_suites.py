@@ -78,7 +78,7 @@ def test_sweep_tracks_a_residual_at_each_point_of_its_rule(flat, rule, npoints):
     def stub(p):
         # a list result: the array dominates the maximum, the dict fills the blocks
         x = np.asarray(p)
-        return [10.0 * x, {"sum": x.sum(), "first": x[0] * np.ones(2)}]
+        return [10.0 * x, {"sum": x.sum(axis=-1), "first": x[..., :1] * np.ones(2)}]
 
     seen = []
 
@@ -88,18 +88,45 @@ def test_sweep_tracks_a_residual_at_each_point_of_its_rule(flat, rule, npoints):
 
     ctx = suites.Context(flat, seed=2, npoints=npoints)
     tr = ctx.sweep(ctx.rng("stub"), residual, rule)
-    assert ctx.points_drawn == len(seen) == count
-    assert all(type(p) is tuple for p in seen)
+    assert len(seen) == 1  # one call on the whole batch
+    assert ctx.points_drawn == len(seen[0]) == count
 
     direct = suites.Context(flat, seed=2, npoints=npoints)
     pts = direct.points(direct.rng("stub"), count)
-    assert np.array_equal(np.array(seen), pts)
-    hand = suites.Tracker()
-    for p in pts:
-        for r in stub(p):
-            hand.add(p, r)
-    assert (tr.max, tr.worst, tr.blocks) == (hand.max, hand.worst, hand.blocks)
+    assert np.array_equal(seen[0], pts)
+    # the worst point is the first one with the largest residual of any block or element
+    per_point = [max(np.abs(10.0 * x).max(), abs(x.sum()), abs(x[0])) for x in pts]
+    worst = int(np.argmax(per_point))
+    assert tr.max == per_point[worst] and tr.worst == tuple(pts[worst])
+    assert tr.blocks == {"sum": max(abs(x.sum()) for x in pts), "first": max(abs(x[0]) for x in pts)}
     assert tr.note is None
+
+
+def test_a_nan_residual_fails_its_check_at_its_point(flat):
+    """A NaN at one point is the worst residual: the check fails and names that point."""
+    ctx = suites.Context(flat, seed=2, npoints=4)
+    pts = suites.Context(flat, seed=2, npoints=4).points(ctx.rng("metricity"))
+
+    def stub_check(ctx, rng):
+        def residual(p):
+            at_second = np.all(np.asarray(p) == pts[1], axis=-1)
+            return {"block": np.where(at_second, np.nan, 1e-16)}
+        return ctx.sweep(rng, residual, "all")
+
+    result = suites.run_check(ctx, "metricity", stub_check)
+    assert np.isnan(result.max_residual) and not result.passed
+    assert result.worst_point == tuple(pts[1])
+    assert np.isnan(result.block_diff["block"])
+
+
+def test_tracker_keeps_the_first_nan_and_the_block_maxima():
+    tr = suites.Tracker()
+    pts = np.arange(6.0).reshape(3, 2)
+    tr.add(pts, {"a": [1.0, 3.0, 3.0], "b": [[0.5], [2.0], [-4.0]]})
+    assert (tr.max, tr.worst, tr.blocks) == (4.0, (4.0, 5.0), {"a": 3.0, "b": 4.0})
+    tr.add(pts, [np.array([np.nan, 1.0, np.nan])])
+    tr.add(pts, np.array([9.0, 9.0, 9.0]))
+    assert np.isnan(tr.max) and tr.worst == (0.0, 1.0)
 
 
 def test_error_note_names_the_exception(flat, monkeypatch):

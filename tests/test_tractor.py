@@ -161,7 +161,7 @@ def _flip_weyl_matrix_middle_column(monkeypatch):
 
         def fn(point, order):
             m = u.at(point, order).copy()
-            m[1:-1, 0] *= -1.0
+            m[..., 1:-1, 0, :] *= -1.0
             return m
 
         return JetField(fn, u.n, u.max_order, u.label)
@@ -174,7 +174,7 @@ def _transpose_weyl_cocycle(monkeypatch):
 
     def transposed(metric, z_field, variant="C"):
         c = weyl_cocycle(metric, z_field, variant)
-        return JetField(lambda p, k: np.swapaxes(c.at(p, k), 0, 1), c.n, c.max_order, c.label)
+        return JetField(lambda p, k: np.swapaxes(c.at(p, k), -3, -2), c.n, c.max_order, c.label)
 
     monkeypatch.setattr(dressing, "weyl_cocycle", transposed)
 
