@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -449,7 +450,11 @@ class PolynomialEvaluator:
     coefficients
         c'_beta(x) = sum_gamma c_{beta+gamma} prod_i C(beta_i+gamma_i, beta_i) x^gamma,
     so those of all the polynomials are the monomials x^gamma times a weight
-    matrix W[gamma, (polynomial, beta)], built once per (n, order).
+    matrix W[gamma, (polynomial, beta)].  Where W has its entries depends only
+    on the support (which exponents each polynomial has), n and the order; that
+    structure is built once per process (`_shift_structure`) and shared by all
+    evaluators with the same support, and each evaluator scatters its own
+    coefficients into W once per order.
     """
 
     def __init__(self, polys, n):
@@ -461,23 +466,19 @@ class PolynomialEvaluator:
         self.alphas = np.array([a for _, a, _ in terms], dtype=np.intp).reshape(len(terms), n)
         self.c = np.array([c for _, _, c in terms])
         self.degree = int(self.alphas.sum(axis=1).max(initial=0))
+        self._support = (self.alphas.tobytes(), self.which.tobytes(), self.npoly, n)
         self._cols = np.arange(n)
         self._tables = {}
 
     def _table(self, alg):
         """(gammas, W): the monomial exponents (G, n) and the weights (G, npoly * NC)."""
-        key = (alg.n, alg.order)
-        if key not in self._tables:
-            betas = np.array(alg.indices, dtype=np.intp)
-            t, b = np.nonzero(np.all(self.alphas[:, None, :] >= betas[None, :, :], axis=-1))
-            gammas, row = np.unique(self.alphas[t] - betas[b], axis=0, return_inverse=True)
-            comb = np.array([[math.comb(a, k) for k in range(alg.order + 1)]
-                             for a in range(self.degree + 1)], dtype=float)
+        table = self._tables.get(alg.order)
+        if table is None:
+            gammas, rows, cols, t, factor = _shift_structure(*self._support, alg.order)
             weights = np.zeros((len(gammas), self.npoly * alg.ncoef))
-            weights[row.reshape(-1), self.which[t] * alg.ncoef + b] = (
-                self.c[t] * comb[self.alphas[t], betas[b]].prod(axis=1))
-            self._tables[key] = (gammas, weights)
-        return self._tables[key]
+            weights[rows, cols] = self.c[t] * factor
+            table = self._tables[alg.order] = (gammas, weights)
+        return table
 
     def coeffs_at(self, points, alg):
         """Coefficients at `points` (..., n): array (..., npoly, NC)."""
@@ -488,6 +489,32 @@ class PolynomialEvaluator:
         powers = x[..., None] ** np.arange(self.degree + 1)
         monomials = powers[..., self._cols, gammas].prod(axis=-1)
         return (monomials @ weights).reshape(x.shape[:-1] + (self.npoly, alg.ncoef))
+
+
+@lru_cache(maxsize=128)
+def _shift_structure(alphas, which, npoly, n, order):
+    """Where the Taylor-shift weights of a support go, shared by every evaluator with it.
+
+    `alphas` and `which` are the bytes of the term exponents (T, n) and of the
+    polynomial of each term (T,).  Returns the monomial exponents gammas (G, n)
+    and, for each (term t, beta) with beta <= alpha_t, the row and column of
+    its weight, t, and its factor prod_i C(alpha_ti, beta_i); the weight is
+    c_t times that factor.  The arrays are read-only.
+    """
+    alphas = np.frombuffer(alphas, dtype=np.intp).reshape(-1, n)
+    which = np.frombuffer(which, dtype=np.intp)
+    alg = jets.algebra(n, order)
+    betas = np.array(alg.indices, dtype=np.intp)
+    t, b = np.nonzero(np.all(alphas[:, None, :] >= betas[None, :, :], axis=-1))
+    gammas, row = np.unique(alphas[t] - betas[b], axis=0, return_inverse=True)
+    degree = int(alphas.sum(axis=1).max(initial=0))
+    comb = np.array([[math.comb(a, k) for k in range(order + 1)] for a in range(degree + 1)],
+                    dtype=float)
+    out = (gammas, row.reshape(-1), which[t] * alg.ncoef + b, t,
+           comb[alphas[t], betas[b]].prod(axis=1))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 # -- helpers used by the metric catalog --------------------------------------

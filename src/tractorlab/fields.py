@@ -6,14 +6,18 @@ A scalar field is a rule (point, order) -> jet coefficients, and it comes
 from one of two places.  An expression (a metric's conformal factor, a spec
 file, a rescaling written as text) compiles once per dimension into an
 `expr.Program`.  A random polynomial (the gauge parameters the suites draw)
-is a coefficient dict and goes straight to an `expr.PolynomialEvaluator`.
+is a coefficient dict and goes straight to an `expr.PolynomialEvaluator`;
+evaluators of polynomials with the same exponents share the structure of
+their weight tables, so a new random field costs a few numpy calls.  A
+random polynomial on a chart box is evaluated at the box-normalized point
+(x - center) / halfwidth and its coefficients rescaled by the chain rule.
 Fields compose on their coefficient arrays: a product is the jet product of
 the two factors, and a positive rescaling is the jet `exp` of a polynomial.
 """
 
 from __future__ import annotations
 
-import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -150,12 +154,24 @@ def field_matmul(a: JetField, b: JetField, label="") -> JetField:
     return JetField(fn, a.n, max_order=min(a.max_order, b.max_order), label=label or "a@b")
 
 
+@lru_cache(maxsize=None)
+def _exponents(n, degree):
+    """The multi-indices |alpha| <= degree in n variables, in the jets' order.
+
+    Not `jets.algebra(n, degree).indices`: a jet algebra stops at order 3, and
+    a random polynomial may have a higher degree.
+    """
+    return tuple(jets._multi_indices(n, degree))
+
+
 def random_polynomial(rng, n, degree=3, scale=1.0):
-    """Coefficient dict of a dense random polynomial, coefficients in [-scale, scale]."""
-    coeffs = {}
-    for alpha in jets._multi_indices(n, degree):
-        coeffs[alpha] = float(rng.uniform(-scale, scale))
-    return coeffs
+    """Coefficient dict of a dense random polynomial, coefficients in [-scale, scale].
+
+    The coefficients are one draw of uniform numbers, in the order of the jets'
+    multi-indices.
+    """
+    exponents = _exponents(n, degree)
+    return dict(zip(exponents, rng.uniform(-scale, scale, size=len(exponents)).tolist()))
 
 
 def random_poly_field(rng, n, degree=3, scale=1.0) -> ScalarField:
@@ -165,20 +181,26 @@ def random_poly_field(rng, n, degree=3, scale=1.0) -> ScalarField:
 def domain_poly_field(rng, metric, degree=2, scale=0.4) -> ScalarField:
     """Random polynomial in domain-normalized coordinates: O(scale) on the box.
 
-    sum_alpha c_alpha prod_i ((x_i - center_i) / width_i)^alpha_i, expanded in x.
+    f(x) = sum_alpha c_alpha y^alpha at the normalized point
+    y = (x - center) / halfwidth.  The field takes the polynomial's jet at y and
+    scales its coefficient beta by prod_i halfwidth_i^-beta_i (the chain rule).
+    It never expands the polynomial in powers of x, which on a narrow box far
+    from the origin would cancel terms of size (|center| / halfwidth)^degree.
     """
     n = metric.n
-    boxes = [((lo + hi) / 2.0, (hi - lo) / 2.0) for lo, hi in metric.domain]
-    coeffs = {}
-    for alpha, c in sorted(random_polynomial(rng, n, degree, scale).items()):
-        term = {(): c}
-        for (center, width), a in zip(boxes, alpha):
-            s, t = 1.0 / width, -center / width  # (x - center) / width = s x + t
-            powers = [math.comb(a, k) * math.prod([s] * k + [t] * (a - k)) for k in range(a + 1)]
-            term = {beta + (k,): v * w for beta, v in term.items() for k, w in enumerate(powers)}
-        for beta, v in term.items():
-            coeffs[beta] = coeffs.get(beta, 0.0) + v
-    return ScalarField.from_polynomial(coeffs, n)
+    lo, hi = np.array(metric.domain, dtype=float).T
+    center, width = (lo + hi) / 2.0, (hi - lo) / 2.0
+    poly = expr.PolynomialEvaluator([random_polynomial(rng, n, degree, scale)], n)
+    chain = {}
+
+    def fn(x, k):
+        alg = jets.algebra(n, k)
+        if k not in chain:
+            chain[k] = np.prod(width ** -np.array(alg.indices, dtype=float), axis=1)
+        y = (np.asarray(x, dtype=float) - center) / width
+        return poly.coeffs_at(y, alg)[..., 0, :] * chain[k]
+
+    return ScalarField(fn, f"poly(n={n}, degree={poly.degree})")
 
 
 def domain_z_field(rng, metric, scale=0.3) -> ScalarField:

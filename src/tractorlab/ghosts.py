@@ -31,11 +31,19 @@ def merge_sign(t, s):
 
 
 class GradedValue:
-    def __init__(self, n, form_degree, order, components=None):
+    """`batch` is the shape of the batch axes; it is read off the components, and
+    a value with no components (such as v^3 of a ghost with two generators) keeps
+    the batch it was computed on."""
+
+    def __init__(self, n, form_degree, order, components=None, batch=None):
         self.n = n
         self.p = form_degree
         self.order = order
         self.components = dict(components or {})
+        if batch is None:
+            batch = np.broadcast_shapes(*(a.shape[:a.ndim - 3 - form_degree]
+                                          for a in self.components.values()))
+        self.batch = tuple(batch)
 
     @property
     def alg(self):
@@ -51,22 +59,24 @@ class GradedValue:
         return self.p + (degs[0] if degs else 0)
 
     def copy(self):
-        return GradedValue(self.n, self.p, self.order, {t: a.copy() for t, a in self.components.items()})
+        return GradedValue(self.n, self.p, self.order,
+                           {t: a.copy() for t, a in self.components.items()}, self.batch)
 
     def __add__(self, other):
         assert (self.n, self.p, self.order) == (other.n, other.p, other.order)
         out = {t: a.copy() for t, a in self.components.items()}
         for t, a in other.components.items():
             out[t] = out[t] + a if t in out else a.copy()
-        return GradedValue(self.n, self.p, self.order, out)
+        return GradedValue(self.n, self.p, self.order, out,
+                           np.broadcast_shapes(self.batch, other.batch))
 
     def __sub__(self, other):
         return self + (-1.0) * other
 
     def __rmul__(self, scalar):
         return GradedValue(
-            self.n, self.p, self.order, {t: scalar * a for t, a in self.components.items()}
-        )
+            self.n, self.p, self.order, {t: scalar * a for t, a in self.components.items()},
+            self.batch)
 
     def __neg__(self):
         return (-1.0) * self
@@ -74,8 +84,8 @@ class GradedValue:
     def truncate(self, order):
         alg = self.alg
         return GradedValue(
-            self.n, self.p, order, {t: alg.truncate(a, order) for t, a in self.components.items()}
-        )
+            self.n, self.p, order, {t: alg.truncate(a, order) for t, a in self.components.items()},
+            self.batch)
 
     def d(self):
         """Exterior derivative: adds a form axis right after the batch axes, drops
@@ -85,7 +95,7 @@ class GradedValue:
         for t, a in self.components.items():
             da = alg.grad(a, self.p + 2)
             out[t] = ((-1) ** len(t)) * da
-        return GradedValue(self.n, self.p + 1, self.order - 1, out)
+        return GradedValue(self.n, self.p + 1, self.order - 1, out, self.batch)
 
     def matmul(self, other):
         """Graded matrix product; at most one factor may carry form degree."""
@@ -103,7 +113,8 @@ class GradedValue:
                 sign *= (-1) ** (self.p * len(s))
                 prod = alg.matmul(_form_axes(a, other.p), _form_axes(b, self.p))
                 out[merged] = out.get(merged, 0) + sign * prod
-        return GradedValue(self.n, self.p + other.p, alg.order, out)
+        return GradedValue(self.n, self.p + other.p, alg.order, out,
+                           np.broadcast_shapes(self.batch, other.batch))
 
     def bracket(self, other):
         """Bigraded commutator [A, B] = AB - (-1)^(deg A deg B) BA."""
@@ -111,9 +122,10 @@ class GradedValue:
         return self.matmul(other) - float(sign) * other.matmul(self)
 
     def max_abs(self):
-        """Largest coefficient magnitude at each point of the batch."""
+        """Largest coefficient magnitude at each point of the batch (0 for a value
+        with no components)."""
         if not self.components:
-            return 0.0
+            return np.zeros(self.batch)
         axes = tuple(range(-3 - self.p, 0))  # form axes, matrix and jet coefficients
         return np.max([np.abs(a).max(axis=axes) for a in self.components.values()], axis=0)
 

@@ -562,7 +562,7 @@ def check_soldering(ctx, rng):
     a0 = jets.algebra(n, 0)
 
     def residual(p):
-        e, _ = wg.frame(p, 0)
+        e = np.swapaxes(wg.col0(p, 0)[..., 1:-1, :], -3, -2)  # e^a_mu
         induced = _value(a0.matmul(np.swapaxes(e, -3, -2), a0.matmul(a0.const(ctx.metric.eta), e)))
         zv = _value(zf.coeffs(p, 0))[..., None, None]
         return induced - zv**2 * _value(Geometry(ctx.metric, p).g(0))

@@ -296,6 +296,26 @@ def test_brst_ghosts_composites_and_nilpotency(case):
         _assert_stacked(measured(pts), [measured(p) for p in pts])
 
 
+def test_a_residual_with_no_components_is_zero_at_every_point(case):
+    """With two generators v^3 has no generator monomial, so s^2 v has no
+    components; it still has the batch axis and counts as 0 at every point."""
+    metric, pts = case
+    rng = np.random.default_rng(4)
+    n = metric.n
+    comps = []
+    for _ in range(2):
+        a = rng.normal(size=(n, n)) * 0.4
+        comps.append((domain_poly_field(rng, metric, 2, 0.4),
+                      a - np.linalg.inv(metric.eta) @ a.T @ metric.eta,
+                      [domain_poly_field(rng, metric, 2, 0.4) for _ in range(n)]))
+    ghost = brst.Ghost(metric, comps)
+    residual = brst.s2_ghost(ghost, pts)
+    assert residual.shape == (BATCH,) and not residual.any()
+    tracker = suites.Tracker()
+    tracker.add(pts, residual)
+    assert tracker.max == 0.0
+
+
 def _draws_one_by_one(rng, count, size):
     return np.stack([rng.normal(size=size) for _ in range(count)])
 

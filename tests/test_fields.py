@@ -1,12 +1,15 @@
 """Random polynomial fields and their composition on coefficient arrays."""
 
+import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tractorlab import expr, fields, jets
+from tractorlab import expr, fields, jets, metrics
 
 EPS = np.finfo(float).eps
 
@@ -116,3 +119,119 @@ def test_a_batch_of_points_equals_the_points_stacked():
             assert batch.shape == (7, jets.algebra(4, order).ncoef)
             for got, point in zip(batch, points):
                 _assert_close(got, field.coeffs(point, order))
+
+
+# -- one draw of coefficients, one shared table structure ----------------------
+
+
+def _random_polynomial_one_by_one(rng, n, degree, scale):
+    """The draw as one `rng.uniform` call per coefficient, in the jets' index order."""
+    return {alpha: float(rng.uniform(-scale, scale)) for alpha in jets._multi_indices(n, degree)}
+
+
+def test_random_polynomial_draws_the_numbers_of_one_call_per_coefficient():
+    for n, degree, scale in ((4, 2, 0.4), (3, 3, 1.0), (2, 1, 0.25), (5, 4, 0.05)):
+        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+        got = fields.random_polynomial(rng, n, degree, scale)
+        want = _random_polynomial_one_by_one(ref, n, degree, scale)
+        assert list(got.items()) == list(want.items())
+        assert rng.uniform() == ref.uniform()
+
+
+def _old_table(alphas, which, c, npoly, alg):
+    """The weight table as each evaluator built it on its own: (gammas, W)."""
+    betas = np.array(alg.indices, dtype=np.intp)
+    t, b = np.nonzero(np.all(alphas[:, None, :] >= betas[None, :, :], axis=-1))
+    gammas, row = np.unique(alphas[t] - betas[b], axis=0, return_inverse=True)
+    degree = int(alphas.sum(axis=1).max(initial=0))
+    comb = np.array([[math.comb(a, k) for k in range(alg.order + 1)]
+                     for a in range(degree + 1)], dtype=float)
+    weights = np.zeros((len(gammas), npoly * alg.ncoef))
+    weights[row.reshape(-1), which[t] * alg.ncoef + b] = (
+        c[t] * comb[alphas[t], betas[b]].prod(axis=1))
+    return gammas, weights
+
+
+def _assert_weights_are_the_old_ones(evaluator):
+    for order in range(4):
+        alg = jets.algebra(evaluator.n, order)
+        gammas, weights = evaluator._table(alg)
+        old_gammas, old_weights = _old_table(evaluator.alphas, evaluator.which, evaluator.c,
+                                             evaluator.npoly, alg)
+        assert np.array_equal(gammas, old_gammas)
+        assert np.array_equal(weights, old_weights)
+
+
+def test_weights_equal_the_per_evaluator_table():
+    rng = np.random.default_rng(8)
+    for n, degree in ((4, 2), (4, 1), (3, 3), (2, 2)):
+        for _ in range(3):
+            coeffs = fields.random_polynomial(rng, n, degree, 0.4)
+            evaluator = expr.PolynomialEvaluator([coeffs], n)
+            assert np.array_equal(evaluator.alphas, sorted(coeffs))
+            assert np.array_equal(evaluator.c, [c for _, c in sorted(coeffs.items())])
+            _assert_weights_are_the_old_ones(evaluator)
+    sparse = {(0, 2): 1.5, (1, 0): -0.25, (0, 0): 0.0}  # a zero coefficient is no term
+    evaluator = expr.PolynomialEvaluator([sparse, {}, {(3, 1): 2.0}], 2)
+    assert np.array_equal(evaluator.which, [0, 0, 2])
+    _assert_weights_are_the_old_ones(evaluator)
+    metric = metrics.load_metric("poly_perturbation", seed=5)
+    keys = sorted(metric.spec.components)
+    program = expr.Program([metric.spec.components[k] for k in keys], metric.n)
+    assert program._poly.npoly == len(keys)
+    _assert_weights_are_the_old_ones(program._poly)
+
+
+def test_fields_of_one_support_share_one_structure():
+    metric = SimpleNamespace(n=4, domain=[(-1.0, 2.0), (0.5, 1.5), (-3.0, -1.0), (-1.0, 1.0)])
+    rng = np.random.default_rng(6)
+    point = _points(metric, 1, 1)[0]
+    expr._shift_structure.cache_clear()
+    for _ in range(50):
+        field = fields.domain_poly_field(rng, metric, 2, 0.4)
+        for order in range(4):
+            field.coeffs(point, order)
+    info = expr._shift_structure.cache_info()
+    assert (info.misses, info.hits) == (4, 196)
+
+
+# -- precision on a narrow box far from the origin -----------------------------
+
+
+def _exact_taylor(coeffs, center, width, point, order):
+    """Exact Taylor coefficients, in the jets' order, of
+    sum_alpha c_alpha prod_i ((x_i - center_i) / width_i)^alpha_i at `point`, every
+    float read as the rational number it is."""
+    center, width, point = ([Fraction(float(v)) for v in a] for a in (center, width, point))
+    y = [(p - c) / w for p, c, w in zip(point, center, width)]
+    out = []
+    for beta in jets.algebra(len(point), order).indices:
+        total = Fraction(0)
+        for alpha, c in coeffs.items():
+            if all(a >= b for a, b in zip(alpha, beta)):
+                term = Fraction(c)
+                for a, b, yi, wi in zip(alpha, beta, y, width):
+                    term *= math.comb(a, b) * yi ** (a - b) / wi ** b
+                total += term
+        out.append(total)
+    return out
+
+
+@pytest.mark.parametrize("domain, degree, order, seed, point", [
+    ([(4.95, 5.05), (-1.0, 1.0)], 2, 2, 3, (5.02, 0.3)),
+    ([(1.7, 1.8), (-30.2, -29.8), (-0.5, 0.5), (99.0, 99.5)], 3, 3, 4, (1.71, -30.0, 0.1, 99.4)),
+])
+def test_a_narrow_box_far_from_the_origin_keeps_its_digits(domain, degree, order, seed, point):
+    """Each order block is within 16 eps of the block's largest exact coefficient."""
+    metric = SimpleNamespace(n=len(domain), domain=domain)
+    field = fields.domain_poly_field(np.random.default_rng(seed), metric, degree, 0.4)
+    coeffs = fields.random_polynomial(np.random.default_rng(seed), metric.n, degree, 0.4)
+    lo, hi = np.array(domain).T
+    exact = _exact_taylor(coeffs, (lo + hi) / 2.0, (hi - lo) / 2.0, point, order)
+    got = field.coeffs(np.array(point), order)
+    alg = jets.algebra(metric.n, order)
+    for k in range(order + 1):
+        block = [i for i, beta in enumerate(alg.indices) if sum(beta) == k]
+        scale = max(abs(exact[i]) for i in block)
+        error = max(abs(Fraction(float(got[i])) - exact[i]) for i in block)
+        assert error <= 16 * EPS * scale, (k, float(error), float(scale))
