@@ -58,20 +58,28 @@ def parse_tol_overrides(pairs):
     return out
 
 
-def positive_int(text):
+def _int_at_least(low, text):
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value
+
+
+def positive_int(text):
+    return _int_at_least(1, text)
+
+
+def non_negative_int(text):
+    return _int_at_least(0, text)
 
 
 def build_report(args):
     params = parse_params(args.param)
     tolerances = parse_tol_overrides(args.tol_override)
-    suite_names = args.suite if args.suite != ["all"] and "all" not in args.suite else "all"
-    for name in [] if suite_names == "all" else suite_names:
-        if name not in suites.SUITES:
+    for name in args.suite:
+        if name != "all" and name not in suites.SUITES:
             raise UsageError(f"unknown suite {name!r}; available: {', '.join(suites.SUITES)}")
+    suite_names = "all" if "all" in args.suite else args.suite
     metric = metrics.load_metric(args.metric, **params)
     start = time.time()
     results = suites.run_suites(
@@ -142,7 +150,7 @@ def main(argv=None):
     run.add_argument("--suite", action="append", default=None,
                      help=f"suite name or 'all' ({', '.join(suites.SUITES)})")
     run.add_argument("--points", type=positive_int, default=20)
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--seed", type=non_negative_int, default=0)
     run.add_argument("--tol-override", action="append", metavar="CHECK=TOL")
     run.add_argument("--report", default=None, help="write the report to this path")
     run.add_argument("--format", choices=("json", "text"), default="json")

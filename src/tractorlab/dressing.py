@@ -143,17 +143,6 @@ def cocycle_factors(metric, z_field, variant="C"):
     )
 
 
-def residual_weyl_transform(chi, metric, z_field, variant="C", label=""):
-    """Residual Weyl transform of a dressed field: conjugation through the cocycle
-    (plus the inhomogeneous term for connections)."""
-    return dress(chi, weyl_cocycle(metric, z_field, variant), label=label or "chi^Z")
-
-
-def residual_lorentz_transform(chi, metric, S, label=""):
-    """Residual frame-rotation transform of a first-stage dressed field."""
-    return dress(chi, lorentz_element(metric, S), label=label or "chi^S")
-
-
 def lorentz_element(metric, S) -> JetField:
     """Constant diag(1, S, 1) field for residual Lorentz transformations."""
     S = np.asarray(S, dtype=float)

@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import jets
-from .jets import Jet, JetDomainError
+from .jets import JetDomainError
 
 FUNCTIONS = ("exp", "ln", "sin", "cos", "sqrt")
 
@@ -434,13 +434,6 @@ class Program:
         for r, i in enumerate(self._roots):
             out[..., r, :] = vals[i]
         return out
-
-
-def evaluate(node, point, order: int) -> Jet:
-    """Jet of the denoted function at `point`, to the requested order."""
-    point = np.asarray(point, dtype=float)
-    n = len(point)
-    return Jet(jets.algebra(n, order), Program([node], n)(point, order)[0])
 
 
 class PolynomialEvaluator:

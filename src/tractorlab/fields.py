@@ -22,7 +22,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import expr, jets
-from .jets import Jet
 
 
 class ScalarField:
@@ -36,8 +35,10 @@ class ScalarField:
         self._fn = fn
         self.description = description
 
-    def jet(self, point, order) -> Jet:
-        return Jet(jets.algebra(len(point), order), self._fn(point, order))
+    def jet(self, point, order) -> np.ndarray:
+        """Same as `coeffs`; kept because the traced benchmark patches it by name,
+        until ROADMAP item 3(a)'s benchmark change lets it go."""
+        return self._fn(point, order)
 
     def coeffs(self, point, order) -> np.ndarray:
         return self._fn(point, order)
@@ -203,7 +204,7 @@ def domain_poly_field(rng, metric, degree=2, scale=0.4) -> ScalarField:
     return ScalarField(fn, f"poly(n={n}, degree={poly.degree})")
 
 
-def domain_z_field(rng, metric, scale=0.3) -> ScalarField:
+def domain_z_field(rng, metric, scale=0.25) -> ScalarField:
     """Positive rescaling field with O(1) log on the chart box."""
     p = domain_poly_field(rng, metric, 2, scale)
     return ScalarField(lambda x, k: jets.algebra(metric.n, k).exp(p._fn(x, k)),

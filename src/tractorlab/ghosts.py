@@ -58,10 +58,6 @@ class GradedValue:
             raise ValueError(f"inhomogeneous ghost degrees {degs}")
         return self.p + (degs[0] if degs else 0)
 
-    def copy(self):
-        return GradedValue(self.n, self.p, self.order,
-                           {t: a.copy() for t, a in self.components.items()}, self.batch)
-
     def __add__(self, other):
         assert (self.n, self.p, self.order) == (other.n, other.p, other.order)
         out = {t: a.copy() for t, a in self.components.items()}

@@ -59,10 +59,6 @@ class MetricSpec:
     components: dict = field(default_factory=dict)  # (i, j) with i <= j -> AST
     domain: list = field(default_factory=list)  # per-coordinate (lo, hi)
 
-    def component(self, i, j):
-        key = (i, j) if i <= j else (j, i)
-        return self.components.get(key, expr.const(0.0))
-
 
 def eta_matrix(signature):
     r, s = signature
@@ -93,7 +89,10 @@ class MetricField:
         return jets.algebra(self.n, order).inv_matrix(self.g(point, order))
 
     def component_jet(self, i, j, point, order):
-        return jets.Jet(jets.algebra(self.n, order), self.g(point, order)[i, j])
+        """g_{ij} at a point or a batch of points: (..., NC).  Kept because the traced
+        benchmark patches it by name, until ROADMAP item 3(a)'s benchmark change
+        lets it go."""
+        return self.g(point, order)[..., i, j, :]
 
     def rescale(self, z_field: ScalarField, label=None):
         """Conformally related metric z(x)^2 g."""

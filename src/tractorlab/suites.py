@@ -120,6 +120,9 @@ class Context:
         self.metric = metric
         self.seed = int(seed)
         self.npoints = int(npoints)
+        if self.seed < 0:
+            # numpy's seed sequences take no negative entropy
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.npoints < 1:
             # a check that samples no point would pass with residual 0
             raise ValueError(f"npoints must be at least 1, got {self.npoints}")
@@ -192,10 +195,6 @@ def random_eta_orthogonal(rng, eta, scale=0.4):
     a = rng.normal(size=eta.shape) * scale
     v = a - np.linalg.inv(eta) @ a.T @ eta
     return _expm(v / 2)
-
-
-def random_z_field(rng, metric):
-    return domain_z_field(rng, metric, scale=0.25)
 
 
 def apply_matrix_field(mfield: JetField, vfield: JetField, label="") -> JetField:
@@ -287,7 +286,7 @@ def check_conformal_traces(ctx, rng):
 @check("riemann-laws", "schouten-weyl-law",
        "P(z^2 g) = P + nabla Upsilon - Upsilon Upsilon + Upsilon^2/2 g", 1e-8)
 def check_schouten_weyl(ctx, rng):
-    zf = random_z_field(rng, ctx.metric)
+    zf = domain_z_field(rng, ctx.metric)
     hat = ctx.metric.rescale(zf)
 
     def residual(p):
@@ -306,7 +305,7 @@ def check_schouten_weyl(ctx, rng):
 @check("riemann-laws", "weyl-conformal-invariance",
        "W^r_{s m n}(z^2 g) = W^r_{s m n}(g)", 1e-7)
 def check_weyl_invariance(ctx, rng):
-    zf = random_z_field(rng, ctx.metric)
+    zf = domain_z_field(rng, ctx.metric)
     hat = ctx.metric.rescale(zf)
 
     def residual(p):
@@ -419,7 +418,7 @@ def check_algebra(ctx, rng):
 def check_gt0(ctx, rng):
     n = ctx.metric.n
     wn = ctx.pipeline()["wn"]
-    zf = random_z_field(rng, ctx.metric)
+    zf = domain_z_field(rng, ctx.metric)
     S = random_eta_orthogonal(rng, ctx.metric.eta)
     gam0 = cartan.h_field(ctx.metric, z=zf, S=S)
     w0 = cartan.transform_connection(wn, gam0)
@@ -487,7 +486,7 @@ def check_gtvphi(ctx, rng):
     n = ctx.metric.n
     eta_inv = np.linalg.inv(ctx.metric.eta)
     phi = random_section(rng, ctx.metric)
-    zf = random_z_field(rng, ctx.metric)
+    zf = domain_z_field(rng, ctx.metric)
     S = random_eta_orthogonal(rng, ctx.metric.eta)
     gam0 = cartan.h_field(ctx.metric, z=zf, S=S)
     r_fields = RowField([domain_poly_field(rng, ctx.metric, 2, 0.4) for _ in range(n)])
@@ -535,7 +534,7 @@ def check_sigma_pairing(ctx, rng):
 def check_curv_tensorial(ctx, rng):
     n = ctx.metric.n
     wn = ctx.pipeline()["wn"]
-    zf = random_z_field(rng, ctx.metric)
+    zf = domain_z_field(rng, ctx.metric)
     r_fields = [domain_poly_field(rng, ctx.metric, 2, 0.4) for _ in range(n)]
     gam = cartan.h_field(ctx.metric, z=zf, S=random_eta_orthogonal(rng, ctx.metric.eta), r=r_fields)
     wg = cartan.transform_connection(wn, gam)
@@ -556,7 +555,7 @@ def check_curv_tensorial(ctx, rng):
 def check_soldering(ctx, rng):
     n = ctx.metric.n
     wn = ctx.pipeline()["wn"]
-    zf = random_z_field(rng, ctx.metric)
+    zf = domain_z_field(rng, ctx.metric)
     gam0 = cartan.h_field(ctx.metric, z=zf, S=random_eta_orthogonal(rng, ctx.metric.eta))
     wg = cartan.transform_connection(wn, gam0)
     a0 = jets.algebra(n, 0)
@@ -645,7 +644,7 @@ def check_k1_erasure(ctx, rng):
 def check_boost_constraint(ctx, rng):
     n = ctx.metric.n
     wn = ctx.pipeline()["wn"]
-    zf = random_z_field(rng, ctx.metric)
+    zf = domain_z_field(rng, ctx.metric)
     gam = cartan.h_field(ctx.metric, z=zf, r=[domain_poly_field(rng, ctx.metric, 2, 0.4) for _ in range(n)])
     wg = cartan.transform_connection(wn, gam)
     dressed = dressing.dress(wg, dressing.boost_dressing(wg))
@@ -738,7 +737,7 @@ def check_metric_G(ctx, rng):
        "<phi_L, phi_L'>_G is invariant under the residual Weyl transform", 1e-10)
 def check_g_pairing(ctx, rng):
     pipe = ctx.pipeline()
-    zf = random_z_field(rng, ctx.metric)
+    zf = domain_z_field(rng, ctx.metric)
     hat = ctx.metric.rescale(zf)
     cbar = dressing.weyl_cocycle(ctx.metric, zf, "Cbar")
     phis = [dressing.dress(dressing.dress(random_section(rng, ctx.metric), pipe["u1"]), pipe["ubar"])
@@ -765,7 +764,7 @@ def check_cocycle_identity(ctx, rng):
     tr = Tracker()
     n = ctx.metric.n
     a1 = jets.algebra(n, 1)
-    z1, z2 = random_z_field(rng, ctx.metric), random_z_field(rng, ctx.metric)
+    z1, z2 = domain_z_field(rng, ctx.metric), domain_z_field(rng, ctx.metric)
     zz = z1 * z2
     for variant in ("C", "Cbar"):
         c1 = dressing.weyl_cocycle(ctx.metric, z1, variant)
@@ -785,7 +784,7 @@ def check_cocycle_factorization(ctx, rng):
     tr = Tracker()
     n = ctx.metric.n
     a1 = jets.algebra(n, 1)
-    zf = random_z_field(rng, ctx.metric)
+    zf = domain_z_field(rng, ctx.metric)
     one = ScalarField.constant(1.0)
     for variant in ("C", "Cbar"):
         whole = dressing.weyl_cocycle(ctx.metric, zf, variant)
@@ -805,7 +804,7 @@ def check_dressing_weyl(ctx, rng):
     n = ctx.metric.n
     wn = ctx.pipeline()["wn"]
     u1 = ctx.pipeline()["u1"]
-    zf = random_z_field(rng, ctx.metric)
+    zf = domain_z_field(rng, ctx.metric)
     zgauge = cartan.h_field(ctx.metric, z=zf)
     wz = cartan.transform_connection(wn, zgauge)
     u1z = dressing.boost_dressing(wz)
@@ -825,7 +824,7 @@ def check_iterated_cocycle(ctx, rng):
     n = ctx.metric.n
     wn = ctx.pipeline()["wn"]
     u1 = ctx.pipeline()["u1"]
-    z1, z2 = random_z_field(rng, ctx.metric), random_z_field(rng, ctx.metric)
+    z1, z2 = domain_z_field(rng, ctx.metric), domain_z_field(rng, ctx.metric)
     zz = z1 * z2
     g1 = cartan.h_field(ctx.metric, z=z1)
     g12 = cartan.h_field(ctx.metric, z=zz)
@@ -845,7 +844,7 @@ def check_iterated_cocycle(ctx, rng):
        "first-stage residual Weyl transform: cocycle conjugation = rescale-then-redress", 1e-9)
 def check_two_pipeline_1(ctx, rng):
     pipe = ctx.pipeline()
-    zf = random_z_field(rng, ctx.metric)
+    zf = domain_z_field(rng, ctx.metric)
     cz = dressing.weyl_cocycle(ctx.metric, zf, "C")
     zgauge = cartan.h_field(ctx.metric, z=zf)
     wz = cartan.transform_connection(pipe["wn"], zgauge)
@@ -869,7 +868,7 @@ def check_two_pipeline_1(ctx, rng):
        "holonomic-stage residual Weyl transform: cocycle conjugation = rescale-then-redress", 1e-9)
 def check_two_pipeline_L(ctx, rng):
     pipe = ctx.pipeline()
-    zf = random_z_field(rng, ctx.metric)
+    zf = domain_z_field(rng, ctx.metric)
     cbar = dressing.weyl_cocycle(ctx.metric, zf, "Cbar")
     zgauge = cartan.h_field(ctx.metric, z=zf)
     wz = cartan.transform_connection(pipe["wn"], zgauge)
@@ -898,7 +897,7 @@ def check_varpi1z_table(ctx, rng):
     n = ctx.metric.n
     eta_inv = np.linalg.inv(ctx.metric.eta)
     pipe = ctx.pipeline()
-    zf = random_z_field(rng, ctx.metric)
+    zf = domain_z_field(rng, ctx.metric)
     cz = dressing.weyl_cocycle(ctx.metric, zf, "C")
     w1z = cartan.transform_connection(pipe["w1"], cz)
     a1 = jets.algebra(n, 1)
@@ -934,7 +933,7 @@ def check_phi1z_column(ctx, rng):
     n = ctx.metric.n
     eta_inv = np.linalg.inv(ctx.metric.eta)
     pipe = ctx.pipeline()
-    zf = random_z_field(rng, ctx.metric)
+    zf = domain_z_field(rng, ctx.metric)
     cz = dressing.weyl_cocycle(ctx.metric, zf, "C")
     phi1 = dressing.dress(random_section(rng, ctx.metric), pipe["u1"])
     phi1z = cartan.transform_section(phi1, cz)
@@ -961,7 +960,7 @@ def check_phi1z_column(ctx, rng):
 def check_omega1z_table(ctx, rng):
     n = ctx.metric.n
     pipe = ctx.pipeline()
-    zf = random_z_field(rng, ctx.metric)
+    zf = domain_z_field(rng, ctx.metric)
     cz = dressing.weyl_cocycle(ctx.metric, zf, "C")
     curv1 = cartan.curvature(pipe["w1"])
     a0, a1 = jets.algebra(n, 0), jets.algebra(n, 1)
@@ -990,7 +989,7 @@ def check_omega1z_table(ctx, rng):
 def check_varpiLz_table(ctx, rng):
     n = ctx.metric.n
     pipe = ctx.pipeline()
-    zf = random_z_field(rng, ctx.metric)
+    zf = domain_z_field(rng, ctx.metric)
     cbar = dressing.weyl_cocycle(ctx.metric, zf, "Cbar")
     wlz = cartan.transform_connection(pipe["wl"], cbar)
     a1 = jets.algebra(n, 1)
@@ -1026,7 +1025,7 @@ def check_varpiLz_table(ctx, rng):
 def check_phiLz_column(ctx, rng):
     n = ctx.metric.n
     pipe = ctx.pipeline()
-    zf = random_z_field(rng, ctx.metric)
+    zf = domain_z_field(rng, ctx.metric)
     cbar = dressing.weyl_cocycle(ctx.metric, zf, "Cbar")
     phil = dressing.dress(dressing.dress(random_section(rng, ctx.metric), pipe["u1"]), pipe["ubar"])
     philz = cartan.transform_section(phil, cbar)
@@ -1052,7 +1051,7 @@ def check_phiLz_column(ctx, rng):
 def check_omegaLz_table(ctx, rng):
     n = ctx.metric.n
     pipe = ctx.pipeline()
-    zf = random_z_field(rng, ctx.metric)
+    zf = domain_z_field(rng, ctx.metric)
     cbar = dressing.weyl_cocycle(ctx.metric, zf, "Cbar")
     curvl = cartan.curvature(pipe["wl"])
     a0, a1 = jets.algebra(n, 0), jets.algebra(n, 1)
@@ -1104,7 +1103,7 @@ def check_lorentz_table(ctx, rng):
        "residual Weyl and Lorentz actions commute (with C(z)^S = S^-1 C(z) S)", 1e-9)
 def check_weyl_lorentz_commute(ctx, rng):
     pipe = ctx.pipeline()
-    zf = random_z_field(rng, ctx.metric)
+    zf = domain_z_field(rng, ctx.metric)
     S = random_eta_orthogonal(rng, ctx.metric.eta)
     sfield = dressing.lorentz_element(ctx.metric, S)
     sinv_field = dressing.lorentz_element(ctx.metric, np.linalg.inv(S))
@@ -1178,7 +1177,7 @@ def check_pairing_transport(ctx, rng):
        "transform-then-differentiate = differentiate-then-transform for the tractor derivative", 1e-8)
 def check_tractor_gt_covariance(ctx, rng):
     n = ctx.metric.n
-    zf = random_z_field(rng, ctx.metric)
+    zf = domain_z_field(rng, ctx.metric)
     hat = ctx.metric.rescale(zf)
     u = tractor.weyl_matrix_field(ctx.metric, zf)
     t = random_section(rng, ctx.metric)
@@ -1197,7 +1196,7 @@ def check_tractor_gt_covariance(ctx, rng):
        "prolonging z*sigma in the rescaled metric = Weyl matrix times the prolongation", 1e-8)
 def check_prolong_covariance(ctx, rng):
     n = ctx.metric.n
-    zf = random_z_field(rng, ctx.metric)
+    zf = domain_z_field(rng, ctx.metric)
     sig = domain_poly_field(rng, ctx.metric, 2, 1.0)
     hat = ctx.metric.rescale(zf)
     zsig = zf * sig
@@ -1216,7 +1215,7 @@ def check_prolong_covariance(ctx, rng):
        "the tractor pairing is Weyl-invariant; differentiation satisfies the product rule", 1e-9)
 def check_tractor_pairing(ctx, rng):
     n = ctx.metric.n
-    zf = random_z_field(rng, ctx.metric)
+    zf = domain_z_field(rng, ctx.metric)
     hat = ctx.metric.rescale(zf)
     u = tractor.weyl_matrix_field(ctx.metric, zf)
     t1, t2 = random_section(rng, ctx.metric), random_section(rng, ctx.metric)

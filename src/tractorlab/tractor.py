@@ -107,12 +107,6 @@ def ae_residual(metric, sigma_field, point):
     return x - (trace / n)[..., None, None] * g
 
 
-def ae_prolong(metric, sigma_field, point):
-    """Prolonged triple (values) and the almost-Einstein residual at a point."""
-    t = prolong_field(metric, sigma_field).at(point, 0)
-    return jets.algebra(metric.n, 0).value(t), ae_residual(metric, sigma_field, point)
-
-
 def weyl_matrix_field(metric, z_field) -> JetField:
     """Tractor Weyl transformation: rows (z, 0, 0 | z U_mu, z, 0 |
     -U^2/(2z), -g^{nu mu} U_nu / z, 1/z)."""

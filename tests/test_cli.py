@@ -160,3 +160,19 @@ def test_points_below_one_is_a_usage_error(points, capsys):
                   "--points", points, "--quiet"])
     assert exc.value.code == 2
     assert "--points" in capsys.readouterr().err
+
+
+def test_a_negative_seed_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--metric", "flat_euclidean", "--suite", "riemann-laws",
+                  "--points", "3", "--seed", "-1", "--quiet"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_an_unknown_suite_next_to_all_is_a_usage_error(capsys):
+    code = cli.main(["run", "--metric", "flat_euclidean", "--suite", "all", "--suite", "bogus",
+                     "--points", "1", "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tractorlab: error: unknown suite 'bogus'") and err.count("\n") == 1

@@ -151,7 +151,7 @@ def test_phi1z_displayed_column(bumpy):
     geom = Geometry(bumpy, PT)
     pv = _val(phi1.at(PT, 0))
     rho1, ell1, sig = pv[0], pv[1:-1], pv[-1]
-    zv = zf.jet(PT, 0).value
+    zv = zf.coeffs(PT, 0)[0]
     upsa = _val(dressing.upsilon_row(zf, PT, 0, 4)) @ _val(geom.einv(0))
     eta_inv = np.linalg.inv(bumpy.eta)
     ups2 = upsa @ eta_inv @ upsa
@@ -173,7 +173,7 @@ def test_normal_curvature_cotton_block_law(bumpy):
     c = A1.truncate(cz.at(PT, 1), 0)
     Fz = np.einsum("ab,mnbc,cd->mnad", _val(A0.inv_matrix(c)), F1, _val(c))
     b1, bz = cartan.curv_blocks(F1), cartan.curv_blocks(Fz)
-    zv = zf.jet(PT, 0).value
+    zv = zf.coeffs(PT, 0)[0]
     upsa = _val(dressing.upsilon_row(zf, PT, 0, 4)) @ _val(Geometry(bumpy, PT).einv(0))
     assert np.abs(bz["C"] - (b1["C"] - np.einsum("a,mnab->mnb", upsa, b1["W"])) / zv).max() < 1e-9
     assert np.abs(bz["W"] - b1["W"]).max() < 1e-11

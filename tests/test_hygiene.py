@@ -1,6 +1,6 @@
-"""Repository hygiene: every public top-level name in the package has a caller,
-no function assigns a local name it never reads, and no module imports a name
-it never reads."""
+"""Repository hygiene: every public top-level name and every public method in the
+package has a caller, no function assigns a local name it never reads, and no
+module imports a name it never reads."""
 
 import ast
 from pathlib import Path
@@ -17,17 +17,24 @@ def _registered_check(node):
 
 
 def _public_definitions():
-    """(module path, name, first line, last line) of each public top-level def and class."""
+    """(module path, name, first line, last line) of each public top-level def and
+    class, and of each public method of a top-level class (dunders are private)."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_") and not _registered_check(node)):
-                yield path, node.name, node.lineno, node.end_lineno
+            if not isinstance(node, (*functions, ast.ClassDef)) or _registered_check(node):
+                continue
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for d in [node, *(m for m in members if isinstance(m, functions))]:
+                if not d.name.startswith("_"):
+                    yield path, d.name, d.lineno, d.end_lineno
 
 
 def _references(path):
     """(name, line) of each code reference in a file: a name read, an attribute,
-    or an imported name; words in strings, comments and assignments do not count."""
+    or an imported name; words in comments and assignments do not count, and
+    words in strings count only in the benchmark, which patches methods by name."""
+    by_name = path.is_relative_to(ROOT / "tractorbench")
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             yield node.id, node.lineno
@@ -35,6 +42,8 @@ def _references(path):
             yield node.attr, node.lineno
         elif isinstance(node, ast.alias):
             yield node.name.rsplit(".", 1)[-1], node.lineno
+        elif by_name and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno
 
 
 def test_every_public_definition_has_a_caller():

@@ -204,19 +204,23 @@ def test_whole_catalog_passes_signature_check():
         assert m.check_signature(samples=20, seed=1)
 
 
-def test_residual_transform_wrappers(bumpy, rng):
+def test_dressing_by_the_identity_lorentz_element_is_the_identity(bumpy):
     from tractorlab import cartan, dressing
 
     wn = cartan.normal_connection(bumpy)
     u1 = dressing.boost_dressing(wn)
     w1 = dressing.dress(wn, u1)
-    zf = ScalarField.from_expression("exp(0.1*x0)")
-    via_wrapper = dressing.residual_weyl_transform(w1, bumpy, zf, "C")
-    direct = cartan.transform_connection(w1, dressing.weyl_cocycle(bumpy, zf, "C"))
     pt = (0.05, -0.1, 0.02, 0.15)
-    assert abs(via_wrapper.at(pt, 0) - direct.at(pt, 0)).max() < 1e-15
-    via_s = dressing.residual_lorentz_transform(w1, bumpy, np.eye(4))
+    via_s = dressing.dress(w1, dressing.lorentz_element(bumpy, np.eye(4)))
     assert abs(via_s.at(pt, 0) - w1.at(pt, 0)).max() < 1e-14
+
+
+def test_component_and_scalar_jets_take_a_batch(bumpy, rng):
+    pts = metrics.sample_points(bumpy, 3, rng)
+    g = bumpy.g(pts, 2)
+    assert np.array_equal(bumpy.component_jet(0, 1, pts, 2), g[:, 0, 1])
+    z = ScalarField.from_expression("exp(0.2*x0)")
+    assert np.array_equal(z.jet(pts, 2), z.coeffs(pts, 2))
 
 
 def test_inverse_metric_jets(bumpy, rng):

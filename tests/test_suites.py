@@ -47,6 +47,11 @@ def test_context_rejects_fewer_than_one_point(bumpy):
         suites.run_suites(bumpy, ["riemann-laws"], seed=0, npoints=0)
 
 
+def test_context_rejects_a_negative_seed(bumpy):
+    with pytest.raises(ValueError, match="seed"):
+        suites.Context(bumpy, seed=-1, npoints=2)
+
+
 def test_points_field_counts_the_points_each_check_samples(flat):
     results = suites.run_suites(
         flat, ["riemann-laws", "cartan-gauge", "tractor-equivalence"], seed=3, npoints=20

@@ -29,19 +29,19 @@ def test_connection_matrix_flat(flat):
 
 
 def test_sphere_parallel_tractor(sphere):
-    tval, residual = tractor.ae_prolong(sphere, "1", (0.2, -0.3, 0.1, 0.4))
-    assert np.allclose(tval, [1, 0, 0, 0, 0, -0.5], atol=1e-12)
-    assert np.abs(residual).max() < 1e-9
+    pt = (0.2, -0.3, 0.1, 0.4)
     tf = tractor.prolong_field(sphere, "1")
-    der = tractor.derivative(sphere, tf, (0.2, -0.3, 0.1, 0.4), 0)
+    assert np.allclose(_val(tf.at(pt, 0)), [1, 0, 0, 0, 0, -0.5], atol=1e-12)
+    assert np.abs(tractor.ae_residual(sphere, "1", pt)).max() < 1e-9
+    der = tractor.derivative(sphere, tf, pt, 0)
     assert np.abs(der).max() < 1e-9
 
 
 def test_flat_linear_scale(flat):
-    tval, residual = tractor.ae_prolong(flat, "x0", PT)
-    assert np.allclose(tval, [PT[0], 1, 0, 0, 0, 0], atol=1e-13)
-    assert np.abs(residual).max() < 1e-13
-    der = tractor.derivative(flat, tractor.prolong_field(flat, "x0"), PT, 0)
+    tf = tractor.prolong_field(flat, "x0")
+    assert np.allclose(_val(tf.at(PT, 0)), [PT[0], 1, 0, 0, 0, 0], atol=1e-13)
+    assert np.abs(tractor.ae_residual(flat, "x0", PT)).max() < 1e-13
+    der = tractor.derivative(flat, tf, PT, 0)
     assert np.abs(der).max() < 1e-12
 
 
