@@ -81,17 +81,16 @@ class Ghost:
             {k: self._gen_matrix(k, point, order, select) for k in range(self.n_generators)},
         )
 
-    def matrix_field(self, k=0, select=("eps", "s", "iota")) -> JetField:
+    def matrix_field(self, k=0) -> JetField:
         """Coefficient matrix of one generator as a plain field (for finite checks)."""
-        return JetField(
-            lambda p, o: self._gen_matrix(k, p, o, select), self.n, max_order=3, label="ghost-coeff"
-        )
+        return JetField(lambda p, o: self._gen_matrix(k, p, o, ("eps", "s", "iota")), self.n,
+                        max_order=3)
 
 
-def sigma_membership_residual(ghost: Ghost, point, order=1):
+def sigma_membership_residual(ghost: Ghost, point):
     """Largest Sigma-antisymmetry defect of the ghost's generators, per point."""
     s = sigma_matrix(ghost.eta)
-    vals = [m[..., 0] for m in ghost.value(point, order).components.values()]
+    vals = [m[..., 0] for m in ghost.value(point, 1).components.values()]
     return np.max([np.abs(np.swapaxes(v, -2, -1) @ s + s @ v).max(axis=(-2, -1))
                    for v in vals], axis=0)
 
@@ -140,27 +139,28 @@ def s2_section_with(phi_graded: GradedValue, v: GradedValue):
     return res.max_abs()
 
 
-def s2_section(phi: JetField, ghost: Ghost, point, order=0):
-    return s2_section_with(section_graded(phi, point, order), ghost.value(point, order))
+def s2_section(phi: JetField, ghost: Ghost, point):
+    return s2_section_with(section_graded(phi, point, 0), ghost.value(point, 0))
 
-def s2_ghost(ghost: Ghost, point, order=0):
+
+def s2_ghost(ghost: Ghost, point):
     """s^2 v = (v^2) v - v (v^2), measured."""
-    v = ghost.value(point, order)
+    v = ghost.value(point, 0)
     v2 = v.matmul(v)
     return (v2.matmul(v) - v.matmul(v2)).max_abs()
 
 
-def s2_connection(conn: ConnectionField, ghost: Ghost, point, order=0):
-    """s^2 w via graded Leibniz:
+def s2_connection(conn: ConnectionField, ghost: Ghost, point):
+    """s^2 w via graded Leibniz, with order-0 jets:
     s^2 w = d(sv) - (sw) v + w (sv) - (sv) w + v (sw), measured."""
     n = conn.n
-    v_hi = ghost.value(point, order + 2)
-    sv_hi = -v_hi.matmul(v_hi)  # order+2 jets of -v^2 (enough for one d)
-    d_sv = sv_hi.truncate(order + 1).d()
-    sv = sv_hi.truncate(order)
-    v = ghost.value(point, order)
-    w = even(n, order, conn.at(point, order), form_degree=1)
-    sw = brst_connection(conn, ghost, point, order)
+    v_hi = ghost.value(point, 2)
+    sv_hi = -v_hi.matmul(v_hi)  # order-2 jets of -v^2 (enough for one d)
+    d_sv = sv_hi.truncate(1).d()
+    sv = sv_hi.truncate(0)
+    v = ghost.value(point, 0)
+    w = even(n, 0, conn.at(point, 0), form_degree=1)
+    sw = brst_connection(conn, ghost, point, 0)
     res = d_sv + (-1.0) * sw.matmul(v) + w.matmul(sv) - sv.matmul(w) + v.matmul(sw)
     return res.max_abs()
 
@@ -248,8 +248,8 @@ def _tilde_eps(metric, ghost, point, order):
 # -- finite/infinitesimal consistency ---------------------------------------------
 
 
-def exp_field(metric, coeff_field: JetField, t, terms=16) -> JetField:
-    """exp(t * M(x)) as a jet matrix field."""
+def exp_field(metric, coeff_field: JetField, t) -> JetField:
+    """exp(t * M(x)) as a jet matrix field: its Taylor series to 16 terms."""
     n = metric.n
 
     def fn(point, order):
@@ -257,17 +257,19 @@ def exp_field(metric, coeff_field: JetField, t, terms=16) -> JetField:
         m = t * coeff_field.at(point, order)
         out = alg.const(np.broadcast_to(np.eye(m.shape[-2]), m.shape[:-1]))
         power = out
-        for j in range(1, terms):
+        for j in range(1, 16):
             power = alg.matmul(power, m) / j
             out = out + power
         return out
 
-    return JetField(fn, n, max_order=coeff_field.max_order, label=f"exp({t}*ghost)")
+    return JetField(fn, n, max_order=coeff_field.max_order)
 
 
 def finite_consistency(metric, conn: ConnectionField, ghost: Ghost, kind, point,
-                       ts=(1e-2, 1e-3, 1e-4), phi: JetField = None):
-    """Slope of ||(chi^{exp(t v)} - chi)/t - s chi|| against t (expect ~1)."""
+                       phi: JetField = None):
+    """Slope of ||(chi^{exp(t v)} - chi)/t - s chi|| against t = 1e-2, 1e-3, 1e-4
+    (expect ~1)."""
+    ts = (1e-2, 1e-3, 1e-4)
     coeff = ghost.matrix_field(0)
     if kind == "connection":
         s_chi = brst_connection(conn, ghost, point, 0).component((0,))

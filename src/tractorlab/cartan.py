@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import jets
-from .fields import JetField, RowField, ScalarField, require_positive
+from .fields import JetField, RowField, ScalarField, origin, require_positive
 from .geometry import Geometry
 
 
@@ -166,26 +166,25 @@ class ConnectionField:
     which stays exact to higher jet order than the Schouten block allows.
     """
 
-    def __init__(self, at_fn, col0_fn, n, eta, max_order=1, col0_order=3, label=""):
+    def __init__(self, at_fn, col0_fn, n, eta, max_order=1, col0_order=3):
         self._at = at_fn
         self._col0 = col0_fn
         self.n = n
         self.eta = np.asarray(eta, dtype=float)
         self.max_order = max_order
         self.col0_order = col0_order
-        self.label = label
 
     def at(self, point, order):
         if order > self.max_order:
             raise jets.JetError(
-                f"connection {self.label or '<anon>'} supports order <= {self.max_order}"
+                f"connection {origin(self._at)} supports order <= {self.max_order}"
             )
         return self._at(point, order)
 
     def col0(self, point, order):
         if order > self.col0_order:
             raise jets.JetError(
-                f"connection {self.label or '<anon>'} first column supports order <= {self.col0_order}"
+                f"connection {origin(self._col0)} first column supports order <= {self.col0_order}"
             )
         return self._col0(point, order)
 
@@ -248,7 +247,7 @@ def normal_connection(metric) -> ConnectionField:
         col[..., 1:-1, :] = e_mu
         return col
 
-    return ConnectionField(at, col0, n, metric.eta, max_order=1, col0_order=3, label="normal")
+    return ConnectionField(at, col0, n, metric.eta, max_order=1, col0_order=3)
 
 
 def k1_jet_matrix(alg, q, q_up):
@@ -288,8 +287,7 @@ def h_field(metric, z=None, S=None, r=None) -> JetField:
         rj = r_f.coeffs(point, order)  # (..., n, NC)
         return alg.matmul(k0, k1_jet_matrix(alg, rj, eta_inv @ rj))
 
-    label = f"h(z={getattr(z_f, 'description', '1')},r={'yes' if r_f else 'no'})"
-    return JetField(fn, n, max_order=3, label=label)
+    return JetField(fn, n, max_order=3)
 
 
 def constant_field(metric, matrix) -> JetField:
@@ -299,7 +297,7 @@ def constant_field(metric, matrix) -> JetField:
         return jets.algebra(metric.n, order).const(
             np.broadcast_to(matrix, np.shape(point)[:-1] + matrix.shape))
 
-    return JetField(fn, metric.n, max_order=3, label="const")
+    return JetField(fn, metric.n, max_order=3)
 
 
 def section_field(metric, rho, ell, sigma) -> JetField:
@@ -320,13 +318,13 @@ def section_field(metric, rho, ell, sigma) -> JetField:
         out[..., -1, :] = sig_f.coeffs(point, order)
         return out
 
-    return JetField(fn, n, max_order=3, label="section")
+    return JetField(fn, n, max_order=3)
 
 
 # -- transforms (the same formulas serve gauge transformation and dressing) ----
 
 
-def transform_connection(conn: ConnectionField, gfield: JetField, label="") -> ConnectionField:
+def transform_connection(conn: ConnectionField, gfield: JetField) -> ConnectionField:
     """chi -> g^-1 chi g + g^-1 dg for a matrix-valued 1-form field."""
     n = conn.n
 
@@ -357,13 +355,10 @@ def transform_connection(conn: ConnectionField, gfield: JetField, label="") -> C
 
     max_order = min(conn.max_order, gfield.max_order - 1)
     col0_order = min(conn.col0_order, gfield.max_order - 1)
-    return ConnectionField(
-        at, col0, n, conn.eta, max_order=max_order, col0_order=col0_order,
-        label=label or f"({conn.label})^g",
-    )
+    return ConnectionField(at, col0, n, conn.eta, max_order=max_order, col0_order=col0_order)
 
 
-def transform_section(phi: JetField, gfield: JetField, label="") -> JetField:
+def transform_section(phi: JetField, gfield: JetField) -> JetField:
     """phi -> g^-1 phi."""
     n = phi.n
 
@@ -372,7 +367,7 @@ def transform_section(phi: JetField, gfield: JetField, label="") -> JetField:
         ginv = alg.inv_matrix(gfield.at(point, order))
         return matvec(alg, ginv, phi.at(point, order))
 
-    return JetField(fn, n, min(phi.max_order, gfield.max_order), label or f"({phi.label})^g")
+    return JetField(fn, n, min(phi.max_order, gfield.max_order))
 
 
 def curvature(conn: ConnectionField):

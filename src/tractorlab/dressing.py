@@ -58,7 +58,7 @@ def boost_dressing(conn: ConnectionField) -> JetField:
         q = boost_vector(conn, point, order)
         return k1_jet_matrix(alg, q, eta_inv @ q)
 
-    return JetField(fn, n, max_order=conn.col0_order, label=f"u1({conn.label})")
+    return JetField(fn, n, max_order=conn.col0_order)
 
 
 def frame_dressing(conn: ConnectionField) -> JetField:
@@ -72,7 +72,7 @@ def frame_dressing(conn: ConnectionField) -> JetField:
         m[..., 1:-1, 1:-1, :] = e
         return m
 
-    return JetField(fn, n, max_order=conn.col0_order, label=f"ubar({conn.label})")
+    return JetField(fn, n, max_order=conn.col0_order)
 
 
 def normal_dressing_chain(metric):
@@ -85,11 +85,11 @@ def normal_dressing_chain(metric):
     return {"wn": wn, "u1": u1, "w1": w1, "ubar": ubar, "wl": dress(w1, ubar)}
 
 
-def dress(chi, u: JetField, label=""):
+def dress(chi, u: JetField):
     """Dress a connection or section field (curvatures conjugate separately)."""
     if isinstance(chi, ConnectionField):
-        return transform_connection(chi, u, label=label or f"({chi.label})^u")
-    return transform_section(chi, u, label=label)
+        return transform_connection(chi, u)
+    return transform_section(chi, u)
 
 
 def upsilon_row(z_field: ScalarField, point, order, n):
@@ -105,7 +105,7 @@ def upsilon_row(z_field: ScalarField, point, order, n):
 def weyl_cocycle(metric, z_field, variant="C") -> JetField:
     """Cocycle matrix field: C(z) in frame form or Cbar(z) in holonomic form."""
     k1f, zf = cocycle_factors(metric, z_field, variant)
-    return field_matmul(k1f, zf, label=f"{variant}(z)")
+    return field_matmul(k1f, zf)
 
 
 def cocycle_factors(metric, z_field, variant="C"):
@@ -135,12 +135,7 @@ def cocycle_factors(metric, z_field, variant="C"):
             m[..., 1:-1, 1:-1, :] = alg.mul(zj[..., None, None, :], alg.const(np.eye(n)))
         return m
 
-    k1_label = "k1(z)" if variant == "C" else "k1bar(z)"
-    z_label = "Z" if variant == "C" else "Zbar"
-    return (
-        JetField(k1_fn, n, max_order=2, label=k1_label),
-        JetField(z_fn, n, max_order=3, label=z_label),
-    )
+    return JetField(k1_fn, n, max_order=2), JetField(z_fn, n, max_order=3)
 
 
 def lorentz_element(metric, S) -> JetField:

@@ -31,9 +31,8 @@ class ScalarField:
     coefficients (they come from the same truncated Taylor expansion).
     """
 
-    def __init__(self, fn, description=""):
+    def __init__(self, fn):
         self._fn = fn
-        self.description = description
 
     def jet(self, point, order) -> np.ndarray:
         """Same as `coeffs`; kept because the traced benchmark patches it by name,
@@ -56,14 +55,13 @@ class ScalarField:
                 program = programs[n] = expr.Program([ast], n)
             return program(p, k)[..., 0, :]
 
-        return cls(fn, expr.to_string(ast))
+        return cls(fn)
 
     @classmethod
     def from_polynomial(cls, coeffs, n):
         """Field of the polynomial sum_alpha c_alpha x^alpha, given as {alpha: c}, in n variables."""
         poly = expr.PolynomialEvaluator([coeffs], n)
-        return cls(lambda p, k: poly.coeffs_at(p, jets.algebra(n, k))[..., 0, :],
-                   f"poly(n={n}, degree={poly.degree})")
+        return cls(lambda p, k: poly.coeffs_at(p, jets.algebra(n, k))[..., 0, :])
 
     @classmethod
     def coerce(cls, source):
@@ -73,7 +71,7 @@ class ScalarField:
     @classmethod
     def constant(cls, c):
         return cls(lambda p, k: jets.algebra(np.shape(p)[-1], k).const(
-            np.full(np.shape(p)[:-1], float(c))), str(c))
+            np.full(np.shape(p)[:-1], float(c))))
 
     def __mul__(self, other):
         """Pointwise product: the jet product of the two factors' coefficients."""
@@ -81,10 +79,7 @@ class ScalarField:
         def fn(p, k):
             return jets.algebra(np.shape(p)[-1], k).mul(self._fn(p, k), other._fn(p, k))
 
-        return ScalarField(fn, f"{self.description} * {other.description}")
-
-    def __repr__(self):
-        return f"ScalarField({self.description})"
+        return ScalarField(fn)
 
 
 class RowField:
@@ -113,22 +108,24 @@ class JetField:
     the d-gamma term).
     """
 
-    def __init__(self, fn, n, max_order=3, label=""):
+    def __init__(self, fn, n, max_order=3):
         self._fn = fn
         self.n = n
         self.max_order = max_order
-        self.label = label
 
     def at(self, point, order):
         if order > self.max_order:
             raise jets.JetError(
-                f"field {self.label or '<anon>'} supports jets to order {self.max_order}, "
+                f"field {origin(self._fn)} supports jets to order {self.max_order}, "
                 f"requested {order}"
             )
         return self._fn(point, order)
 
-    def __repr__(self):
-        return f"JetField({self.label}, n={self.n}, max_order={self.max_order})"
+
+def origin(fn):
+    """A field's name in error messages: the module and qualified name of its
+    evaluation function, which name the function that built the field."""
+    return f"{fn.__module__}.{fn.__qualname__}"
 
 
 def first_point(points, bad):
@@ -145,14 +142,14 @@ def require_positive(values, points, error, what):
         raise error(f"{what} must be positive, got {values[bad][0]} at {first_point(points, bad)}")
 
 
-def field_matmul(a: JetField, b: JetField, label="") -> JetField:
+def field_matmul(a: JetField, b: JetField) -> JetField:
     """Pointwise jet matrix product a @ b of two matrix fields."""
 
     def fn(point, order):
         alg = jets.algebra(a.n, order)
         return alg.matmul(a.at(point, order), b.at(point, order))
 
-    return JetField(fn, a.n, max_order=min(a.max_order, b.max_order), label=label or "a@b")
+    return JetField(fn, a.n, max_order=min(a.max_order, b.max_order))
 
 
 @lru_cache(maxsize=None)
@@ -175,8 +172,8 @@ def random_polynomial(rng, n, degree=3, scale=1.0):
     return dict(zip(exponents, rng.uniform(-scale, scale, size=len(exponents)).tolist()))
 
 
-def random_poly_field(rng, n, degree=3, scale=1.0) -> ScalarField:
-    return ScalarField.from_polynomial(random_polynomial(rng, n, degree, scale), n)
+def random_poly_field(rng, n, degree=3) -> ScalarField:
+    return ScalarField.from_polynomial(random_polynomial(rng, n, degree), n)
 
 
 def domain_poly_field(rng, metric, degree=2, scale=0.4) -> ScalarField:
@@ -201,11 +198,11 @@ def domain_poly_field(rng, metric, degree=2, scale=0.4) -> ScalarField:
         y = (np.asarray(x, dtype=float) - center) / width
         return poly.coeffs_at(y, alg)[..., 0, :] * chain[k]
 
-    return ScalarField(fn, f"poly(n={n}, degree={poly.degree})")
+    return ScalarField(fn)
 
 
-def domain_z_field(rng, metric, scale=0.25) -> ScalarField:
-    """Positive rescaling field with O(1) log on the chart box."""
-    p = domain_poly_field(rng, metric, 2, scale)
-    return ScalarField(lambda x, k: jets.algebra(metric.n, k).exp(p._fn(x, k)),
-                       f"exp({p.description})")
+def domain_z_field(rng, metric) -> ScalarField:
+    """Positive rescaling field with O(1) log on the chart box: the exp of a random
+    quadratic of scale 0.25."""
+    p = domain_poly_field(rng, metric, 2, 0.25)
+    return ScalarField(lambda x, k: jets.algebra(metric.n, k).exp(p._fn(x, k)))

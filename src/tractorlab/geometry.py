@@ -44,27 +44,27 @@ class Geometry:
     of points (..., n); every tensor carries the batch axes in front."""
 
     def __new__(cls, metric, point):
-        # memoized per metric: suites hit the same points through many fields
+        # memoized per metric for its latest batch only: the fields of one check
+        # evaluate the same batch one after another, and no lookup reaches back
+        # to an earlier batch
         point = np.array(point, dtype=float)
         key = (point.shape, point.tobytes())
-        cache = metric.__dict__.setdefault("_geometry_cache", {})
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
+        memo = getattr(metric, "_geometry", None)
+        if memo is not None and memo[0] == key:
+            return memo[1]
         self = super().__new__(cls)
         self.metric = metric
         self.point = point
-        self._key = key
         self.n = metric.n
         self.eta = metric.eta
-        if len(cache) > 4096:
-            cache.clear()
-        cache[key] = self
+        metric._geometry = (key, self)
         return self
 
     def release(self):
-        """Drop this Geometry from its metric's memo, for a batch that is evaluated once."""
-        self.metric.__dict__["_geometry_cache"].pop(self._key, None)
+        """Empty its metric's memo if it still holds this Geometry, for a batch that
+        is evaluated once."""
+        if getattr(self.metric, "_geometry", (None, None))[1] is self:
+            del self.metric._geometry
 
     def alg(self, order):
         return jets.algebra(self.n, order)
@@ -237,7 +237,7 @@ class Geometry:
 
     # -- covariant derivative ---------------------------------------------------
 
-    def covariant_derivative(self, tensor, valences, order=None):
+    def covariant_derivative(self, tensor, valences):
         """Levi-Civita covariant derivative; the new (derivative) index comes first,
         after the batch axes.
 
@@ -249,9 +249,6 @@ class Geometry:
         tensor = np.asarray(tensor)
         nb = self.point.ndim - 1
         k = self._order_of(tensor)
-        if order is not None and order < k:
-            tensor = self.alg(k).truncate(tensor, order)
-            k = order
         if tensor.ndim - 1 - nb != len(valences):
             raise MetricError(
                 f"tensor has {tensor.ndim - 1 - nb} index axes but valence string is {valences!r}"

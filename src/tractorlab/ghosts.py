@@ -143,6 +143,6 @@ def even(n, order, array, form_degree=0):
     return GradedValue(n, form_degree, order, {(): np.asarray(array, dtype=float)})
 
 
-def odd(n, order, parts, form_degree=0):
-    """Wrap per-generator jet arrays {gen_id: array} as a ghost-degree-1 value."""
-    return GradedValue(n, form_degree, order, {(k,): np.asarray(a, dtype=float) for k, a in parts.items()})
+def odd(n, order, parts):
+    """Wrap per-generator jet arrays {gen_id: array} as a ghost-degree-1 0-form."""
+    return GradedValue(n, 0, order, {(k,): np.asarray(a, dtype=float) for k, a in parts.items()})

@@ -94,7 +94,7 @@ class MetricField:
         lets it go."""
         return self.g(point, order)[..., i, j, :]
 
-    def rescale(self, z_field: ScalarField, label=None):
+    def rescale(self, z_field: ScalarField):
         """Conformally related metric z(x)^2 g."""
 
         def g_fn(point, order):
@@ -103,8 +103,7 @@ class MetricField:
             z2 = alg.mul(z, z)
             return alg.mul(z2[..., None, None, :], self.g(point, order))
 
-        name = label or f"{self.name}*z^2"
-        return MetricField(name, self.n, self.signature, g_fn, self.domain)
+        return MetricField(f"{self.name}*z^2", self.n, self.signature, g_fn, self.domain)
 
     def check_signature(self, samples=20, seed=0):
         """Eigenvalue-sign check of g at sampled points of the domain box and, up to
@@ -174,8 +173,8 @@ def _flat_spec(name, n, signature):
     return MetricSpec(name, n, signature, comps, [(-1.0, 1.0)] * n)
 
 
-def _conformal_factor_components(factor_ast, n, signature, square=True):
-    """Components e^{2*Omega} eta_{mu,nu} (or f^2 eta for an explicit factor)."""
+def _conformal_factor_components(factor_ast, n, signature):
+    """Components e^{2*Omega} eta_{mu,nu}."""
     eta = eta_matrix(signature)
     weight = expr.Call("exp", expr.mul(expr.const(2.0), factor_ast))
     comps = {}
@@ -236,9 +235,7 @@ def poly_perturbation(amplitude=0.05, seed=0, n=4, degree=3):
             comps[(i, j)] = expr.BinOp("+", base, p) if base else p
     name = f"poly_perturbation(a={amplitude},seed={seed})"
     spec = MetricSpec(name, n, (0, n), comps, [(-0.3, 0.3)] * n)
-    metric = metric_from_spec(spec)
-    metric.check_signature()
-    return metric
+    return metric_from_spec(spec)
 
 
 _BUILDERS = {

@@ -26,8 +26,9 @@ def fd_first(f, x, i, h=1e-5):
     return (4.0 * central(h / 2) - central(h)) / 3.0
 
 
-def fd_second(f, x, i, j, h=1e-4):
-    """Richardson-extrapolated second partial d^2 f / dx_i dx_j."""
+def fd_second(f, x, i, j):
+    """Richardson-extrapolated second partial d^2 f / dx_i dx_j, step 1e-4."""
+    h = 1e-4
     if i == j:
 
         def central(step):

@@ -182,27 +182,32 @@ def _joined(points, *blocks):
     return np.concatenate([np.reshape(b, lead + (-1,)) for b in blocks], axis=-1)
 
 
-def _expm(a, terms=24):
+def _expm(a):
+    """exp(a) by its Taylor series to 24 terms."""
     out = np.eye(a.shape[0])
     p = out
-    for k in range(1, terms):
+    for k in range(1, 24):
         p = p @ a / k
         out = out + p
     return out
 
 
-def random_eta_orthogonal(rng, eta, scale=0.4):
-    a = rng.normal(size=eta.shape) * scale
-    v = a - np.linalg.inv(eta) @ a.T @ eta
-    return _expm(v / 2)
+def _eta_antisymmetric(a, eta):
+    """a - eta^-1 a^T eta: twice the eta-antisymmetric part of a (eta v + v^T eta = 0)."""
+    return a - np.linalg.inv(eta) @ a.T @ eta
 
 
-def apply_matrix_field(mfield: JetField, vfield: JetField, label="") -> JetField:
+def random_eta_orthogonal(rng, eta):
+    """exp(v/2) of a random eta-antisymmetric v from normal entries of scale 0.4."""
+    return _expm(_eta_antisymmetric(rng.normal(size=eta.shape) * 0.4, eta) / 2)
+
+
+def apply_matrix_field(mfield: JetField, vfield: JetField) -> JetField:
     def fn(point, order):
         alg = jets.algebra(mfield.n, order)
         return cartan.matvec(alg, mfield.at(point, order), vfield.at(point, order))
 
-    return JetField(fn, mfield.n, min(mfield.max_order, vfield.max_order), label or "M v")
+    return JetField(fn, mfield.n, min(mfield.max_order, vfield.max_order))
 
 
 def random_section(rng, metric):
@@ -395,11 +400,9 @@ def check_algebra(ctx, rng):
     eta = ctx.metric.eta
     n = ctx.metric.n
     for _ in range(10):
-        v = rng.normal(size=(n, n))
-        v = v - np.linalg.inv(eta) @ v.T @ eta
+        v = _eta_antisymmetric(rng.normal(size=(n, n)), eta)
         m1 = cartan.embed_algebra(rng.normal(), v, rng.normal(size=n), rng.normal(size=n), eta)
-        v2 = rng.normal(size=(n, n))
-        v2 = v2 - np.linalg.inv(eta) @ v2.T @ eta
+        v2 = _eta_antisymmetric(rng.normal(size=(n, n)), eta)
         m2 = cartan.embed_algebra(rng.normal(), v2, rng.normal(size=n), rng.normal(size=n), eta)
         comm = m1 @ m2 - m2 @ m1
         h = cartan.h_matrix(float(np.exp(rng.normal() * 0.3)), random_eta_orthogonal(rng, eta),
@@ -1305,10 +1308,7 @@ def _random_ghost(ctx, rng, generators=3, with_s=True, with_iota=True, with_eps=
     comps = []
     for _ in range(generators):
         eps = domain_poly_field(rng, ctx.metric, 2, 0.4) if with_eps else None
-        s = None
-        if with_s:
-            a = rng.normal(size=(n, n)) * 0.4
-            s = a - np.linalg.inv(ctx.metric.eta) @ a.T @ ctx.metric.eta
+        s = _eta_antisymmetric(rng.normal(size=(n, n)) * 0.4, ctx.metric.eta) if with_s else None
         iota = [domain_poly_field(rng, ctx.metric, 2, 0.4) for _ in range(n)] if with_iota else None
         comps.append((eps, s, iota))
     return brst.Ghost(ctx.metric, comps)
@@ -1510,12 +1510,9 @@ def check_finite_consistency(ctx, rng):
     tr = Tracker()
     n = ctx.metric.n
     wn = ctx.pipeline()["wn"]
-    comps = []
-    a = rng.normal(size=(n, n)) * 0.4
-    s = a - np.linalg.inv(ctx.metric.eta) @ a.T @ ctx.metric.eta
-    comps.append((domain_poly_field(rng, ctx.metric, 1, 0.4), s,
-                  [domain_poly_field(rng, ctx.metric, 1, 0.4) for _ in range(n)]))
-    ghost = brst.Ghost(ctx.metric, comps)
+    s = _eta_antisymmetric(rng.normal(size=(n, n)) * 0.4, ctx.metric.eta)
+    ghost = brst.Ghost(ctx.metric, [(domain_poly_field(rng, ctx.metric, 1, 0.4), s,
+                                     [domain_poly_field(rng, ctx.metric, 1, 0.4) for _ in range(n)])])
     phi = random_section(rng, ctx.metric)
     pts = ctx.points(rng, 1)
     rep_c = brst.finite_consistency(ctx.metric, wn, ghost, "connection", pts[0])

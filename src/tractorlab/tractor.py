@@ -87,7 +87,7 @@ def prolong_field(metric, sigma_field) -> JetField:
         out[..., -1, :] = -(jets.algebra(n, min(3, order + 2) - 2).truncate(lap, order) - p_sig) / n
         return out
 
-    return JetField(fn, n, max_order=1, label=f"prolong({sig_f.description})")
+    return JetField(fn, n, max_order=1)
 
 
 def ae_residual(metric, sigma_field, point):
@@ -131,7 +131,7 @@ def weyl_matrix_field(metric, z_field) -> JetField:
         m[..., -1, -1, :] = zinv
         return m
 
-    return JetField(fn, n, max_order=2, label="tractorGT(z)")
+    return JetField(fn, n, max_order=2)
 
 
 def inner(metric, point, t, t2, order=0):
@@ -236,9 +236,10 @@ ALL_CANDIDATES = tuple(
 )
 
 
-def calibrate_convention_map(metric, z_field, points, rng, tol=1e-8):
+def calibrate_convention_map(metric, z_field, points, rng):
     """Search the candidate family for the unique map commuting with the Weyl
-    transformation laws of both pipelines; fails loudly on 0 or >1 survivors."""
+    transformation laws of both pipelines, to 1e-8 relative; fails loudly on 0 or
+    >1 survivors."""
     n = metric.n
     z_f = ScalarField.coerce(z_field)
     rescaled = metric.rescale(z_f)
@@ -263,7 +264,7 @@ def calibrate_convention_map(metric, z_field, points, rng, tol=1e-8):
         lhs = cand.apply(a0, phi_z, g_hat, ginv_hat)
         rhs = matvec(a0, u, cand.apply(a0, phi, g, ginv))
         scale = 1.0 + np.abs(rhs).max(axis=(-2, -1))
-        if np.all(np.abs(lhs - rhs).max(axis=(-2, -1)) <= tol * scale):
+        if np.all(np.abs(lhs - rhs).max(axis=(-2, -1)) <= 1e-8 * scale):
             survivors.append(cand)
     if not survivors:
         raise CalibrationError("no convention map matches both Weyl laws; upstream convention bug")
@@ -275,14 +276,15 @@ def calibrate_convention_map(metric, z_field, points, rng, tol=1e-8):
     return survivors[0]
 
 
-def equivalence_check(metric, points, rng, cmap=None, z_field=None):
+def equivalence_check(metric, points, rng, cmap=None):
     """Flagship oracle: the dressed normal Cartan derivative transported through
-    the convention map must equal the prolongation tractor derivative."""
+    the convention map must equal the prolongation tractor derivative.  Without
+    a map, one is calibrated under DEFAULT_Z on the first points."""
     n = metric.n
     if cmap is None:
-        zf = z_field or ScalarField.from_expression(DEFAULT_Z)
         cal_pts = points[: max(3, min(5, len(points)))]
-        cmap = calibrate_convention_map(metric, zf, cal_pts, rng)
+        cmap = calibrate_convention_map(metric, ScalarField.from_expression(DEFAULT_Z),
+                                        cal_pts, rng)
 
     wl = normal_dressing_chain(metric)["wl"]
     sigma = random_poly_field(rng, n, 2)
@@ -296,7 +298,7 @@ def equivalence_check(metric, points, rng, cmap=None, z_field=None):
         geom = Geometry(metric, point)
         return cmap.apply_inverse(alg, t.at(point, order), geom.g(order), geom.ginv(order))
 
-    phi_l = JetField(phi_l_fn, n, max_order=3, label="m^-1(t)")
+    phi_l = JetField(phi_l_fn, n, max_order=3)
 
     # every point in one batch; the worst is the first point with the largest residual
     x = np.asarray(points, dtype=float)

@@ -166,10 +166,25 @@ def test_equivalence_check_kernel_calls_do_not_grow_with_points(monkeypatch):
     assert counts[0]["matmul"] > 0 and counts[0]["mul"] > 0
 
 
+def _memoized(metric):
+    """Every Geometry a metric holds, in whatever attributes and containers its memo
+    keeps them."""
+    found, todo = [], list(vars(metric).values())
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, Geometry):
+            found.append(obj)
+        elif isinstance(obj, dict):
+            todo.extend(obj.values())
+        elif isinstance(obj, (tuple, list)):
+            todo.extend(obj)
+    return found
+
+
 def _batch_memos(metric, pts):
-    """Memo entries a metric holds for the batch `pts`: its Geometry."""
-    key = (pts.shape, pts.tobytes())
-    return [k for k in metric.__dict__.get("_geometry_cache", {}) if k == key]
+    """The Geometries a metric holds for the batch `pts`."""
+    return [g for g in _memoized(metric)
+            if (g.point.shape, g.point.tobytes()) == (pts.shape, pts.tobytes())]
 
 
 def test_equivalence_check_releases_its_batch_even_when_it_raises():
@@ -179,6 +194,8 @@ def test_equivalence_check_releases_its_batch_even_when_it_raises():
         metric, ScalarField.from_expression(tractor.DEFAULT_Z),
         metrics.sample_points(metric, 5, rng), rng)
     pts = metrics.sample_points(metric, 6, rng)
+    Geometry(metric, pts)
+    assert len(_batch_memos(metric, pts)) == 1  # the memo holds the batch until released
     tractor.equivalence_check(metric, pts, rng, cmap=cmap)
     assert _batch_memos(metric, pts) == []
     # the second point has no frame: the batch fails partway through its Geometry
@@ -187,6 +204,25 @@ def test_equivalence_check_releases_its_batch_even_when_it_raises():
     with pytest.raises(FrameError):
         tractor.equivalence_check(bad, pts, rng, cmap=cmap)
     assert _batch_memos(bad, pts) == []
+
+
+def test_release_keeps_a_later_batch():
+    """Releasing a Geometry that is no longer the memoized one leaves the memo alone."""
+    metric = metrics.load_metric("flat_euclidean")
+    first = Geometry(metric, np.zeros((2, 4)))
+    later = Geometry(metric, np.ones((2, 4)))
+    first.release()
+    assert _memoized(metric) == [later] and Geometry(metric, np.ones((2, 4))) is later
+    later.release()
+    assert _memoized(metric) == []
+
+
+def test_a_verdict_leaves_at_most_one_geometry_memoized():
+    """The memo holds a metric's latest batch only: a whole verdict does not pile up
+    curvature stacks that nothing reads again."""
+    metric = metrics.load_metric("poly_perturbation", seed=11)
+    suites.run_suites(metric, "all", npoints=3)
+    assert len(_memoized(metric)) <= 1
 
 
 def _graded(value):

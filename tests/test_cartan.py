@@ -158,7 +158,7 @@ def test_normality_report_counterexample(sphere):
         w[:, 1:-1, -1] = 0.0
         return w
 
-    hand_built = cartan.ConnectionField(no_p_at, wn.col0, 4, sphere.eta, max_order=1, label="no-P")
+    hand_built = cartan.ConnectionField(no_p_at, wn.col0, 4, sphere.eta, max_order=1)
     rep2 = cartan.normality_report(_val(cartan.curvature(hand_built)(pt, 0)), _val(geom.einv3))
     assert rep2["ricci_type_trace_norm"] > 1e-3
     assert not rep2["normal"]
@@ -222,3 +222,23 @@ def test_k1_jet_matrix_value_matches_k1_matrix(rng):
     eta = np.diag([-1.0, 1.0, 1.0, 1.0])
     q = rng.normal(size=(4, A1.ncoef))
     assert np.abs(_val(_k1(A1, q, eta)) - cartan.k1_matrix(q[:, 0], eta)).max() < 1e-15
+
+
+def test_a_field_asked_beyond_its_order_names_the_function_that_built_it(flat):
+    """The JetError names the module and function that built the field, read off
+    its evaluation function."""
+    wn = cartan.normal_connection(flat)
+    pt = np.zeros(4)
+    with pytest.raises(jets.JetError,
+                       match=r"connection tractorlab\.cartan\.normal_connection\.<locals>\.at "
+                             r"supports order <= 1"):
+        wn.at(pt, 2)
+    with pytest.raises(jets.JetError,
+                       match=r"connection tractorlab\.cartan\.normal_connection\.<locals>\.col0 "
+                             r"first column supports order <= 3"):
+        wn.col0(pt, 4)
+    u1 = dressing.boost_dressing(wn)
+    with pytest.raises(jets.JetError,
+                       match=r"field tractorlab\.dressing\.boost_dressing\.<locals>\.fn "
+                             r"supports jets to order 3, requested 4"):
+        u1.at(pt, 4)

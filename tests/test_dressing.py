@@ -216,7 +216,7 @@ def test_f_block_is_antisymmetrized_schouten_block(bumpy):
         w[:, 1:-1, -1] = w[:, 1:-1, -1] + np.einsum("ab,mb...->ma...", eta_inv, extra)
         return w
 
-    hand = cartan.ConnectionField(at, wn.col0, 4, bumpy.eta, max_order=1, label="skewed")
+    hand = cartan.ConnectionField(at, wn.col0, 4, bumpy.eta, max_order=1)
     u1 = dressing.boost_dressing(hand)
     w1 = dressing.dress(hand, u1)
     wl = dressing.dress(w1, dressing.frame_dressing(w1))

@@ -84,8 +84,8 @@ def test_domain_poly_field_matches_its_expression_tree(metric, degree, scale, or
 @given(_boxes(), st.integers(0, 3), st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
 def test_exp_and_products_match_their_expression_trees(metric, order, seed):
-    z1 = fields.domain_z_field(np.random.default_rng(seed), metric, 0.25)
-    z2 = fields.domain_z_field(np.random.default_rng(seed + 1), metric, 0.25)
+    z1 = fields.domain_z_field(np.random.default_rng(seed), metric)
+    z2 = fields.domain_z_field(np.random.default_rng(seed + 1), metric)
     sigma = fields.domain_poly_field(np.random.default_rng(seed + 2), metric, 2, 1.0)
     t1, t2 = (expr.Call("exp", _tree_of_draw(s, metric, 2, 0.25)) for s in (seed, seed + 1))
     t_sigma = _tree_of_draw(seed + 2, metric, 2, 1.0)
@@ -105,7 +105,6 @@ def test_random_poly_field_is_its_polynomial():
         for point in np.random.default_rng(0).uniform(-1.0, 1.0, (3, n)):
             want = direct.coeffs_at(point, jets.algebra(n, order))[0]
             assert np.array_equal(field.coeffs(point, order), want)
-        assert field.description == f"poly(n={n}, degree={degree})"
 
 
 def test_a_batch_of_points_equals_the_points_stacked():

@@ -1,6 +1,7 @@
 """Repository hygiene: every public top-level name and every public method in the
-package has a caller, no function assigns a local name it never reads, and no
-module imports a name it never reads."""
+package has a caller, every defaulted parameter is set by some caller, no
+function assigns a local name it never reads, and no module imports a name it
+never reads."""
 
 import ast
 from pathlib import Path
@@ -122,3 +123,87 @@ def test_no_module_imports_a_name_it_never_reads():
               for root in (PACKAGE, ROOT / "tests") for path in sorted(root.rglob("*.py"))
               for line, name in _unused_imports(ast.parse(path.read_text()))]
     assert not unused, "imports never read: " + ", ".join(unused)
+
+
+# defaulted parameters that no call sets, each with the reason it stays an option
+UNSET_OPTIONS_KEPT = {
+    ("check_signature", "samples"): "safety code; a test draws a second sample set with it",
+    ("check_signature", "seed"): "safety code; a test draws a second sample set with it",
+}
+CALLERS = [ROOT / "src", ROOT / "tractorbench"]
+
+
+def _defaulted_parameters():
+    """(module path, line, callee name, parameter, positional index or None) of each
+    defaulted parameter of a package top-level function or class method.  A method
+    is called by its own name, and `__init__` by its class's name; the positional
+    index does not count `self` or `cls`."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, functions):
+                defs = [(node.name, node, 0)]
+            elif isinstance(node, ast.ClassDef):
+                defs = [(node.name if m.name == "__init__" else m.name, m,
+                         0 if any(getattr(d, "id", None) == "staticmethod"
+                                  for d in m.decorator_list) else 1)
+                        for m in node.body if isinstance(m, functions)]
+            else:
+                continue
+            for name, fn, bound in defs:
+                args = fn.args
+                positional = (args.posonlyargs + args.args)[bound:]
+                first = len(positional) - len(args.defaults)
+                for i, p in enumerate(positional[first:], first):
+                    yield path, fn.lineno, name, p.arg, i
+                for p, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield path, fn.lineno, name, p.arg, None
+
+
+def _calls():
+    """name -> calls of that name in the callers' code.  A call `TABLE[key](...)`
+    through a module-level dict of functions counts as a call of each of them."""
+    by_name = {}
+    for root in CALLERS:
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            tables = {t.id: [v.id for v in node.value.values if isinstance(v, ast.Name)]
+                      for node in tree.body if isinstance(node, ast.Assign)
+                      and isinstance(node.value, ast.Dict)
+                      for t in node.targets if isinstance(t, ast.Name)}
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                if isinstance(f, ast.Name):
+                    names = [f.id]
+                elif isinstance(f, ast.Attribute):
+                    names = [f.attr]
+                elif isinstance(f, ast.Subscript) and isinstance(f.value, ast.Name):
+                    names = tables.get(f.value.id, [])
+                else:
+                    names = []
+                for name in names:
+                    by_name.setdefault(name, []).append(node)
+    return by_name
+
+
+def _sets(call, param, index):
+    """True if the call sets the parameter: by keyword, by `**kwargs`, by enough
+    positional arguments, or by a `*args` that may reach it."""
+    if any(k.arg in (None, param) for k in call.keywords):
+        return True
+    return index is not None and (len(call.args) > index
+                                  or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_option_is_set_by_some_caller():
+    """A defaulted parameter that no call in the package or the benchmark sets is
+    a fixed value spelled as an option: it belongs inside the function."""
+    calls = _calls()
+    unset = [f"{path.name}:{line} {name}({param})"
+             for path, line, name, param, index in _defaulted_parameters()
+             if (name, param) not in UNSET_OPTIONS_KEPT
+             and not any(_sets(c, param, index) for c in calls.get(name, []))]
+    assert not unset, "options no caller sets: " + ", ".join(unset)

@@ -34,6 +34,21 @@ def test_poly_perturbation_center():
     assert m.signature == (0, 4)
 
 
+def test_loading_a_poly_metric_checks_its_signature_once(monkeypatch):
+    calls = []
+    check = metrics.MetricField.check_signature
+
+    def counted(metric, *args, **kwargs):
+        calls.append(metric.name)
+        return check(metric, *args, **kwargs)
+
+    monkeypatch.setattr(metrics.MetricField, "check_signature", counted)
+    metrics.load_metric("poly_perturbation", seed=3)
+    assert len(calls) == 1
+    with pytest.raises(metrics.SignatureError):  # a perturbation too large for a metric
+        metrics.load_metric("poly_perturbation", amplitude=5.0, seed=3)
+
+
 def test_unknown_catalog_name():
     with pytest.raises(metrics.MetricError):
         metrics.load_metric("nonexistent_metric")

@@ -164,7 +164,7 @@ def _flip_weyl_matrix_middle_column(monkeypatch):
             m[..., 1:-1, 0, :] *= -1.0
             return m
 
-        return JetField(fn, u.n, u.max_order, u.label)
+        return JetField(fn, u.n, u.max_order)
 
     monkeypatch.setattr(tractor, "weyl_matrix_field", flipped)
 
@@ -174,7 +174,7 @@ def _transpose_weyl_cocycle(monkeypatch):
 
     def transposed(metric, z_field, variant="C"):
         c = weyl_cocycle(metric, z_field, variant)
-        return JetField(lambda p, k: np.swapaxes(c.at(p, k), -3, -2), c.n, c.max_order, c.label)
+        return JetField(lambda p, k: np.swapaxes(c.at(p, k), -3, -2), c.n, c.max_order)
 
     monkeypatch.setattr(dressing, "weyl_cocycle", transposed)
 
