@@ -81,9 +81,9 @@ class Ghost:
             {k: self._gen_matrix(k, point, order, select) for k in range(self.n_generators)},
         )
 
-    def matrix_field(self, k=0) -> JetField:
-        """Coefficient matrix of one generator as a plain field (for finite checks)."""
-        return JetField(lambda p, o: self._gen_matrix(k, p, o, ("eps", "s", "iota")), self.n,
+    def matrix_field(self) -> JetField:
+        """Coefficient matrix of the first generator as a plain field (for finite checks)."""
+        return JetField(lambda p, o: self._gen_matrix(0, p, o, ("eps", "s", "iota")), self.n,
                         max_order=3)
 
 
@@ -270,7 +270,7 @@ def finite_consistency(metric, conn: ConnectionField, ghost: Ghost, kind, point,
     """Slope of ||(chi^{exp(t v)} - chi)/t - s chi|| against t = 1e-2, 1e-3, 1e-4
     (expect ~1)."""
     ts = (1e-2, 1e-3, 1e-4)
-    coeff = ghost.matrix_field(0)
+    coeff = ghost.matrix_field()
     if kind == "connection":
         s_chi = brst_connection(conn, ghost, point, 0).component((0,))
         base = conn.at(point, 0)

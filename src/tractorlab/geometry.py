@@ -14,6 +14,12 @@ Index conventions (storage order):
 Cotton is stored in 2-form components over (mu, lam); the sign convention is
 pinned by the structure-equation and commutator cross-checks in the cartan and
 tractor suites.
+
+Each tensor is built at the jet order its readers need: g and e at order 3,
+Gamma and the spin connection at 2, curvature at 1.  The inverses g^-1 and e^-1
+are inverted separately at each order read (`ginv(k)`, `einv(k)`), because an
+order-3 inverse costs several times an order-2 one and only the frame check
+reads it.
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ class Geometry:
         self.point = point
         self.n = metric.n
         self.eta = metric.eta
+        self._ginv, self._einv = {}, {}  # order -> inverse jet, filled on first read
         metric._geometry = (key, self)
         return self
 
@@ -77,15 +84,15 @@ class Geometry:
         g.flags.writeable = False  # shared by every field that reads this Geometry
         return g
 
-    @cached_property
-    def ginv3(self):
-        return self.alg(3).inv_matrix(self.g3)
-
     def g(self, order):
         return self.alg(3).truncate(self.g3, order)
 
     def ginv(self, order):
-        return self.alg(3).truncate(self.ginv3, order)
+        """Inverse metric g^{mu nu} with order-`order` jets, inverted in that
+        order's algebra (no higher order is computed) and memoised per order."""
+        if order not in self._ginv:
+            self._ginv[order] = self.alg(order).inv_matrix(self.g(order))
+        return self._ginv[order]
 
     # -- frame ----------------------------------------------------------------
 
@@ -135,16 +142,15 @@ class Geometry:
         root = alg.sqrt(np.diag(self.eta)[:, None] * np.stack(d, axis=-2))  # [..., a]
         return alg.mul(root[..., :, None, :], np.swapaxes(L, -3, -2))  # root_a L[mu, a]
 
-    @cached_property
-    def einv3(self):
-        """Inverse vielbein e^mu_a, stored einv[mu, a]."""
-        return self.alg(3).inv_matrix(self.e3)
-
     def e(self, order):
         return self.alg(3).truncate(self.e3, order)
 
     def einv(self, order):
-        return self.alg(3).truncate(self.einv3, order)
+        """Inverse vielbein e^mu_a, stored einv[mu, a], with order-`order` jets;
+        inverted in that order's algebra and memoised per order, like `ginv`."""
+        if order not in self._einv:
+            self._einv[order] = self.alg(order).inv_matrix(self.e(order))
+        return self._einv[order]
 
     # -- connection and curvature ---------------------------------------------
 
@@ -225,15 +231,16 @@ class Geometry:
 
     @cached_property
     def spin2(self):
-        """Spin connection A^a_{b mu}, stored [mu, a, b], order-2 jets; every
-        direction mu is one slice of the same batched products."""
+        """Spin connection A^a_{b mu}, stored [mu, a, b], order-2 jets.
+
+        With e d_mu(e^-1) = -(d_mu e) e^-1 it is A_mu = (e Gamma_mu - d_mu e) e^-1:
+        two batched products, every direction mu one slice of each.
+        """
         alg = self.alg(2)
-        de = self.alg(3).grad(self.e3, 2)  # d_mu e^a_nu
-        einv = self.einv(2)[..., None, :, :, :]
-        deinv = -alg.matmul(alg.matmul(einv, de), einv)  # d_mu e^nu_b
+        de = self.alg(3).grad(self.e3, 2)  # [mu, a, lam] = d_mu e^a_lam
         gam = np.einsum("...nmlc->...mnlc", self.gamma2)  # [mu, nu, lam] = Gamma^nu_{mu lam}
-        ge = alg.matmul(gam, einv)  # Gamma^nu_{mu lam} e^lam_b
-        return alg.matmul(self.e(2)[..., None, :, :, :], deinv + ge)
+        eg = alg.matmul(self.e(2)[..., None, :, :, :], gam)  # e^a_nu Gamma^nu_{mu lam}
+        return alg.matmul(eg - de, self.einv(2)[..., None, :, :, :])
 
     # -- covariant derivative ---------------------------------------------------
 

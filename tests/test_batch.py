@@ -6,7 +6,7 @@ import functools
 import numpy as np
 import pytest
 
-from tractorlab import brst, cartan, dressing, metrics, suites, tractor
+from tractorlab import brst, cartan, dressing, jets, metrics, suites, tractor
 from tractorlab.fields import (RowField, ScalarField, domain_poly_field, domain_z_field,
                                random_poly_field)
 from tractorlab.geometry import FrameError, Geometry
@@ -53,6 +53,22 @@ def test_geometry_property(case, prop):
     metric, pts = case
     _assert_stacked(getattr(Geometry(metric, pts), prop),
                     [getattr(Geometry(metric, p), prop) for p in pts])
+
+
+INVERSES = [(name, order) for name in ("einv", "ginv") for order in range(4)]
+
+
+@pytest.mark.parametrize("name,order", INVERSES, ids=[f"{n}{k}" for n, k in INVERSES])
+def test_geometry_inverse(case, name, order):
+    """`einv(k)`/`ginv(k)` stack the per-point inverses, and e(k) einv(k) = 1 and
+    g(k) ginv(k) = 1 through order k."""
+    metric, pts = case
+    geom = Geometry(metric, pts)
+    inv = getattr(geom, name)(order)
+    _assert_stacked(inv, [getattr(Geometry(metric, p), name)(order) for p in pts])
+    alg = jets.algebra(metric.n, order)
+    mat = geom.e(order) if name == "einv" else geom.g(order)
+    assert np.abs(alg.matmul(mat, inv) - alg.const(np.eye(metric.n))).max() <= 1e3 * EPS
 
 
 def test_covariant_derivative_and_laplacian(case):
@@ -166,6 +182,23 @@ def test_equivalence_check_kernel_calls_do_not_grow_with_points(monkeypatch):
     assert counts[0]["matmul"] > 0 and counts[0]["mul"] > 0
 
 
+def test_equivalence_check_builds_no_order_3_jets(monkeypatch):
+    """The oracle, calibration included, reads every Geometry jet at order 2 or
+    less: it makes no order-3 `matmul` and inverts no order-3 matrix."""
+    calls = collections.Counter()
+    for name in ("matmul", "inv_matrix"):
+        def counted(alg, *args, _kernel=getattr(JetAlgebra, name), _name=name):
+            calls[_name, alg.order] += 1
+            return _kernel(alg, *args)
+        monkeypatch.setattr(JetAlgebra, name, counted)
+    metric = metrics.load_metric("schwarzschild")
+    rng = np.random.default_rng(8)
+    rep = tractor.equivalence_check(metric, metrics.sample_points(metric, 5, rng), rng)
+    assert rep["max_residual"] < 1e-12
+    assert calls["matmul", 2] > 0 and calls["inv_matrix", 2] > 0
+    assert calls["matmul", 3] == calls["inv_matrix", 3] == 0
+
+
 def _memoized(metric):
     """Every Geometry a metric holds, in whatever attributes and containers its memo
     keeps them."""
@@ -250,7 +283,7 @@ def test_cartan_group_fields_curvature_and_blocks(case):
     _assert_stacked(f, [curv(p, 0) for p in pts])
     _assert_stacked(list(cartan.curv_blocks(f[..., 0]).values()),
                     [list(cartan.curv_blocks(curv(p, 0)[..., 0]).values()) for p in pts])
-    einv = Geometry(metric, pts).einv3[..., 0]
+    einv = Geometry(metric, pts).einv(0)[..., 0]
     rep = cartan.normality_report(f[..., 0], einv)
     singles = [cartan.normality_report(curv(p, 0)[..., 0], e) for p, e in zip(pts, einv)]
     _assert_stacked([rep[k] for k in rep if k != "normal"],

@@ -153,7 +153,7 @@ def test_finite_consistency_slopes(bumpy, flat, rng):
 
 def test_finite_transform_t_zero_is_identity(bumpy, rng):
     gh = brst.Ghost(bumpy, [("0.2*x0", _so_matrix(rng, bumpy.eta), None)])
-    gam0 = brst.exp_field(bumpy, gh.matrix_field(0), 0.0)
+    gam0 = brst.exp_field(bumpy, gh.matrix_field(), 0.0)
     assert np.abs(_val(gam0.at(PT, 1)) - np.eye(6)).max() == 0.0
     wn = cartan.normal_connection(bumpy)
     wt = cartan.transform_connection(wn, gam0)

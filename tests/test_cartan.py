@@ -149,7 +149,7 @@ def test_normality_report_counterexample(sphere):
     pt = (0.2, -0.3, 0.1, 0.4)
     geom = Geometry(sphere, pt)
     curv = cartan.curvature(wn)(pt, 0)
-    rep = cartan.normality_report(_val(curv), _val(geom.einv3))
+    rep = cartan.normality_report(_val(curv), _val(geom.einv(0)))
     assert rep["normal"]
 
     def no_p_at(point, order):
@@ -159,7 +159,7 @@ def test_normality_report_counterexample(sphere):
         return w
 
     hand_built = cartan.ConnectionField(no_p_at, wn.col0, 4, sphere.eta, max_order=1)
-    rep2 = cartan.normality_report(_val(cartan.curvature(hand_built)(pt, 0)), _val(geom.einv3))
+    rep2 = cartan.normality_report(_val(cartan.curvature(hand_built)(pt, 0)), _val(geom.einv(0)))
     assert rep2["ricci_type_trace_norm"] > 1e-3
     assert not rep2["normal"]
 

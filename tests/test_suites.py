@@ -4,7 +4,8 @@ the runner."""
 import numpy as np
 import pytest
 
-from tractorlab import suites, tractor
+from tractorlab import jets, metrics, suites, tractor
+from tractorlab.geometry import Geometry
 
 
 def test_registry_shape():
@@ -146,6 +147,30 @@ def test_error_note_names_the_exception(flat, monkeypatch):
     assert [r.check_id for r in failed] == ["fd-oracle"]
     assert failed[0].note == "error: ZeroDivisionError: forced failure"
     assert failed[0].max_residual == float("inf")
+
+
+def test_frame_residuals_fail_with_an_inverse_exact_to_order_1_only(monkeypatch):
+    """One Newton step from the value's inverse gets the value right and orders 2
+    and 3 wrong: the frame residuals compare whole order-3 jets, so they fail."""
+    frame = dict(suites.SUITES["riemann-laws"])["frame-residuals"]
+
+    def run():  # a fresh metric each time: no memoized Geometry keeps an inverse
+        return suites.run_check(suites.Context(metrics.load_metric("schwarzschild"),
+                                               seed=0, npoints=4), "frame-residuals", frame)
+
+    assert run().passed
+
+    def one_step(alg, a):
+        x = alg.const(np.linalg.inv(alg.value(a)))
+        return alg.matmul(x, 2.0 * alg.const(np.eye(a.shape[-2])) - alg.matmul(a, x))
+
+    monkeypatch.setattr(jets.JetAlgebra, "inv_matrix", one_step)
+    g3 = Geometry(metrics.load_metric("schwarzschild"), (0.1, 2.2, 2.5, 2.8)).g3
+    a3 = jets.algebra(4, 3)
+    assert np.abs(a3.value(a3.matmul(g3, a3.inv_matrix(g3))) - np.eye(4)).max() < 1e-14
+    result = run()
+    assert not result.passed
+    assert result.block_diff["e.e^-1 - 1"] > 1e-6 and result.block_diff["g.g^-1 - 1"] > 1e-6
 
 
 def _count_calibrations(monkeypatch, replacement=None):
