@@ -98,16 +98,16 @@ def sigma_membership_residual(ghost: Ghost, point):
 # -- transformation rules -------------------------------------------------------
 
 
-def brst_connection_with(conn: ConnectionField, v_hi: GradedValue, point, order=0) -> GradedValue:
-    """s w = -dv - [w, v]; v_hi carries the ghost at one order above."""
+def brst_connection_with(conn: ConnectionField, v_hi: GradedValue, point) -> GradedValue:
+    """s w = -dv - [w, v] at order 0; v_hi carries the ghost at order 1."""
     dv = v_hi.d()
-    v = v_hi.truncate(order)
-    w = even(conn.n, order, conn.at(point, order), form_degree=1)
+    v = v_hi.truncate(0)
+    w = even(conn.n, 0, conn.at(point, 0), form_degree=1)
     return -dv - w.bracket(v)
 
 
-def brst_connection(conn: ConnectionField, ghost: Ghost, point, order=0) -> GradedValue:
-    return brst_connection_with(conn, ghost.value(point, order + 1), point, order)
+def brst_connection(conn: ConnectionField, ghost: Ghost, point) -> GradedValue:
+    return brst_connection_with(conn, ghost.value(point, 1), point)
 
 
 def brst_curvature(curv_graded: GradedValue, ghost_value: GradedValue) -> GradedValue:
@@ -160,7 +160,7 @@ def s2_connection(conn: ConnectionField, ghost: Ghost, point):
     sv = sv_hi.truncate(0)
     v = ghost.value(point, 0)
     w = even(n, 0, conn.at(point, 0), form_degree=1)
-    sw = brst_connection(conn, ghost, point, 0)
+    sw = brst_connection(conn, ghost, point)
     res = d_sv + (-1.0) * sw.matmul(v) + w.matmul(sv) - sv.matmul(w) + v.matmul(sw)
     return res.max_abs()
 
@@ -272,7 +272,7 @@ def finite_consistency(metric, conn: ConnectionField, ghost: Ghost, kind, point,
     ts = (1e-2, 1e-3, 1e-4)
     coeff = ghost.matrix_field()
     if kind == "connection":
-        s_chi = brst_connection(conn, ghost, point, 0).component((0,))
+        s_chi = brst_connection(conn, ghost, point).component((0,))
         base = conn.at(point, 0)
     elif kind == "section":
         v = ghost.value(point, 0)

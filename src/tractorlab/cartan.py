@@ -262,7 +262,8 @@ def k1_jet_matrix(alg, q, q_up):
 
 
 def h_field(metric, z=None, S=None, r=None) -> JetField:
-    """Group-valued field K0(z(x), S) K1(r(x)) with jets; S is constant."""
+    """Group-valued field K0(z(x), S) K1(r(x)) with jets; S is constant.  With S
+    alone it is diag(1, S, 1), the residual Lorentz element."""
     n = metric.n
     N = n + 2
     eta = metric.eta
@@ -288,16 +289,6 @@ def h_field(metric, z=None, S=None, r=None) -> JetField:
         return alg.matmul(k0, k1_jet_matrix(alg, rj, eta_inv @ rj))
 
     return JetField(fn, n, max_order=3)
-
-
-def constant_field(metric, matrix) -> JetField:
-    matrix = np.asarray(matrix, dtype=float)
-
-    def fn(point, order):
-        return jets.algebra(metric.n, order).const(
-            np.broadcast_to(matrix, np.shape(point)[:-1] + matrix.shape))
-
-    return JetField(fn, metric.n, max_order=3)
 
 
 def section_field(metric, rho, ell, sigma) -> JetField:
@@ -390,6 +381,14 @@ def curvature(conn: ConnectionField):
     return fn
 
 
+def transform_curvature(curv, g):
+    """F -> g^-1 F g, the curvature of the connection transformed by g, from order-0
+    jets of the curvature (..., n, n, N, N, 1) and of g (..., N, N, 1)."""
+    alg = jets.algebra(curv.shape[-5], 0)
+    g = g[..., None, None, :, :, :]  # one per (mu, nu)
+    return alg.matmul(alg.matmul(alg.inv_matrix(g), curv), g)
+
+
 def section_derivative(conn: ConnectionField, phi: JetField, point, order=0):
     """D phi = d phi + w phi, per direction: (..., n, N, NC)."""
     n = conn.n
@@ -400,6 +399,16 @@ def section_derivative(conn: ConnectionField, phi: JetField, point, order=0):
     w = conn.at(point, order)
     p = alg_hi.truncate(p_hi, order)
     return dp + matvec(alg, w, p[..., None, :, :])
+
+
+def metric_defect(conn: ConnectionField, G1, point):
+    """dG - w^T G - G w per direction, for a bilinear form G given as an order-1 jet
+    (..., N, N, NC): zero where the connection preserves G.  Values at order 0,
+    (..., n, N, N, NC0)."""
+    alg1, alg = jets.algebra(conn.n, 1), jets.algebra(conn.n, 0)
+    w = conn.at(point, 0)
+    G0 = alg1.truncate(G1, 0)[..., None, :, :, :]  # one per direction mu
+    return alg1.grad(G1, 2) - alg.matmul(np.swapaxes(w, -3, -2), G0) - alg.matmul(G0, w)
 
 
 def normality_report(curv_value, einv_value):

@@ -7,9 +7,10 @@ connection, so their jets stay exact through chains of gauge transforms.
 
 Residual Weyl transformations of dressed fields act through the cocycle
 matrices C(z) (frame form) and Cbar(z) (holonomic form); residual Lorentz
-transformations act through constant diag(1, S, 1) conjugation.  The same
-transform_* combinators implement gauge transformation and dressing: only the
-transformation law of the acting field differs, never the formula.  Every
+transformations act through the constant field diag(1, S, 1), which is
+`cartan.h_field(metric, S=S)`.  The same transform_* combinators of `cartan`
+implement gauge transformation and dressing: only the transformation law of
+the acting field differs, never the formula.  Every
 dressing, cocycle and helper here evaluates at a point (n,) or a batch of
 points (..., n), with the batch axes in front of every result.
 """
@@ -22,7 +23,6 @@ from . import jets
 from .cartan import (
     CartanError,
     ConnectionField,
-    constant_field,
     k1_jet_matrix,
     matvec,
     normal_connection,
@@ -86,7 +86,8 @@ def normal_dressing_chain(metric):
 
 
 def dress(chi, u: JetField):
-    """Dress a connection or section field (curvatures conjugate separately)."""
+    """Dress a connection or section field; a curvature dresses by
+    `cartan.transform_curvature`."""
     if isinstance(chi, ConnectionField):
         return transform_connection(chi, u)
     return transform_section(chi, u)
@@ -136,16 +137,6 @@ def cocycle_factors(metric, z_field, variant="C"):
         return m
 
     return JetField(k1_fn, n, max_order=2), JetField(z_fn, n, max_order=3)
-
-
-def lorentz_element(metric, S) -> JetField:
-    """Constant diag(1, S, 1) field for residual Lorentz transformations."""
-    S = np.asarray(S, dtype=float)
-    if np.abs(S.T @ metric.eta @ S - metric.eta).max() > 1e-10:
-        raise CartanError("S is not eta-orthogonal")
-    m = np.eye(metric.n + 2)
-    m[1:-1, 1:-1] = S
-    return constant_field(metric, m)
 
 
 def tractor_metric_G(metric, point, order):

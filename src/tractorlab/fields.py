@@ -172,7 +172,7 @@ def random_polynomial(rng, n, degree=3, scale=1.0):
     return dict(zip(exponents, rng.uniform(-scale, scale, size=len(exponents)).tolist()))
 
 
-def random_poly_field(rng, n, degree=3) -> ScalarField:
+def random_poly_field(rng, n, degree) -> ScalarField:
     return ScalarField.from_polynomial(random_polynomial(rng, n, degree), n)
 
 

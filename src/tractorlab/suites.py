@@ -298,7 +298,7 @@ def check_schouten_weyl(ctx, rng):
         geom, geom_hat = Geometry(ctx.metric, p), Geometry(hat, p)
         ups = dressing.upsilon_row(zf, p, 1, ctx.metric.n)
         nab_u = _value(geom.covariant_derivative(ups, "d"))
-        u0 = _value(jets.algebra(ctx.metric.n, 1).truncate(ups, 0))
+        u0 = _value(ups)
         g = _value(geom.g(0))
         ups2 = np.einsum("...a,...ab,...b->...", u0, np.linalg.inv(g), u0)
         expected = (_value(geom.schouten1) + nab_u - u0[..., :, None] * u0[..., None, :]
@@ -425,12 +425,11 @@ def check_gt0(ctx, rng):
     S = random_eta_orthogonal(rng, ctx.metric.eta)
     gam0 = cartan.h_field(ctx.metric, z=zf, S=S)
     w0 = cartan.transform_connection(wn, gam0)
-    a1 = jets.algebra(n, 1)
     Sinv = np.linalg.inv(S)
 
     def residual(p):
         b0 = {k: _value(v) for k, v in cartan.conn_blocks(w0.at(p, 0)).items()}
-        bn = {k: _value(a1.truncate(v, 0)) for k, v in cartan.conn_blocks(wn.at(p, 1)).items()}
+        bn = {k: _value(v) for k, v in cartan.conn_blocks(wn.at(p, 0)).items()}
         ups = _value(dressing.upsilon_row(zf, p, 0, n))
         zv = _value(zf.coeffs(p, 0))[..., None, None]
         return {
@@ -457,9 +456,9 @@ def check_gt1(ctx, rng):
 
     def residual(p):
         b1 = {k: _value(v) for k, v in cartan.conn_blocks(w1g.at(p, 0)).items()}
-        bn = {k: _value(a1.truncate(v, 0)) for k, v in cartan.conn_blocks(wn.at(p, 1)).items()}
+        bn = {k: _value(v) for k, v in cartan.conn_blocks(wn.at(p, 0)).items()}
         rj = r_fields.coeffs(p, 1)
-        r = _value(a1.truncate(rj, 0))
+        r = _value(rj)
         rt = r @ eta_inv.T
         dr = _value(a1.grad(rj, 1))  # d_mu r_b
         drt = np.einsum("ab,...mb->...ma", eta_inv, dr)
@@ -543,13 +542,9 @@ def check_curv_tensorial(ctx, rng):
     wg = cartan.transform_connection(wn, gam)
     curv_base = cartan.curvature(wn)
     curv_direct = cartan.curvature(wg)
-    a0 = jets.algebra(n, 0)
-    a1 = jets.algebra(n, 1)
 
     def residual(p):
-        g = a1.truncate(gam.at(p, 1), 0)[..., None, None, :, :, :]  # one per (mu, nu)
-        conj = a0.matmul(a0.matmul(a0.inv_matrix(g), curv_base(p, 0)), g)
-        return _value(curv_direct(p, 0) - conj)
+        return _value(curv_direct(p, 0) - cartan.transform_curvature(curv_base(p, 0), gam.at(p, 0)))
     return ctx.sweep(rng, residual, "half")
 
 
@@ -668,12 +663,9 @@ def check_dressed_curvature(ctx, rng):
     dressed = dressing.dress(wg, u1)
     curv_base = cartan.curvature(wg)
     curv_dressed = cartan.curvature(dressed)
-    a0, a1 = jets.algebra(n, 0), jets.algebra(n, 1)
 
     def residual(p):
-        u = a1.truncate(u1.at(p, 1), 0)[..., None, None, :, :, :]  # one per (mu, nu)
-        conj = a0.matmul(a0.matmul(a0.inv_matrix(u), curv_base(p, 0)), u)
-        return _value(curv_dressed(p, 0) - conj)
+        return _value(curv_dressed(p, 0) - cartan.transform_curvature(curv_base(p, 0), u1.at(p, 0)))
     return ctx.sweep(rng, residual, "third")
 
 
@@ -682,14 +674,13 @@ def check_dressed_curvature(ctx, rng):
 def check_holonomic_blocks(ctx, rng):
     n = ctx.metric.n
     wl = ctx.pipeline()["wl"]
-    a1 = jets.algebra(n, 1)
 
     def residual(p):
         geom = Geometry(ctx.metric, p)
         b = {k: _value(v) for k, v in cartan.conn_blocks(wl.at(p, 0)).items()}
-        P = _value(a1.truncate(geom.schouten1, 0))
+        P = _value(geom.schouten1)
         g = _value(geom.g(0))
-        gam = _value(jets.algebra(n, 2).truncate(geom.gamma2, 0))
+        gam = _value(geom.gamma2)
         return {
             "dx": b["theta"] - np.eye(n),
             "Gamma": b["A"] - np.einsum("...rmn->...mrn", gam),
@@ -715,23 +706,16 @@ def check_f_block(ctx, rng):
 @check("dressing-k1", "tractor-metric-G",
        "G = ubar^T Sigma ubar = (0,0,-1; 0,g,0; -1,0,0) and dG = w^T G + G w", 1e-10)
 def check_metric_G(ctx, rng):
-    n = ctx.metric.n
     pipe = ctx.pipeline()
     ubar, wl = pipe["ubar"], pipe["wl"]
     sig = cartan.sigma_matrix(ctx.metric.eta)
-    a0, a1 = jets.algebra(n, 0), jets.algebra(n, 1)
 
     def residual(p):
         ub = _value(ubar.at(p, 0))
         G1 = dressing.tractor_metric_G(ctx.metric, p, 1)
-        G0 = a1.truncate(G1, 0)
-        dG = a1.grad(G1, 2)
-        w = wl.at(p, 0)
-        G0_mu = G0[..., None, :, :, :]  # one per direction mu
-        res = dG - a0.matmul(np.swapaxes(w, -3, -2), G0_mu) - a0.matmul(G0_mu, w)
         return {
-            "G assembly": np.swapaxes(ub, -2, -1) @ sig @ ub - _value(G0),
-            "D_L G": res,
+            "G assembly": np.swapaxes(ub, -2, -1) @ sig @ ub - _value(G1),
+            "D_L G": cartan.metric_defect(wl, G1, p),
         }
     return ctx.sweep(rng, residual, "half")
 
@@ -908,11 +892,11 @@ def check_varpi1z_table(ctx, rng):
     def residual(p):
         geom = Geometry(ctx.metric, p)
         bz = {k: _value(v) for k, v in cartan.conn_blocks(w1z.at(p, 0)).items()}
-        b1 = {k: _value(a1.truncate(v, 0)) for k, v in cartan.conn_blocks(pipe["w1"].at(p, 1)).items()}
+        b1 = {k: _value(v) for k, v in cartan.conn_blocks(pipe["w1"].at(p, 0)).items()}
         zv = _value(zf.coeffs(p, 0))[..., None, None]
         upsj = dressing.upsilon_row(zf, p, 1, n)
         upsa_j = a1.matmul(upsj[..., None, :, :], geom.einv(1))[..., 0, :, :]
-        upsa = _value(a1.truncate(upsa_j, 0))
+        upsa = _value(upsa_j)
         upsa_t = upsa @ eta_inv.T
         ups2 = np.einsum("...a,...a->...", upsa, upsa_t)[..., None, None]
         d_upsa = _value(a1.grad(upsa_j, 1))
@@ -966,15 +950,12 @@ def check_omega1z_table(ctx, rng):
     zf = domain_z_field(rng, ctx.metric)
     cz = dressing.weyl_cocycle(ctx.metric, zf, "C")
     curv1 = cartan.curvature(pipe["w1"])
-    a0, a1 = jets.algebra(n, 0), jets.algebra(n, 1)
 
     def residual(p):
         geom = Geometry(ctx.metric, p)
-        F1 = _value(curv1(p, 0))
-        c = a1.truncate(cz.at(p, 1), 0)
-        cinv = _value(a0.inv_matrix(c))
-        Fz = np.einsum("...ab,...mnbc,...cd->...mnad", cinv, F1, _value(c))
-        b1, bz = cartan.curv_blocks(F1), cartan.curv_blocks(Fz)
+        F1 = curv1(p, 0)
+        b1 = cartan.curv_blocks(_value(F1))
+        bz = cartan.curv_blocks(_value(cartan.transform_curvature(F1, cz.at(p, 0))))
         zv = _value(zf.coeffs(p, 0))[..., None, None, None]
         upsa = np.einsum("...m,...ma->...a", _value(dressing.upsilon_row(zf, p, 0, n)),
                          _value(geom.einv(0)))
@@ -995,17 +976,16 @@ def check_varpiLz_table(ctx, rng):
     zf = domain_z_field(rng, ctx.metric)
     cbar = dressing.weyl_cocycle(ctx.metric, zf, "Cbar")
     wlz = cartan.transform_connection(pipe["wl"], cbar)
-    a1 = jets.algebra(n, 1)
 
     def residual(p):
         geom = Geometry(ctx.metric, p)
         bz = {k: _value(v) for k, v in cartan.conn_blocks(wlz.at(p, 0)).items()}
-        bl = {k: _value(a1.truncate(v, 0)) for k, v in cartan.conn_blocks(pipe["wl"].at(p, 1)).items()}
+        bl = {k: _value(v) for k, v in cartan.conn_blocks(pipe["wl"].at(p, 0)).items()}
         zv = _value(zf.coeffs(p, 0))[..., None, None]
         g = _value(geom.g(0))
         ginv = np.linalg.inv(g)
         upsj = dressing.upsilon_row(zf, p, 1, n)
-        ups = _value(a1.truncate(upsj, 0))
+        ups = _value(upsj)
         ups_up = np.einsum("...rn,...n->...r", ginv, ups)
         nab_u = _value(geom.covariant_derivative(upsj, "d"))
         ups2 = np.einsum("...a,...a->...", ups, ups_up)[..., None, None]
@@ -1057,13 +1037,11 @@ def check_omegaLz_table(ctx, rng):
     zf = domain_z_field(rng, ctx.metric)
     cbar = dressing.weyl_cocycle(ctx.metric, zf, "Cbar")
     curvl = cartan.curvature(pipe["wl"])
-    a0, a1 = jets.algebra(n, 0), jets.algebra(n, 1)
 
     def residual(p):
-        FL = _value(curvl(p, 0))
-        c = a1.truncate(cbar.at(p, 1), 0)
-        Fz = np.einsum("...ab,...mnbc,...cd->...mnad", _value(a0.inv_matrix(c)), FL, _value(c))
-        bl, bz = cartan.curv_blocks(FL), cartan.curv_blocks(Fz)
+        FL = curvl(p, 0)
+        bl = cartan.curv_blocks(_value(FL))
+        bz = cartan.curv_blocks(_value(cartan.transform_curvature(FL, cbar.at(p, 0))))
         ups = _value(dressing.upsilon_row(zf, p, 0, n))
         return {
             "C": bz["C"] - (bl["C"] - np.einsum("...a,...mnab->...mnb", ups, bl["W"])),
@@ -1076,19 +1054,17 @@ def check_omegaLz_table(ctx, rng):
 @check("dressing-residual", "lorentz-table",
        "residual Lorentz transform of first-stage composites: displayed table", 1e-9)
 def check_lorentz_table(ctx, rng):
-    n = ctx.metric.n
     pipe = ctx.pipeline()
     S = random_eta_orthogonal(rng, ctx.metric.eta)
     Sinv = np.linalg.inv(S)
-    sfield = dressing.lorentz_element(ctx.metric, S)
+    sfield = cartan.h_field(ctx.metric, S=S)
     w1s = cartan.transform_connection(pipe["w1"], sfield)
     phi1 = dressing.dress(random_section(rng, ctx.metric), pipe["u1"])
     phi1s = cartan.transform_section(phi1, sfield)
-    a1 = jets.algebra(n, 1)
 
     def residual(p):
         bs = {k: _value(v) for k, v in cartan.conn_blocks(w1s.at(p, 0)).items()}
-        b1 = {k: _value(a1.truncate(v, 0)) for k, v in cartan.conn_blocks(pipe["w1"].at(p, 1)).items()}
+        b1 = {k: _value(v) for k, v in cartan.conn_blocks(pipe["w1"].at(p, 0)).items()}
         pv = _value(phi1.at(p, 0))
         return {
             "P S": bs["P"] - b1["P"] @ S,
@@ -1108,8 +1084,8 @@ def check_weyl_lorentz_commute(ctx, rng):
     pipe = ctx.pipeline()
     zf = domain_z_field(rng, ctx.metric)
     S = random_eta_orthogonal(rng, ctx.metric.eta)
-    sfield = dressing.lorentz_element(ctx.metric, S)
-    sinv_field = dressing.lorentz_element(ctx.metric, np.linalg.inv(S))
+    sfield = cartan.h_field(ctx.metric, S=S)
+    sinv_field = cartan.h_field(ctx.metric, S=np.linalg.inv(S))
     cz = dressing.weyl_cocycle(ctx.metric, zf, "C")
     cz_s = field_matmul(field_matmul(sinv_field, cz), sfield)  # C(z)^S = S^-1 C(z) S
     route1 = cartan.transform_connection(cartan.transform_connection(pipe["w1"], cz), sfield)
@@ -1185,13 +1161,13 @@ def check_tractor_gt_covariance(ctx, rng):
     u = tractor.weyl_matrix_field(ctx.metric, zf)
     t = random_section(rng, ctx.metric)
     t_hat = apply_matrix_field(u, t)
+    conn, conn_hat = (tractor.prolongation_connection(m) for m in (ctx.metric, hat))
     a0 = jets.algebra(n, 0)
 
     def residual(p):
-        lhs = tractor.derivative(hat, t_hat, p, 0)
-        u0 = jets.algebra(n, 2).truncate(u.at(p, 2), 0)[..., None, :, :, :]  # one per mu
-        rhs = cartan.matvec(a0, u0, tractor.derivative(ctx.metric, t, p, 0))
-        return lhs - rhs
+        lhs = cartan.section_derivative(conn_hat, t_hat, p)
+        u0 = u.at(p, 0)[..., None, :, :, :]  # one per mu
+        return lhs - cartan.matvec(a0, u0, cartan.section_derivative(conn, t, p))
     return ctx.sweep(rng, residual, "half")
 
 
@@ -1209,7 +1185,7 @@ def check_prolong_covariance(ctx, rng):
     a0 = jets.algebra(n, 0)
 
     def residual(p):
-        rhs = cartan.matvec(a0, jets.algebra(n, 2).truncate(u.at(p, 2), 0), t.at(p, 0))
+        rhs = cartan.matvec(a0, u.at(p, 0), t.at(p, 0))
         return t_hat.at(p, 0) - rhs
     return ctx.sweep(rng, residual, "half")
 
@@ -1223,6 +1199,7 @@ def check_tractor_pairing(ctx, rng):
     u = tractor.weyl_matrix_field(ctx.metric, zf)
     t1, t2 = random_section(rng, ctx.metric), random_section(rng, ctx.metric)
     t1h, t2h = apply_matrix_field(u, t1), apply_matrix_field(u, t2)
+    conn = tractor.prolongation_connection(ctx.metric)
     a1 = jets.algebra(n, 1)
 
     def residual(p):
@@ -1232,7 +1209,7 @@ def check_tractor_pairing(ctx, rng):
         t1_hi, t2_hi = t1.at(p, 1), t2.at(p, 1)
         dpair = a1.grad(tractor.inner(ctx.metric, p, t1_hi, t2_hi, order=1), 0)
         # the direction axis mu goes in front, so the per-point metric broadcasts over it
-        d1, d2 = (np.moveaxis(tractor.derivative(ctx.metric, t, p, 0), -3, 0) for t in (t1, t2))
+        d1, d2 = (np.moveaxis(cartan.section_derivative(conn, t, p), -3, 0) for t in (t1, t2))
         prod = _value(tractor.inner(ctx.metric, p, d1, a1.truncate(t2_hi, 0))
                       + tractor.inner(ctx.metric, p, a1.truncate(t1_hi, 0), d2))
         return {"Weyl invariance": inv_res, "metricity": _value(dpair) - np.moveaxis(prod, 0, -1)}
@@ -1242,16 +1219,10 @@ def check_tractor_pairing(ctx, rng):
 @check("tractor-weyl", "metric-compatibility",
        "dG = M^T G + G M for the prolongation connection and its metric", 1e-9)
 def check_tractor_metric_comp(ctx, rng):
-    n = ctx.metric.n
-    a0, a1 = jets.algebra(n, 0), jets.algebra(n, 1)
+    conn = tractor.prolongation_connection(ctx.metric)
 
     def residual(p):
-        geom = Geometry(ctx.metric, p)
-        m1 = tractor.connection_matrices(geom, 1)
-        G1 = tractor.metric_matrix(ctx.metric, p, 1)
-        dG = a1.grad(G1, 2)
-        G0, m0 = a1.truncate(G1, 0)[..., None, :, :, :], a1.truncate(m1, 0)  # G0 per mu
-        return dG - a0.matmul(np.swapaxes(m0, -3, -2), G0) - a0.matmul(G0, m0)
+        return cartan.metric_defect(conn, tractor.metric_matrix(ctx.metric, p), p)
     return ctx.sweep(rng, residual, "half")
 
 
@@ -1270,13 +1241,14 @@ def check_tractor_curvature(ctx, rng):
 def check_ae_witness(ctx, rng):
     n = ctx.metric.n
     t1 = tractor.prolong_field(ctx.metric, ScalarField.constant(1.0))
+    conn = tractor.prolongation_connection(ctx.metric)
     einstein = True
 
     def residual(p):
         nonlocal einstein
         geom = Geometry(ctx.metric, p)
-        der = _value(tractor.derivative(ctx.metric, t1, p, 0))
-        P = _value(jets.algebra(n, 1).truncate(geom.schouten1, 0))
+        der = _value(cartan.section_derivative(conn, t1, p))
+        P = _value(geom.schouten1)
         g = _value(geom.g(0))
         trace = np.einsum("...ab,...ab->...", np.linalg.inv(g), P)
         tfp = P - (trace / n)[..., None, None] * g
@@ -1361,7 +1333,7 @@ def check_residual_invariance(ctx, rng):
 
     def residual(p):
         vw_hi, _, _ = brst.dressed_ghost(ctx.metric, pipe["wn"], ghost, "full", p, 1)
-        s_w = brst.brst_connection_with(pipe["wl"], vw_hi, p, 0)
+        s_w = brst.brst_connection_with(pipe["wl"], vw_hi, p)
         s_phi = brst.brst_section(brst.section_graded(phil, p, 0), vw_hi.truncate(0))
         return {"s w_L": s_w.max_abs(), "s phi_L": s_phi.max_abs()}
     return ctx.sweep(rng, residual, "third")
@@ -1403,21 +1375,20 @@ def check_s_wl_blocks(ctx, rng):
     n = ctx.metric.n
     pipe = ctx.pipeline()
     ghost = _random_ghost(ctx, rng, generators=2, with_s=False, with_iota=False)
-    a1 = jets.algebra(n, 1)
 
     def residual(p):
         geom = Geometry(ctx.metric, p)
         g = _value(geom.g(0))
         ginv = np.linalg.inv(g)
-        P = _value(a1.truncate(geom.schouten1, 0))
+        P = _value(geom.schouten1)
         vw_hi, _, _ = brst.dressed_ghost(ctx.metric, pipe["wn"], ghost, "full", p, 1)
-        s_w = brst.brst_connection_with(pipe["wl"], vw_hi, p, 0)
+        s_w = brst.brst_connection_with(pipe["wl"], vw_hi, p)
         out = []
         for k, (eps_f, _, _) in enumerate(ghost.parts):
             eps_j = eps_f.coeffs(p, 2)
             eps = eps_j[..., None, None, 0]
             de_j = jets.algebra(n, 2).grad(eps_j, 0)
-            de = _value(a1.truncate(de_j, 0))
+            de = _value(de_j)
             hess = _value(geom.covariant_derivative(de_j, "d"))  # nabla_mu d_nu eps
             comp = _value(s_w.component((k,)))  # (..., n, N, N)
             out.append({
@@ -1454,7 +1425,7 @@ def check_s_omega_blocks(ctx, rng):
         FL = _value(curvl(p, 0))
         bl = cartan.curv_blocks(FL)
         vw, _, _ = brst.dressed_ghost(ctx.metric, pipe["wn"], ghost, "full", p, 0)
-        s_f = brst.brst_curvature(brst.curvature_graded(lambda q, o: curvl(q, o), p, 0, n), vw)
+        s_f = brst.brst_curvature(brst.curvature_graded(curvl, p, 0, n), vw)
         out = []
         for k, (eps_f, _, _) in enumerate(ghost.parts):
             eps_j = eps_f.coeffs(p, 1)

@@ -2,6 +2,11 @@
 tractor connection/metric/curvature, and the equivalence oracle against the
 dressed Cartan pipeline.
 
+The prolongation connection is a `cartan.ConnectionField` like the dressed
+Cartan connection, so both pipelines share one set of combinators: the tractor
+derivative is `cartan.section_derivative`, the tractor curvature
+`cartan.curvature` and metric compatibility `cartan.metric_defect`.
+
 Tractor triples are stored (sigma, l_nu, rho) with l covariant; the dressed
 composite sections come out as (rho_L, l_L^mu, sigma) with l contravariant.
 The dictionary between the two conventions is not hand-asserted: it is
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dressing, jets
-from .cartan import matvec, section_derivative, section_field
+from .cartan import ConnectionField, curvature, matvec, section_derivative, section_field
 from .dressing import normal_dressing_chain, upsilon_row
 from .fields import JetField, ScalarField, random_poly_field, require_positive
 from .geometry import Geometry
@@ -34,36 +39,34 @@ class CalibrationError(TractorError):
     pass
 
 
-def connection_matrices(geom: Geometry, order=1):
-    """Per-direction matrices M_mu of the prolongation connection:
+def prolongation_connection(metric) -> ConnectionField:
+    """The tractor connection by prolongation: per direction mu, the matrix
 
         rows (0, -delta^alpha_mu, 0 | -P_{mu nu}, -Gamma^alpha_{mu nu}, g_{mu nu}
               | 0, g^{alpha beta} P_{mu beta}, 0)
-    """
-    n = geom.n
-    g = geom.g(order)
-    m = jets.algebra(n, order).zeros(g.shape[:-3] + (n, n + 2, n + 2))
-    for mu in range(n):
-        m[..., mu, 0, 1 + mu, 0] = -1.0
-    m[..., 1:-1, 0, :] = -jets.algebra(n, 1).truncate(geom.schouten1, order)
-    gam = jets.algebra(n, 2).truncate(geom.gamma2, order)
-    m[..., 1:-1, 1:-1, :] = -np.einsum("...amnc->...mnac", gam)  # row nu, col alpha
-    m[..., 1:-1, -1, :] = g
-    Pup = jets.algebra(n, 1).truncate(geom.schouten_up1, order)  # P^alpha_mu
-    m[..., -1, 1:-1, :] = np.swapaxes(Pup, -3, -2)
-    return m
 
-
-def derivative(metric, t_field: JetField, point, order=0):
-    """nabla^T_mu t = d_mu t + M_mu t, per direction: (..., n, N, NC)."""
-    geom = Geometry(metric, point)
+    acting on triples (sigma, l_nu, rho).  The Schouten block caps the order at
+    1, the first column included."""
     n = metric.n
-    alg_hi = jets.algebra(n, order + 1)
-    alg = jets.algebra(n, order)
-    t_hi = t_field.at(point, order + 1)
-    dt = alg_hi.grad(t_hi, 1)
-    m = connection_matrices(geom, order)
-    return dt + matvec(alg, m, alg_hi.truncate(t_hi, order)[..., None, :, :])
+
+    def at(point, order):
+        geom = Geometry(metric, point)
+        g = geom.g(order)
+        m = jets.algebra(n, order).zeros(g.shape[:-3] + (n, n + 2, n + 2))
+        for mu in range(n):
+            m[..., mu, 0, 1 + mu, 0] = -1.0
+        m[..., 1:-1, 0, :] = -jets.algebra(n, 1).truncate(geom.schouten1, order)
+        gam = jets.algebra(n, 2).truncate(geom.gamma2, order)
+        m[..., 1:-1, 1:-1, :] = -np.einsum("...amnc->...mnac", gam)  # row nu, col alpha
+        m[..., 1:-1, -1, :] = g
+        Pup = jets.algebra(n, 1).truncate(geom.schouten_up1, order)  # P^alpha_mu
+        m[..., -1, 1:-1, :] = np.swapaxes(Pup, -3, -2)
+        return m
+
+    def col0(point, order):
+        return at(point, order)[..., 0, :]
+
+    return ConnectionField(at, col0, n, metric.eta, max_order=1, col0_order=1)
 
 
 def prolong_field(metric, sigma_field) -> JetField:
@@ -142,11 +145,12 @@ def inner(metric, point, t, t2, order=0):
     return alg.mul(t[..., -1, :], t2[..., 0, :]) + mid + alg.mul(t[..., 0, :], t2[..., -1, :])
 
 
-def metric_matrix(metric, point, order=0):
-    """G = [[0,0,1],[0,g^{mu nu},0],[1,0,0]]: (..., N, N, NC)."""
-    ginv = Geometry(metric, point).ginv(order)
+def metric_matrix(metric, point):
+    """G = [[0,0,1],[0,g^{mu nu},0],[1,0,0]] as an order-1 jet, the order
+    `cartan.metric_defect` reads: (..., N, N, NC1)."""
+    ginv = Geometry(metric, point).ginv(1)
     N = metric.n + 2
-    G = jets.algebra(metric.n, order).zeros(ginv.shape[:-3] + (N, N))
+    G = jets.algebra(metric.n, 1).zeros(ginv.shape[:-3] + (N, N))
     G[..., 0, -1, 0] = 1.0
     G[..., -1, 0, 0] = 1.0
     G[..., 1:-1, 1:-1, :] = ginv
@@ -154,18 +158,12 @@ def metric_matrix(metric, point, order=0):
 
 
 def curvature_two_ways(metric, point):
-    """Commutator curvature of the prolongation connection vs the assembled
-    Cotton/Weyl block matrix; returns (commutator, assembled, max discrepancy
-    per point)."""
-    n = metric.n
+    """Structure-equation curvature of the prolongation connection vs the
+    assembled Cotton/Weyl block matrix; returns (structure equation, assembled,
+    max discrepancy per point)."""
+    alg0 = jets.algebra(metric.n, 0)
+    f = alg0.value(curvature(prolongation_connection(metric))(point, 0))
     geom = Geometry(metric, point)
-    alg1, alg0 = jets.algebra(n, 1), jets.algebra(n, 0)
-    m1 = connection_matrices(geom, 1)
-    m0 = alg1.truncate(m1, 0)
-    dm = alg1.grad(m1, 3)  # [..., mu, nu, N, N]
-    comm = alg0.matmul(m0[..., :, None, :, :, :], m0[..., None, :, :, :, :])
-    f = dm - np.swapaxes(dm, -5, -4) + comm - np.swapaxes(comm, -5, -4)
-    f = alg0.value(f)
 
     assembled = np.zeros(f.shape)
     cot = geom.cotton  # C_{mu lam, nu}
@@ -254,8 +252,8 @@ def calibrate_convention_map(metric, z_field, points, rng):
     # the rescaled metric is needed only to order 0, not as a whole Geometry
     g_hat = rescaled.g(x, 0)[:, None]
     ginv_hat = a0.inv_matrix(g_hat)
-    cbar_inv = a0.inv_matrix(jets.algebra(n, 1).truncate(cbar.at(x, 1), 0))[:, None]
-    u = jets.algebra(n, 2).truncate(gt.at(x, 2), 0)[:, None]
+    cbar_inv = a0.inv_matrix(cbar.at(x, 0))[:, None]
+    u = gt.at(x, 0)[:, None]
     phi = a0.const(rng.normal(size=(len(x), 4, n + 2)))
     phi_z = matvec(a0, cbar_inv, phi)
 
@@ -304,10 +302,11 @@ def equivalence_check(metric, points, rng, cmap=None):
     x = np.asarray(points, dtype=float)
     geom = Geometry(metric, x)
     try:
-        lhs_cols = section_derivative(wl, phi_l, x, 0)  # (P, n, N, NC0)
+        lhs_cols = section_derivative(wl, phi_l, x)  # (P, n, N, NC0)
         lhs = cmap.apply(a0, lhs_cols, geom.g(0)[..., None, :, :, :],
                          geom.ginv(0)[..., None, :, :, :])
-        res = np.abs(lhs - derivative(metric, t, x, 0)).max(axis=(-3, -2, -1))
+        rhs = section_derivative(prolongation_connection(metric), t, x)
+        res = np.abs(lhs - rhs).max(axis=(-3, -2, -1))
     finally:
         geom.release()  # no later caller evaluates this batch: free its curvature stack
     i = int(np.argmax(res))  # a NaN residual counts as the worst

@@ -108,11 +108,13 @@ def test_section_and_tractor_derivatives(case):
                              [random_poly_field(rng, n, 2) for _ in range(n)],
                              random_poly_field(rng, n, 2))
     wl = dressing.normal_dressing_chain(metric)["wl"]
+    conn = tractor.prolongation_connection(metric)
     for order in (0, 1):
-        _assert_stacked(tractor.derivative(metric, t, pts, order),
-                        [tractor.derivative(metric, t, p, order) for p in pts])
-    _assert_stacked(cartan.section_derivative(wl, t, pts, 0),
-                    [cartan.section_derivative(wl, t, p, 0) for p in pts])
+        _assert_stacked(conn.at(pts, order), [conn.at(p, order) for p in pts])
+        _assert_stacked(cartan.section_derivative(conn, t, pts, order),
+                        [cartan.section_derivative(conn, t, p, order) for p in pts])
+    _assert_stacked(cartan.section_derivative(wl, t, pts),
+                    [cartan.section_derivative(wl, t, p) for p in pts])
 
 
 def _no_frame_metric():
@@ -283,6 +285,9 @@ def test_cartan_group_fields_curvature_and_blocks(case):
     _assert_stacked(f, [curv(p, 0) for p in pts])
     _assert_stacked(list(cartan.curv_blocks(f[..., 0]).values()),
                     [list(cartan.curv_blocks(curv(p, 0)[..., 0]).values()) for p in pts])
+    base = cartan.curvature(wn)
+    _assert_stacked(cartan.transform_curvature(base(pts, 0), h.at(pts, 0)),
+                    [cartan.transform_curvature(base(p, 0), h.at(p, 0)) for p in pts])
     einv = Geometry(metric, pts).einv(0)[..., 0]
     rep = cartan.normality_report(f[..., 0], einv)
     singles = [cartan.normality_report(curv(p, 0)[..., 0], e) for p, e in zip(pts, einv)]
@@ -325,8 +330,13 @@ def test_tractor_prolongation_weyl_matrix_pairing_and_curvature(case):
         _assert_stacked(tractor.inner(metric, pts, t1.at(pts, order), t2.at(pts, order), order),
                         [tractor.inner(metric, p, t1.at(p, order), t2.at(p, order), order)
                          for p in pts])
-        _assert_stacked(tractor.metric_matrix(metric, pts, order),
-                        [tractor.metric_matrix(metric, p, order) for p in pts])
+    _assert_stacked(tractor.metric_matrix(metric, pts),
+                    [tractor.metric_matrix(metric, p) for p in pts])
+    wl = dressing.normal_dressing_chain(metric)["wl"]
+    for conn, form in ((tractor.prolongation_connection(metric), tractor.metric_matrix),
+                       (wl, lambda m, x: dressing.tractor_metric_G(m, x, 1))):
+        _assert_stacked(cartan.metric_defect(conn, form(metric, pts), pts),
+                        [cartan.metric_defect(conn, form(metric, p), p) for p in pts])
     _assert_stacked(tractor.curvature_two_ways(metric, pts),
                     [tractor.curvature_two_ways(metric, p) for p in pts])
 

@@ -1,7 +1,7 @@
 """Repository hygiene: every public top-level name and every public method in the
-package has a caller, every defaulted parameter is set by some caller, no
-function assigns a local name it never reads, and no module imports a name it
-never reads."""
+package has a caller, every defaulted parameter is set by some caller and takes
+more than one value over its calls, no function assigns a local name it never
+reads, and no module imports a name it never reads."""
 
 import ast
 from pathlib import Path
@@ -129,15 +129,17 @@ def test_no_module_imports_a_name_it_never_reads():
 UNSET_OPTIONS_KEPT = {
     ("check_signature", "samples"): "safety code; a test draws a second sample set with it",
     ("check_signature", "seed"): "safety code; a test draws a second sample set with it",
+    ("section_derivative", "order"): "the D^2 phi = Omega phi test differentiates D phi "
+                                     "once more, so it needs D phi at order 1",
 }
 CALLERS = [ROOT / "src", ROOT / "tractorbench"]
 
 
 def _defaulted_parameters():
-    """(module path, line, callee name, parameter, positional index or None) of each
-    defaulted parameter of a package top-level function or class method.  A method
-    is called by its own name, and `__init__` by its class's name; the positional
-    index does not count `self` or `cls`."""
+    """(module path, line, callee name, parameter, positional index or None, default
+    node) of each defaulted parameter of a package top-level function or class
+    method.  A method is called by its own name, and `__init__` by its class's
+    name; the positional index does not count `self` or `cls`."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -154,11 +156,11 @@ def _defaulted_parameters():
                 args = fn.args
                 positional = (args.posonlyargs + args.args)[bound:]
                 first = len(positional) - len(args.defaults)
-                for i, p in enumerate(positional[first:], first):
-                    yield path, fn.lineno, name, p.arg, i
+                for i, (p, default) in enumerate(zip(positional[first:], args.defaults), first):
+                    yield path, fn.lineno, name, p.arg, i, default
                 for p, default in zip(args.kwonlyargs, args.kw_defaults):
                     if default is not None:
-                        yield path, fn.lineno, name, p.arg, None
+                        yield path, fn.lineno, name, p.arg, None, default
 
 
 def _calls():
@@ -203,7 +205,47 @@ def test_every_option_is_set_by_some_caller():
     a fixed value spelled as an option: it belongs inside the function."""
     calls = _calls()
     unset = [f"{path.name}:{line} {name}({param})"
-             for path, line, name, param, index in _defaulted_parameters()
+             for path, line, name, param, index, _ in _defaulted_parameters()
              if (name, param) not in UNSET_OPTIONS_KEPT
              and not any(_sets(c, param, index) for c in calls.get(name, []))]
     assert not unset, "options no caller sets: " + ", ".join(unset)
+
+
+UNKNOWN = object()  # the value of an argument that is not a literal
+
+
+def _literal(node):
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return UNKNOWN
+
+
+def _value(call, param, index, default):
+    """The value a call gives the parameter: its literal argument, the default when
+    the call leaves it out, or UNKNOWN when any other expression may set it."""
+    if any(k.arg is None for k in call.keywords) or any(isinstance(a, ast.Starred)
+                                                         for a in call.args):
+        return UNKNOWN
+    for k in call.keywords:
+        if k.arg == param:
+            return _literal(k.value)
+    if index is not None and len(call.args) > index:
+        return _literal(call.args[index])
+    return _literal(default)
+
+
+def test_no_option_takes_one_value_at_every_call():
+    """A defaulted parameter that every call in the package or the benchmark either
+    sets to the same literal or leaves at its default is a fixed value spelled as
+    an option, even when some call spells the value out."""
+    calls = _calls()
+    fixed = []
+    for path, line, name, param, index, default in _defaulted_parameters():
+        found = calls.get(name, [])
+        if not any(_sets(c, param, index) for c in found):
+            continue  # an option no call sets is the test above's
+        values = [_value(c, param, index, default) for c in found]
+        if all(v is not UNKNOWN and v == values[0] for v in values):
+            fixed.append(f"{path.name}:{line} {name}({param}): always {values[0]!r}")
+    assert not fixed, "options every call sets to one value: " + ", ".join(fixed)

@@ -226,7 +226,7 @@ def test_dressing_by_the_identity_lorentz_element_is_the_identity(bumpy):
     u1 = dressing.boost_dressing(wn)
     w1 = dressing.dress(wn, u1)
     pt = (0.05, -0.1, 0.02, 0.15)
-    via_s = dressing.dress(w1, dressing.lorentz_element(bumpy, np.eye(4)))
+    via_s = dressing.dress(w1, cartan.h_field(bumpy, S=np.eye(4)))
     assert abs(via_s.at(pt, 0) - w1.at(pt, 0)).max() < 1e-14
 
 

@@ -4,7 +4,7 @@ the runner."""
 import numpy as np
 import pytest
 
-from tractorlab import jets, metrics, suites, tractor
+from tractorlab import cartan, jets, metrics, suites, tractor
 from tractorlab.geometry import Geometry
 
 
@@ -216,3 +216,79 @@ def test_failed_calibration_fails_every_check_that_needs_the_map(bumpy, monkeypa
 def test_one_calibration_rescaling():
     # the suites and the flagship oracle calibrate under the same rescaling
     assert suites.DEFAULT_Z is tractor.DEFAULT_Z
+
+
+# -- negative controls: each breaks one shared connection combinator ------------
+
+
+def _subtracting_section_derivative(conn, phi, point, order=0):
+    """d phi - w phi in place of d phi + w phi."""
+    alg_hi, alg = jets.algebra(conn.n, order + 1), jets.algebra(conn.n, order)
+    p_hi = phi.at(point, order + 1)
+    p = alg_hi.truncate(p_hi, order)[..., None, :, :]
+    return alg_hi.grad(p_hi, 1) - cartan.matvec(alg, conn.at(point, order), p)
+
+
+def _flipped_schouten_connection(metric, original=tractor.prolongation_connection):
+    """The prolongation connection with +P_{mu nu} in place of -P_{mu nu} in its
+    middle rows."""
+    conn = original(metric)
+
+    def at(point, order):
+        m = conn.at(point, order)
+        m[..., 1:-1, 0, :] *= -1.0
+        return m
+
+    return cartan.ConnectionField(at, lambda point, order: at(point, order)[..., 0, :],
+                                  metric.n, metric.eta, max_order=1, col0_order=1)
+
+
+def _reversed_curvature_transform(curv, g):
+    """g F g^-1 in place of g^-1 F g."""
+    alg = jets.algebra(curv.shape[-5], 0)
+    g = g[..., None, None, :, :, :]
+    return alg.matmul(alg.matmul(g, curv), alg.inv_matrix(g))
+
+
+def _untransposed_metric_defect(conn, G1, point):
+    """dG - w G - G w in place of dG - w^T G - G w."""
+    alg1, alg = jets.algebra(conn.n, 1), jets.algebra(conn.n, 0)
+    w = conn.at(point, 0)
+    G0 = alg1.truncate(G1, 0)[..., None, :, :, :]
+    return alg1.grad(G1, 2) - alg.matmul(w, G0) - alg.matmul(G0, w)
+
+
+CONTROLS = {
+    "section_derivative": (_subtracting_section_derivative,
+                           ["flagship-equivalence", "gt-covariance", "pairing-invariance"]),
+    "prolongation_connection": (_flipped_schouten_connection,
+                                ["flagship-equivalence", "metric-compatibility",
+                                 "curvature-two-ways", "ae-witness"]),
+    "transform_curvature": (_reversed_curvature_transform,
+                            ["curvature-tensoriality", "dressed-curvature", "omega1z-table",
+                             "omegaLz-table"]),
+    "metric_defect": (_untransposed_metric_defect,
+                      ["tractor-metric-G", "metric-compatibility"]),
+}
+
+
+@pytest.mark.parametrize("name", CONTROLS)
+def test_a_broken_connection_combinator_fails_the_checks_that_share_it(name, monkeypatch):
+    """Both pipelines call one copy of each combinator, so breaking that copy fails
+    the checks of both.  poly_perturbation is neither Ricci-flat nor conformally
+    flat, so the Schouten block and the curvature are both nonzero."""
+    replacement, check_ids = CONTROLS[name]
+    checks = {cid: fn for entries in suites.SUITES.values() for cid, fn in entries}
+
+    def run():  # a fresh metric each time: no memoized Geometry is shared
+        ctx = suites.Context(metrics.load_metric("poly_perturbation"), seed=7, npoints=5)
+        return [suites.run_check(ctx, cid, checks[cid]) for cid in check_ids]
+
+    assert all(r.passed for r in run())
+    original = getattr(cartan, name, None) or getattr(tractor, name)
+    for module in (cartan, tractor):  # `from .cartan import f` binds f in tractor too
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, replacement)
+    results = run()
+    assert [r.check_id for r in results if r.passed] == []
+    assert not any((r.note or "").startswith("error") for r in results)

@@ -17,7 +17,7 @@ def _val(x):
 
 
 def test_connection_matrix_flat(flat):
-    m = tractor.connection_matrices(Geometry(flat, PT), 0)
+    m = tractor.prolongation_connection(flat).at(PT, 0)
     v = _val(m)
     for mu in range(4):
         assert v[mu, 0, 1 + mu] == -1.0
@@ -33,7 +33,7 @@ def test_sphere_parallel_tractor(sphere):
     tf = tractor.prolong_field(sphere, "1")
     assert np.allclose(_val(tf.at(pt, 0)), [1, 0, 0, 0, 0, -0.5], atol=1e-12)
     assert np.abs(tractor.ae_residual(sphere, "1", pt)).max() < 1e-9
-    der = tractor.derivative(sphere, tf, pt, 0)
+    der = cartan.section_derivative(tractor.prolongation_connection(sphere), tf, pt)
     assert np.abs(der).max() < 1e-9
 
 
@@ -41,18 +41,19 @@ def test_flat_linear_scale(flat):
     tf = tractor.prolong_field(flat, "x0")
     assert np.allclose(_val(tf.at(PT, 0)), [PT[0], 1, 0, 0, 0, 0], atol=1e-13)
     assert np.abs(tractor.ae_residual(flat, "x0", PT)).max() < 1e-13
-    der = tractor.derivative(flat, tf, PT, 0)
+    der = cartan.section_derivative(tractor.prolongation_connection(flat), tf, PT)
     assert np.abs(der).max() < 1e-12
 
 
 def test_flat_constant_parallel(flat):
-    der = tractor.derivative(flat, cartan.section_field(flat, "1", ["0"] * 4, "0"), PT, 0)
+    der = cartan.section_derivative(tractor.prolongation_connection(flat),
+                                    cartan.section_field(flat, "1", ["0"] * 4, "0"), PT)
     assert np.abs(der).max() == 0.0
 
 
 def test_generic_metric_ell_row(bumpy):
     tf = tractor.prolong_field(bumpy, "1")
-    der = _val(tractor.derivative(bumpy, tf, PT, 0))
+    der = _val(cartan.section_derivative(tractor.prolongation_connection(bumpy), tf, PT))
     geom = Geometry(bumpy, PT)
     P = _val(A1.truncate(geom.schouten1, 0))
     g = _val(geom.g(0))
