@@ -229,8 +229,9 @@ def normal_connection(metric) -> ConnectionField:
     def at(point, order):
         geom = Geometry(metric, point)
         alg = jets.algebra(n, order)
+        # spin1 first: it memoises e(2), which the e(order) read below truncates
+        a_spin = jets.algebra(n, 1).truncate(geom.spin1, order)
         e_mu = np.swapaxes(geom.e(order), -3, -2)  # [mu, a] = e^a_mu
-        a_spin = jets.algebra(n, 2).truncate(geom.spin2, order)
         p_frame = alg.matmul(jets.algebra(n, 1).truncate(geom.schouten1, order),
                              geom.einv(order))  # P_{mu b}
         w = alg.zeros(e_mu.shape[:-3] + (n, N, N))

@@ -15,11 +15,14 @@ Cotton is stored in 2-form components over (mu, lam); the sign convention is
 pinned by the structure-equation and commutator cross-checks in the cartan and
 tractor suites.
 
-Each tensor is built at the jet order its readers need: g and e at order 3,
-Gamma and the spin connection at 2, curvature at 1.  The inverses g^-1 and e^-1
-are inverted separately at each order read (`ginv(k)`, `einv(k)`), because an
-order-3 inverse costs several times an order-2 one and only the frame check
-reads it.
+Each tensor is built at the jet order its readers need: g at order 3, Gamma at
+2, the spin connection and curvature at 1.  The vielbein and the inverses are
+built per order read (`e(k)`, `einv(k)`, `ginv(k)`): a read truncates a
+memoised jet of that order or higher, and otherwise factors or inverts in the
+order-k algebra, because an order-3 jet costs several times an order-2 one.
+The connection reads e at order 2 or less, and only its first column (`col0`,
+which the dressings read) and the frame check read e at order 3; only the frame
+check reads e^-1 and g^-1 at order 3.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ class Geometry:
         self.point = point
         self.n = metric.n
         self.eta = metric.eta
-        self._ginv, self._einv = {}, {}  # order -> inverse jet, filled on first read
+        self._memo = {"e": {}, "einv": {}, "ginv": {}}  # name -> {order: jet}
         metric._geometry = (key, self)
         return self
 
@@ -87,25 +90,34 @@ class Geometry:
     def g(self, order):
         return self.alg(3).truncate(self.g3, order)
 
+    def _per_order(self, name, order, build):
+        """The memo rule of the per-order jets e, e^-1 and g^-1: a read at order k
+        truncates a memoised jet of order >= k, and otherwise builds the jet at
+        order k, in the order-k algebra, and memoises it read-only."""
+        memo = self._memo[name]
+        have = min((k for k in memo if k >= order), default=None)
+        if have is None:
+            memo[order] = build(order)
+            memo[order].flags.writeable = False  # shared by every reader, like g3
+            return memo[order]
+        return self.alg(have).truncate(memo[have], order)
+
     def ginv(self, order):
-        """Inverse metric g^{mu nu} with order-`order` jets, inverted in that
-        order's algebra (no higher order is computed) and memoised per order."""
-        if order not in self._ginv:
-            self._ginv[order] = self.alg(order).inv_matrix(self.g(order))
-        return self._ginv[order]
+        """Inverse metric g^{mu nu} with order-`order` jets."""
+        return self._per_order("ginv", order, lambda k: self.alg(k).inv_matrix(self.g(k)))
 
     # -- frame ----------------------------------------------------------------
 
-    @cached_property
-    def _ldl(self):
-        """Signature-aware LDL^T of g with jets: g = L D L^T, pivots in chart order.
+    def _ldl(self, order):
+        """Signature-aware LDL^T of g(order) with jets: g = L D L^T, pivots in chart
+        order, in the order-`order` algebra.
 
         A pivot whose sign disagrees with eta fails its point, which then
         divides by a stand-in pivot so that the rest of the batch factors; the
         first failing point of the batch is reported with its first bad pivot.
         """
-        n, alg = self.n, self.alg(3)
-        a = self.g3
+        n, alg = self.n, self.alg(order)
+        a = self.g(order)
         L = alg.const(np.broadcast_to(np.eye(n), a.shape[:-1]))
         d = []
         bad_pivot = np.full(a.shape[:-3], -1)
@@ -121,11 +133,12 @@ class Geometry:
                 bad_value[first] = dk[..., 0][first]
                 dk[bad] = alg.const(self.eta[k, k])
             d.append(dk)
+            rk = alg.reciprocal(dk)  # one reciprocal serves every row below the pivot
             for i in range(k + 1, n):
                 num = a[..., i, k, :].copy()
                 for m in range(k):
                     num -= alg.mul(alg.mul(L[..., i, m, :], L[..., k, m, :]), d[m])
-                L[..., i, k, :] = alg.div(num, dk)
+                L[..., i, k, :] = alg.mul(num, rk)
         failed = bad_pivot >= 0
         if failed.any():
             idx = np.unravel_index(np.argmax(failed), failed.shape)
@@ -134,23 +147,20 @@ class Geometry:
                              first_point(self.point, failed))
         return L, d
 
-    @cached_property
-    def e3(self):
-        """Vielbein e^a_mu with e^T eta e = g; deterministic triangular choice."""
-        L, d = self._ldl
-        alg = self.alg(3)
+    def _frame(self, order):
+        L, d = self._ldl(order)
+        alg = self.alg(order)
         root = alg.sqrt(np.diag(self.eta)[:, None] * np.stack(d, axis=-2))  # [..., a]
         return alg.mul(root[..., :, None, :], np.swapaxes(L, -3, -2))  # root_a L[mu, a]
 
     def e(self, order):
-        return self.alg(3).truncate(self.e3, order)
+        """Vielbein e^a_mu with e^T eta e = g, order-`order` jets; deterministic
+        triangular choice."""
+        return self._per_order("e", order, self._frame)
 
     def einv(self, order):
-        """Inverse vielbein e^mu_a, stored einv[mu, a], with order-`order` jets;
-        inverted in that order's algebra and memoised per order, like `ginv`."""
-        if order not in self._einv:
-            self._einv[order] = self.alg(order).inv_matrix(self.e(order))
-        return self._einv[order]
+        """Inverse vielbein e^mu_a, stored einv[mu, a], with order-`order` jets."""
+        return self._per_order("einv", order, lambda k: self.alg(k).inv_matrix(self.e(k)))
 
     # -- connection and curvature ---------------------------------------------
 
@@ -230,17 +240,18 @@ class Geometry:
         return self.alg(1).value(self.weyl1)
 
     @cached_property
-    def spin2(self):
-        """Spin connection A^a_{b mu}, stored [mu, a, b], order-2 jets.
+    def spin1(self):
+        """Spin connection A^a_{b mu}, stored [mu, a, b], order-1 jets.
 
         With e d_mu(e^-1) = -(d_mu e) e^-1 it is A_mu = (e Gamma_mu - d_mu e) e^-1:
         two batched products, every direction mu one slice of each.
         """
-        alg = self.alg(2)
-        de = self.alg(3).grad(self.e3, 2)  # [mu, a, lam] = d_mu e^a_lam
-        gam = np.einsum("...nmlc->...mnlc", self.gamma2)  # [mu, nu, lam] = Gamma^nu_{mu lam}
-        eg = alg.matmul(self.e(2)[..., None, :, :, :], gam)  # e^a_nu Gamma^nu_{mu lam}
-        return alg.matmul(eg - de, self.einv(2)[..., None, :, :, :])
+        alg = self.alg(1)
+        de = self.alg(2).grad(self.e(2), 2)  # [mu, a, lam] = d_mu e^a_lam
+        gam = self.alg(2).truncate(self.gamma2, 1)
+        gam = np.einsum("...nmlc->...mnlc", gam)  # [mu, nu, lam] = Gamma^nu_{mu lam}
+        eg = alg.matmul(self.e(1)[..., None, :, :, :], gam)  # e^a_nu Gamma^nu_{mu lam}
+        return alg.matmul(eg - de, self.einv(1)[..., None, :, :, :])
 
     # -- covariant derivative ---------------------------------------------------
 

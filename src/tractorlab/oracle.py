@@ -2,8 +2,7 @@
 
 Central differences with one Richardson extrapolation step; used by the test
 suites to cross-check first and second derivatives of anything evaluable as a
-plain function of the chart point.  A batch of points (..., n) is shifted
-point by point along the same coordinate.
+plain function of the chart point (..., n).
 """
 
 from __future__ import annotations
@@ -17,13 +16,20 @@ def _shift(x, i, h):
     return y
 
 
-def fd_first(f, x, i, h=1e-5):
-    """Richardson-extrapolated central difference d f / d x_i."""
+def fd_grad(f, x, h=1e-5):
+    """Richardson-extrapolated central differences d f / d x_mu for every mu; the
+    new axis mu comes after the batch axes of x.
+
+    Each of the four shifts evaluates `f` once, on the (n, ..., n) stencil that
+    shifts the points along every direction."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    shifts = np.eye(n).reshape((n,) + (1,) * (x.ndim - 1) + (n,))
 
     def central(step):
-        return (np.asarray(f(_shift(x, i, step))) - np.asarray(f(_shift(x, i, -step)))) / (2 * step)
+        return (np.asarray(f(x + step * shifts)) - np.asarray(f(x - step * shifts))) / (2 * step)
 
-    return (4.0 * central(h / 2) - central(h)) / 3.0
+    return np.moveaxis((4.0 * central(h / 2) - central(h)) / 3.0, 0, x.ndim - 1)
 
 
 def fd_second(f, x, i, j):

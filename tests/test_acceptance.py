@@ -271,8 +271,8 @@ def test_criterion_9_derivative_engine():
         kind = rng.integers(2)
 
         def f(x):
-            p = sum(v * np.prod(np.asarray(x) ** a) for a, v in coeffs.items())
-            return float(np.exp(np.sin(p)) if kind else np.sin(np.exp(p * 0.5)))
+            p = sum(v * np.prod(np.asarray(x) ** a, axis=-1) for a, v in coeffs.items())
+            return np.exp(np.sin(p)) if kind else np.sin(np.exp(p * 0.5))
 
         x = rng.uniform(-0.8, 0.8, 2)
         inner = a2.zeros(())
@@ -284,8 +284,9 @@ def test_criterion_9_derivative_engine():
                     term = a2.mul(term, coords[i])
             inner = inner + term
         jet = a2.exp(a2.sin(inner)) if kind else a2.sin(a2.exp(0.5 * inner))
+        grad = oracle.fd_grad(f, x)
         for mu in range(2):
-            fd = oracle.fd_first(f, x, mu)
+            fd = grad[mu]
             got = a2.partial(jet, tuple(1 if i == mu else 0 for i in range(2)))
             worst_fd = max(worst_fd, abs(got - fd) / (1.0 + abs(fd)))
         for mu in range(2):

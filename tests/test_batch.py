@@ -2,6 +2,7 @@
 
 import collections
 import functools
+import operator
 
 import numpy as np
 import pytest
@@ -15,22 +16,27 @@ from tractorlab.jets import JetAlgebra
 EPS = np.finfo(float).eps
 BATCH = 7
 METRICS = [("schwarzschild", {}), ("round_sphere", {}), ("poly_perturbation", {"seed": 11})]
-PROPERTIES = sorted(name for name, obj in vars(Geometry).items()
-                    if isinstance(obj, functools.cached_property))
+# every cached property, and the frame and its LDL^T factors read at order 3
+ACCESSORS = {name: operator.attrgetter(name) for name, obj in vars(Geometry).items()
+             if isinstance(obj, functools.cached_property)}
+ACCESSORS |= {"e3": lambda geom: geom.e(3), "_ldl": lambda geom: geom._ldl(3)}
+
+
+def _assert_close(got, want):
+    """Normwise: the error is at most 1e3 eps of the larger of the norm and 1."""
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= 1e3 * EPS * max(np.linalg.norm(want), 1.0)
 
 
 def _assert_stacked(batch, per_point):
-    """`batch` equals the stacked per-point values within 1e3 eps normwise, relative to
-    the larger of their norm and 1 (tuples and lists compare element by element)."""
+    """`batch` equals the stacked per-point values within 1e3 eps normwise (tuples
+    and lists compare element by element)."""
     if isinstance(batch, (tuple, list)):
         assert len(batch) == len(per_point[0])
         for k, part in enumerate(batch):
             _assert_stacked(part, [p[k] for p in per_point])
         return
-    want = np.stack(per_point)
-    assert batch.shape == want.shape
-    scale = max(np.linalg.norm(want), 1.0)
-    assert np.linalg.norm(batch - want) <= 1e3 * EPS * scale
+    _assert_close(batch, np.stack(per_point))
 
 
 @pytest.fixture(scope="module", params=METRICS, ids=[name for name, _ in METRICS])
@@ -48,11 +54,11 @@ def test_metric_components(case):
         _assert_stacked(metric.g(pts, order), [metric.g(p, order) for p in pts])
 
 
-@pytest.mark.parametrize("prop", PROPERTIES)
+@pytest.mark.parametrize("prop", sorted(ACCESSORS))
 def test_geometry_property(case, prop):
     metric, pts = case
-    _assert_stacked(getattr(Geometry(metric, pts), prop),
-                    [getattr(Geometry(metric, p), prop) for p in pts])
+    read = ACCESSORS[prop]
+    _assert_stacked(read(Geometry(metric, pts)), [read(Geometry(metric, p)) for p in pts])
 
 
 INVERSES = [(name, order) for name in ("einv", "ginv") for order in range(4)]
@@ -69,6 +75,48 @@ def test_geometry_inverse(case, name, order):
     alg = jets.algebra(metric.n, order)
     mat = geom.e(order) if name == "einv" else geom.g(order)
     assert np.abs(alg.matmul(mat, inv) - alg.const(np.eye(metric.n))).max() <= 1e3 * EPS
+
+
+def _fresh(metric, pts):
+    """A Geometry of `pts` with nothing memoised yet."""
+    Geometry(metric, pts).release()
+    return Geometry(metric, pts)
+
+
+@pytest.mark.parametrize("order", range(4), ids=[f"e{k}" for k in range(4)])
+def test_geometry_frame(case, order, monkeypatch):
+    """e(k) stacks the per-point frames and equals e(3) truncated to order k, whether
+    it is read first (built at order k) or after e(3) (truncated from the memo, with
+    no second factorization); and e(k)^T eta e(k) = g(k) through order k."""
+    metric, pts = case
+    alg, alg3 = jets.algebra(metric.n, order), jets.algebra(metric.n, 3)
+    built = _fresh(metric, pts).e(order)
+    _assert_stacked(built, [_fresh(metric, p).e(order) for p in pts])
+    geom = _fresh(metric, pts)
+    want = alg3.truncate(geom.e(3), order)
+    with monkeypatch.context() as patch:
+        patch.delattr(Geometry, "_ldl")
+        assert np.array_equal(geom.e(order), want)
+    _assert_close(built, want)
+    ete = alg.matmul(np.swapaxes(built, -3, -2), alg.matmul(alg.const(metric.eta), built))
+    _assert_close(ete, geom.g(order))
+
+
+def _spin_order_2(geom):
+    """The order-2 spin connection (e Gamma - d e) e^-1 from e(3) and Gamma at order 2."""
+    n = geom.n
+    alg, alg3 = jets.algebra(n, 2), jets.algebra(n, 3)
+    e3 = geom.e(3)
+    de = alg3.grad(e3, 2)
+    gam = np.einsum("...nmlc->...mnlc", geom.gamma2)
+    eg = alg.matmul(alg3.truncate(e3, 2)[..., None, :, :, :], gam)
+    return alg.matmul(eg - de, alg.inv_matrix(alg3.truncate(e3, 2))[..., None, :, :, :])
+
+
+def test_spin1_is_the_order_2_spin_connection_truncated(case):
+    metric, pts = case
+    spin1 = _fresh(metric, pts).spin1
+    _assert_close(spin1, jets.algebra(metric.n, 2).truncate(_spin_order_2(_fresh(metric, pts)), 1))
 
 
 def test_covariant_derivative_and_laplacian(case):
@@ -129,9 +177,9 @@ def _no_frame_metric():
     return metrics.MetricField("no-frame", 4, (1, 3), metrics.metric_from_spec(spec).g, spec.domain)
 
 
-def _frame_error(metric, point):
+def _frame_error(metric, point, order=3):
     with pytest.raises(FrameError) as err:
-        Geometry(metric, point).e3
+        _fresh(metric, point).e(order)
     return err.value
 
 
@@ -149,8 +197,12 @@ def test_frame_error_names_the_first_failing_point(batch, first, pivot):
     assert (err.pivot, single.pivot) == (pivot, pivot)
     assert err.point == single.point == tuple(pts[first])
     assert str(err) == str(single)
+    # a frame read at a lower order fails at the same pivot and point
+    for order in range(3):
+        low = _frame_error(metric, pts, order)
+        assert (low.pivot, low.point) == (err.pivot, err.point)
     # the points before it have a frame
-    Geometry(metric, pts[:first]).e3
+    Geometry(metric, pts[:first]).e(3)
 
 
 def _count_kernel_calls(monkeypatch):
@@ -186,19 +238,26 @@ def test_equivalence_check_kernel_calls_do_not_grow_with_points(monkeypatch):
 
 def test_equivalence_check_builds_no_order_3_jets(monkeypatch):
     """The oracle, calibration included, reads every Geometry jet at order 2 or
-    less: it makes no order-3 `matmul` and inverts no order-3 matrix."""
+    less: it makes no order-3 `matmul`, inverts no order-3 matrix and factors no
+    frame above order 2."""
     calls = collections.Counter()
     for name in ("matmul", "inv_matrix"):
         def counted(alg, *args, _kernel=getattr(JetAlgebra, name), _name=name):
             calls[_name, alg.order] += 1
             return _kernel(alg, *args)
         monkeypatch.setattr(JetAlgebra, name, counted)
+
+    def factor(geom, order, _ldl=Geometry._ldl):
+        calls["_ldl", order] += 1
+        return _ldl(geom, order)
+    monkeypatch.setattr(Geometry, "_ldl", factor)
     metric = metrics.load_metric("schwarzschild")
     rng = np.random.default_rng(8)
     rep = tractor.equivalence_check(metric, metrics.sample_points(metric, 5, rng), rng)
     assert rep["max_residual"] < 1e-12
     assert calls["matmul", 2] > 0 and calls["inv_matrix", 2] > 0
     assert calls["matmul", 3] == calls["inv_matrix", 3] == 0
+    assert calls["_ldl", 2] > 0 and calls["_ldl", 3] == 0
 
 
 def _memoized(metric):

@@ -16,7 +16,7 @@ def _val(x):
 
 def test_flat_everything_vanishes(flat):
     geo = Geometry(flat, (0.2, -0.4, 0.1, 0.9))
-    assert np.allclose(_val(geo.e3), np.eye(4))
+    assert np.allclose(_val(geo.e(0)), np.eye(4))
     assert np.abs(geo.gamma2).max() == 0.0
     assert np.abs(geo.riemann1).max() == 0.0
     assert np.abs(geo.weyl).max() == 0.0
@@ -26,7 +26,7 @@ def test_flat_everything_vanishes(flat):
 def test_conformal_frame_is_diagonal():
     m = metrics.load_metric("conformally_flat", factor="0.25*x0")
     geo = Geometry(m, (0.4, 0.0, 0.1, -0.2))
-    e = _val(geo.e3)
+    e = _val(geo.e(0))
     assert np.allclose(e, np.exp(0.25 * 0.4) * np.eye(4))
 
 
@@ -68,9 +68,9 @@ def test_sphere_slice_christoffel_against_analytic_and_fd(tmp_path):
     assert gam[1, 2, 2] == pytest.approx(-np.sin(0.9) * np.cos(0.9), abs=1e-12)
 
     def g_val(x):
-        return jets.algebra(3, 0).value(m.g(tuple(x), 0))
+        return jets.algebra(3, 0).value(m.g(x, 0))
 
-    dg = np.stack([oracle.fd_first(g_val, pt, mu) for mu in range(3)])
+    dg = oracle.fd_grad(g_val, pt)
     ginv = np.linalg.inv(g_val(pt))
     gam_fd = 0.5 * np.einsum(
         "ab,bmn->amn", ginv, np.einsum("mbn->bmn", dg) + np.einsum("nbm->bmn", dg) - dg
@@ -123,7 +123,7 @@ def test_vielbein_pivot_error():
     )
     m = metrics.MetricField("wrong", 4, (1, 3), metrics.metric_from_spec(spec).g, spec.domain)
     with pytest.raises(FrameError) as err:
-        Geometry(m, (0.0, 0.0, 0.0, 0.0)).e3
+        Geometry(m, (0.0, 0.0, 0.0, 0.0)).e(0)
     assert err.value.pivot == 0
     assert err.value.point == (0.0, 0.0, 0.0, 0.0)
 
@@ -131,7 +131,7 @@ def test_vielbein_pivot_error():
 def test_spin_connection_properties(bumpy, rng):
     for p in metrics.sample_points(bumpy, 3, rng):
         geo = Geometry(bumpy, p)
-        A = _val(geo.spin2)
+        A = _val(geo.spin1)
         eta = bumpy.eta
         anti = np.einsum("ac,mcb->mab", eta, A) + np.einsum("bc,mca->mab", eta, A)
         assert np.abs(anti).max() < 1e-10

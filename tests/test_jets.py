@@ -163,15 +163,16 @@ def test_smooth_composites_match_fd():
         coeffs = random_polynomial(rng, n, 2, 0.8)
 
         def f(x):
-            return float(np.exp(np.sin(sum(v * np.prod(np.asarray(x) ** alpha)
-                                           for alpha, v in coeffs.items()))))
+            return np.exp(np.sin(sum(v * np.prod(np.asarray(x) ** alpha, axis=-1)
+                                     for alpha, v in coeffs.items())))
 
         x = rng.uniform(-0.8, 0.8, n)
         alg = jets.algebra(n, 2)
         inner = _eval_poly_jet(coeffs, x, 2)
         jet = alg.exp(alg.sin(inner))
+        grad = oracle.fd_grad(f, x)
         for mu in range(n):
-            fd = oracle.fd_first(f, x, mu)
+            fd = grad[mu]
             got = alg.partial(jet, tuple(1 if i == mu else 0 for i in range(n)))
             assert abs(got - fd) <= 1e-6 * (1.0 + abs(fd))
         for mu in range(n):

@@ -141,7 +141,7 @@ def test_error_note_names_the_exception(flat, monkeypatch):
     def broken(*args, **kwargs):
         raise ZeroDivisionError("forced failure")
 
-    monkeypatch.setattr(oracle, "fd_first", broken)
+    monkeypatch.setattr(oracle, "fd_grad", broken)
     results = suites.run_suites(flat, ["riemann-laws"], seed=0, npoints=4)
     failed = [r for r in results if not r.passed]
     assert [r.check_id for r in failed] == ["fd-oracle"]
