@@ -55,7 +55,7 @@ def col_t(c, eta):
 # -- algebra and group elements (plain float matrices) -------------------------
 
 
-def embed_algebra(eps, v, tau, iota, eta, check=True):
+def embed_algebra(eps, v, tau, iota, eta):
     """Assemble a Lie-algebra element from graded blocks (eps, v, tau, iota).
 
     v must be eta-antisymmetric (eta v + v^T eta = 0); tau is a column
@@ -74,28 +74,15 @@ def embed_algebra(eps, v, tau, iota, eta, check=True):
     m[1:-1, 1:-1] = v
     m[1:-1, -1] = row_t(iota, eta_inv)
     m[-1, 1:-1] = col_t(tau, eta)
-    if check:
-        res = sigma_antisymmetry(m, eta)
-        if res > 1e-10 * (1.0 + np.abs(m).max()):
-            raise CartanError(f"malformed v block: Sigma-antisymmetry residual {res:.3e}")
+    res = sigma_antisymmetry(m, eta)
+    if res > 1e-10 * (1.0 + np.abs(m).max()):
+        raise CartanError(f"malformed v block: Sigma-antisymmetry residual {res:.3e}")
     return m
 
 
 def split_algebra(m):
     """Inverse of embed_algebra: recover (eps, v, tau, iota) exactly."""
     return m[0, 0], m[1:-1, 1:-1].copy(), m[1:-1, 0].copy(), m[0, 1:-1].copy()
-
-
-def grading_parts(m, eta):
-    """Split into (g_-1, g_0, g_+1) matrices: tau part, (eps, v) part, iota part."""
-    eps, v, tau, iota = split_algebra(m)
-    n = eta.shape[0]
-    zero = np.zeros(n)
-    return (
-        embed_algebra(0.0, np.zeros((n, n)), tau, zero, eta, check=False),
-        embed_algebra(eps, v, zero, zero, eta, check=False),
-        embed_algebra(0.0, np.zeros((n, n)), zero, iota, eta, check=False),
-    )
 
 
 def sigma_antisymmetry(m, eta):
@@ -137,13 +124,6 @@ def h_matrix(z, S, r, eta):
     if np.abs(S.T @ eta @ S - eta).max() > 1e-10:
         raise CartanError("S is not eta-orthogonal")
     return k0_matrix(z, S) @ k1_matrix(r, eta)
-
-
-def h_inverse(z, S, r, eta):
-    """Inverse in factored form: K1(-r) K0(1/z, S^-1)."""
-    eta_inv = np.linalg.inv(eta)
-    s_inv = eta_inv @ S.T @ eta
-    return k1_matrix(-np.asarray(r), eta) @ k0_matrix(1.0 / z, s_inv)
 
 
 def invariant_pairing(phi, phi2, eta):

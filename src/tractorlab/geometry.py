@@ -18,11 +18,15 @@ tractor suites.
 Each tensor is built at the jet order its readers need: g at order 3, Gamma at
 2, the spin connection and curvature at 1.  The vielbein and the inverses are
 built per order read (`e(k)`, `einv(k)`, `ginv(k)`): a read truncates a
-memoised jet of that order or higher, and otherwise factors or inverts in the
-order-k algebra, because an order-3 jet costs several times an order-2 one.
-The connection reads e at order 2 or less, and only its first column (`col0`,
-which the dressings read) and the frame check read e at order 3; only the frame
-check reads e^-1 and g^-1 at order 3.
+memoised jet of that order or higher, and otherwise builds it in the order-k
+algebra, because an order-3 jet costs several times an order-2 one.
+The vielbein is the triangular frame e^a_mu = sqrt(eta_a d_a) L_{mu a} of
+g = L D L^T, factored in outer-product form (per pivot, one column of L and one
+update of the trailing block), and its inverse is e^-1 = g^-1 e^T eta, so g is
+the only matrix inverted by Newton steps.  The connection reads e at order 2 or
+less, and only its first column (`col0`, which the dressings read) and the
+frame check read e at order 3; only the frame check reads e^-1 and g^-1 at
+order 3.
 """
 
 from __future__ import annotations
@@ -110,22 +114,22 @@ class Geometry:
 
     def _ldl(self, order):
         """Signature-aware LDL^T of g(order) with jets: g = L D L^T, pivots in chart
-        order, in the order-`order` algebra.
+        order, in the order-`order` algebra.  Outer-product form: each pivot
+        scales its column into L and updates the trailing block, one broadcast
+        product each.
 
         A pivot whose sign disagrees with eta fails its point, which then
         divides by a stand-in pivot so that the rest of the batch factors; the
         first failing point of the batch is reported with its first bad pivot.
         """
         n, alg = self.n, self.alg(order)
-        a = self.g(order)
+        a = self.g(order).copy()  # reduced in place to the trailing blocks
         L = alg.const(np.broadcast_to(np.eye(n), a.shape[:-1]))
         d = []
         bad_pivot = np.full(a.shape[:-3], -1)
         bad_value = np.zeros(a.shape[:-3])
         for k in range(n):
-            dk = a[..., k, k, :].copy()
-            for m in range(k):
-                dk -= alg.mul(alg.mul(L[..., k, m, :], L[..., k, m, :]), d[m])
+            dk = a[..., k, k, :]
             bad = np.sign(dk[..., 0]) != self.eta[k, k]
             if bad.any():
                 first = bad & (bad_pivot < 0)
@@ -133,12 +137,11 @@ class Geometry:
                 bad_value[first] = dk[..., 0][first]
                 dk[bad] = alg.const(self.eta[k, k])
             d.append(dk)
-            rk = alg.reciprocal(dk)  # one reciprocal serves every row below the pivot
-            for i in range(k + 1, n):
-                num = a[..., i, k, :].copy()
-                for m in range(k):
-                    num -= alg.mul(alg.mul(L[..., i, m, :], L[..., k, m, :]), d[m])
-                L[..., i, k, :] = alg.mul(num, rk)
+            if k + 1 < n:  # the last pivot has no column below it
+                col = a[..., k + 1:, k, :]
+                L[..., k + 1:, k, :] = alg.mul(col, alg.reciprocal(dk)[..., None, :])
+                a[..., k + 1:, k + 1:, :] -= alg.mul(L[..., k + 1:, k, None, :],
+                                                     col[..., None, :, :])
         failed = bad_pivot >= 0
         if failed.any():
             idx = np.unravel_index(np.argmax(failed), failed.shape)
@@ -159,8 +162,10 @@ class Geometry:
         return self._per_order("e", order, self._frame)
 
     def einv(self, order):
-        """Inverse vielbein e^mu_a, stored einv[mu, a], with order-`order` jets."""
-        return self._per_order("einv", order, lambda k: self.alg(k).inv_matrix(self.e(k)))
+        """Inverse vielbein e^mu_a = g^{mu nu} e^b_nu eta_ba (from e^T eta e = g), stored
+        einv[mu, a], with order-`order` jets."""
+        return self._per_order("einv", order, lambda k: self.alg(k).matmul(
+            self.ginv(k), np.swapaxes(self.e(k), -3, -2)) * np.diag(self.eta)[:, None])
 
     # -- connection and curvature ---------------------------------------------
 
@@ -256,21 +261,20 @@ class Geometry:
     # -- covariant derivative ---------------------------------------------------
 
     def covariant_derivative(self, tensor, valences):
-        """Levi-Civita covariant derivative; the new (derivative) index comes first,
-        after the batch axes.
+        """Levi-Civita covariant derivative of a covariant tensor; the new (derivative)
+        index comes first, after the batch axes.
 
         `tensor` is a jet array with the batch axes, one axis per tensor index
-        and the trailing coefficient axis; `valences` is a string of 'u'/'d'
-        per index ('' for a scalar).  The output order is one below the input
-        order.
+        and the trailing coefficient axis; `valences` is a string of 'd', one
+        per (lower) index ('' for a scalar).  The output order is one below the
+        input order.
         """
         tensor = np.asarray(tensor)
         nb = self.point.ndim - 1
         k = self._order_of(tensor)
-        if tensor.ndim - 1 - nb != len(valences):
-            raise MetricError(
-                f"tensor has {tensor.ndim - 1 - nb} index axes but valence string is {valences!r}"
-            )
+        if tensor.ndim - 1 - nb != len(valences) or valences.strip("d"):
+            raise MetricError(f"tensor has {tensor.ndim - 1 - nb} index axes but valence "
+                              f"string is {valences!r} (one 'd' per lower index)")
         if k < 1:
             raise MetricError("covariant derivative needs at least order-1 jets")
         alg_in, alg_out = self.alg(k), self.alg(k - 1)
@@ -278,18 +282,13 @@ class Geometry:
         if not valences:
             return out
         t_low = alg_in.truncate(tensor, k - 1)
-        gam = self.alg(2).truncate(self.gamma2, k - 1)
-        for slot, val in enumerate(valences):
+        # [..., lam, i, mu] = Gamma^lam_{mu i}, padded to broadcast over the other indices
+        gam = np.swapaxes(self.alg(2).truncate(self.gamma2, k - 1), -3, -2)
+        blocks = gam.reshape(gam.shape[:-1] + (1,) * (t_low.ndim - nb - 2) + gam.shape[-1:])
+        for slot in range(len(valences)):
             moved = np.moveaxis(t_low, nb + slot, nb)  # [..., lam, rest..., NC]
-            if val == "u":
-                blocks = np.moveaxis(gam, -2, -4)  # [..., lam, i, mu] = Gamma^i_{mu lam}
-            else:
-                blocks = np.swapaxes(gam, -3, -2)  # [..., lam, i, mu] = Gamma^lam_{mu i}
-            pad = (1,) * (moved.ndim - nb - 2)
-            blocks = blocks.reshape(blocks.shape[:-1] + pad + blocks.shape[-1:])
             corr = alg_out.mul(blocks, np.expand_dims(moved, (nb + 1, nb + 2))).sum(axis=nb)
-            corr = np.moveaxis(np.swapaxes(corr, nb, nb + 1), nb + 1, nb + slot + 1)
-            out = out + corr if val == "u" else out - corr
+            out = out - np.moveaxis(np.swapaxes(corr, nb, nb + 1), nb + 1, nb + slot + 1)
         return out
 
     def laplacian(self, scalar_jets):

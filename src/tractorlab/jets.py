@@ -264,18 +264,6 @@ class JetAlgebra:
         out *= self._diff_fac  # in place: one temporary fewer at the peak
         return np.ascontiguousarray(np.moveaxis(out, -2, -2 - valence))
 
-    def partial(self, a, alpha):
-        """Raw partial derivative d^alpha f (alpha! times the coefficient)."""
-        alpha = tuple(int(x) for x in alpha)
-        if len(alpha) != self.n:
-            raise JetError(f"multi-index length {len(alpha)} != dimension {self.n}")
-        if sum(alpha) > self.order:
-            raise JetError(f"|alpha|={sum(alpha)} exceeds stored order {self.order}")
-        fac = 1.0
-        for x in alpha:
-            fac *= math.factorial(x)
-        return np.asarray(a)[..., self.index_of[alpha]] * fac
-
 
 @lru_cache(maxsize=None)
 def algebra(n, order):

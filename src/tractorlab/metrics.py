@@ -108,12 +108,20 @@ class MetricField:
     def check_signature(self, samples=20, seed=0):
         """Eigenvalue-sign check of g at sampled points of the domain box and, up to
         dimension CORNER_MAX_DIM, at the corners of the box they are sampled from,
-        in one batched call."""
+        in one batched call; a g that is not finite there is bad input too."""
         pts = sample_points(self, samples, np.random.default_rng(seed))
         if self.n <= CORNER_MAX_DIM:
             lo, hi = sample_box(self)
             pts = np.concatenate([pts, np.array(list(itertools.product(*zip(lo, hi))))])
-        eig = np.linalg.eigvalsh(jets.algebra(self.n, 0).value(self.g(pts, 0)))
+        with np.errstate(all="ignore"):  # an overflow is reported below as bad input
+            g = jets.algebra(self.n, 0).value(self.g(pts, 0))
+        bad = ~np.isfinite(g).all(axis=(-2, -1))
+        if bad.any():
+            at = g[np.argmax(bad)]
+            i, j = np.argwhere(~np.isfinite(at))[0]
+            raise MetricError(f"metric {self.name!r} is not finite at {first_point(pts, bad)}: "
+                              f"g_{i}{j} = {at[i, j]}")
+        eig = np.linalg.eigvalsh(g)
         r, s = self.signature
         bad = (np.abs(eig) < 1e-9).any(axis=-1) | ((eig < 0).sum(axis=-1) != r) | (
             (eig > 0).sum(axis=-1) != s)

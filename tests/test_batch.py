@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from tractorlab import brst, cartan, dressing, jets, metrics, suites, tractor
-from tractorlab.fields import (RowField, ScalarField, domain_poly_field, domain_z_field,
-                               random_poly_field)
+from tractorlab.fields import ScalarField, domain_poly_field, domain_z_field, random_poly_field
 from tractorlab.geometry import FrameError, Geometry
 from tractorlab.jets import JetAlgebra
 
@@ -124,12 +123,9 @@ def test_covariant_derivative_and_laplacian(case):
     geom, singles = Geometry(metric, pts), [Geometry(metric, p) for p in pts]
     rng = np.random.default_rng(3)
     f = random_poly_field(rng, metric.n, 3)
-    v = RowField([random_poly_field(rng, metric.n, 3) for _ in range(metric.n)])
     for tensor, valences in (
         (lambda g: f.coeffs(g.point, 3), ""),
-        (lambda g: v.coeffs(g.point, 2), "u"),
         (lambda g: g.schouten1, "dd"),
-        (lambda g: g.schouten_up1, "ud"),
         (lambda g: g.g(2), "dd"),
     ):
         _assert_stacked(geom.covariant_derivative(tensor(geom), valences),

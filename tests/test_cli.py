@@ -1,6 +1,10 @@
 """CLI: suite runs, report schema, determinism, tolerance overrides."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +92,33 @@ def test_a_metric_with_the_wrong_signature_only_near_a_corner_exits_2(tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("tractorlab: error: ") and err.count("\n") == 1
     assert "fails signature check at (0.9, 0.9, 0.9, 0.9)" in err
+
+
+NON_FINITE = {
+    "overflowing-param": ["--metric", "conformally_flat", "--param", "factor=1000*x0"],
+    "overflowing-spec": ["--metric", "spec"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_a_metric_that_is_not_finite_is_a_one_line_error(case, tmp_path):
+    # exp(2000) and exp(exp(exp(30 x0))) overflow: the run, in a process of its
+    # own so that numpy's warnings reach its stderr, exits 2 with one error line
+    args = NON_FINITE[case]
+    if args[1] == "spec":
+        path = tmp_path / "huge.ini"
+        path.write_text("[metric]\nn=4\n[components]\n"
+                        "g_00 = exp(exp(exp(x0*30)))\ng_11 = 1\ng_22 = 1\ng_33 = 1\n")
+        args = ["--metric", str(path)]
+    pythonpath = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+    proc = subprocess.run([sys.executable, "-m", "tractorlab.cli", "run", *args, "--suite",
+                           "riemann-laws", "--points", "3", "--quiet"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("tractorlab: error: ") and proc.stderr.count("\n") == 1
+    assert "is not finite at (" in proc.stderr and "g_00 = inf" in proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
 
 
 def test_failing_check_reports_worst_point(tmp_path):

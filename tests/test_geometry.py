@@ -8,6 +8,7 @@ from tractorlab.geometry import FrameError, Geometry
 
 A0 = jets.algebra(4, 0)
 A1 = jets.algebra(4, 1)
+EPS = np.finfo(float).eps
 
 
 def _val(x):
@@ -135,3 +136,38 @@ def test_spin_connection_properties(bumpy, rng):
         eta = bumpy.eta
         anti = np.einsum("ac,mcb->mab", eta, A) + np.einsum("bc,mca->mab", eta, A)
         assert np.abs(anti).max() < 1e-10
+
+
+def _left_looking_ldl(geom, order):
+    """Reference LDL^T of g(order) in left-looking form: each pivot and each entry
+    of L below it subtracts the products of the earlier columns one at a time.
+    No pivot sign check."""
+    n, alg = geom.n, jets.algebra(geom.n, order)
+    a = geom.g(order)
+    L = alg.const(np.broadcast_to(np.eye(n), a.shape[:-1]))
+    d = []
+    for k in range(n):
+        dk = a[..., k, k, :].copy()
+        for m in range(k):
+            dk -= alg.mul(alg.mul(L[..., k, m, :], L[..., k, m, :]), d[m])
+        d.append(dk)
+        rk = alg.reciprocal(dk)
+        for i in range(k + 1, n):
+            num = a[..., i, k, :].copy()
+            for m in range(k):
+                num -= alg.mul(alg.mul(L[..., i, m, :], L[..., k, m, :]), d[m])
+            L[..., i, k, :] = alg.mul(num, rk)
+    return L, d
+
+
+@pytest.mark.parametrize("name", metrics.CATALOG)
+def test_ldl_matches_the_left_looking_factorization(name):
+    """The outer-product L and D equal the left-looking ones within 1e3 eps
+    normwise, at every jet order, on a batch of points."""
+    metric = metrics.load_metric(name)
+    geom = Geometry(metric, metrics.sample_points(metric, 7, np.random.default_rng(8)))
+    for order in range(4):
+        for got, want in zip(geom._ldl(order), _left_looking_ldl(geom, order)):
+            got, want = np.asarray(got), np.asarray(want)
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e3 * EPS * max(np.linalg.norm(want), 1.0)

@@ -1,14 +1,21 @@
 """Repository hygiene: every public top-level name and every public method in the
-package has a caller, every defaulted parameter is set by some caller and takes
-more than one value over its calls, no function assigns a local name it never
-reads, and no module imports a name it never reads."""
+package has a caller in the package or the benchmark, every defaulted parameter
+is set by some caller and takes more than one value over its calls, no function
+assigns a local name it never reads, and no module imports a name it never
+reads."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "tractorlab"
-SEARCHED = [ROOT / "src", ROOT / "tests", ROOT / "tractorbench"]
+CALLERS = [ROOT / "src", ROOT / "tractorbench"]
+# public names with no caller in the package or the benchmark, each with the
+# reason it stays
+UNCALLED_KEPT = {
+    "sin": "expr._JET_FUNCTIONS maps the expression function sin to this method by name",
+    "cos": "expr._JET_FUNCTIONS maps the expression function cos to this method by name",
+}
 
 
 def _registered_check(node):
@@ -48,13 +55,14 @@ def _references(path):
 
 
 def test_every_public_definition_has_a_caller():
-    this = Path(__file__).resolve()
+    """A public name that only tests call is test code: it belongs in the tests."""
     refs = {path: list(_references(path))
-            for root in SEARCHED for path in sorted(root.rglob("*.py")) if path != this}
+            for root in CALLERS for path in sorted(root.rglob("*.py"))}
     uncalled = []
     for module, name, first, last in _public_definitions():
-        if not any(ref == name and not (path == module and first <= line <= last)
-                   for path, found in refs.items() for ref, line in found):
+        if name not in UNCALLED_KEPT and not any(
+                ref == name and not (path == module and first <= line <= last)
+                for path, found in refs.items() for ref, line in found):
             uncalled.append(f"{module.name}:{first} {name}")
     assert not uncalled, "public names with no caller: " + ", ".join(uncalled)
 
@@ -132,7 +140,6 @@ UNSET_OPTIONS_KEPT = {
     ("section_derivative", "order"): "the D^2 phi = Omega phi test differentiates D phi "
                                      "once more, so it needs D phi at order 1",
 }
-CALLERS = [ROOT / "src", ROOT / "tractorbench"]
 
 
 def _defaulted_parameters():
