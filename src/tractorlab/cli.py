@@ -76,10 +76,10 @@ def non_negative_int(text):
 def build_report(args):
     params = parse_params(args.param)
     tolerances = parse_tol_overrides(args.tol_override)
-    for name in args.suite:
-        if name != "all" and name not in suites.SUITES:
-            raise UsageError(f"unknown suite {name!r}; available: {', '.join(suites.SUITES)}")
-    suite_names = "all" if "all" in args.suite else args.suite
+    try:
+        suite_names = suites.expand_suites(args.suite)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     metric = metrics.load_metric(args.metric, **params)
     start = time.time()
     results = suites.run_suites(
@@ -97,7 +97,7 @@ def build_report(args):
         "config": {
             "metric": args.metric,
             "params": params,
-            "suites": list(suites.SUITES) if suite_names == "all" else list(suite_names),
+            "suites": suite_names,
             "points": args.points,
             "tol_overrides": tolerances,
         },

@@ -4,6 +4,8 @@ The boost dressing u1 = K1(q) with q = a . e^-1 kills the trace block of the
 connection; the frame dressing ubar = diag(1, e, 1) converts the result to
 holonomic (coordinate) form.  Both use only the first matrix column of the
 connection, so their jets stay exact through chains of gauge transforms.
+`dressing_chain` is the one place that chains them: the checks and the BRST
+composite ghosts read its fields and build no dressing of their own.
 
 Residual Weyl transformations of dressed fields act through the cocycle
 matrices C(z) (frame form) and Cbar(z) (holonomic form); residual Lorentz
@@ -75,14 +77,20 @@ def frame_dressing(conn: ConnectionField) -> JetField:
     return JetField(fn, n, max_order=conn.col0_order)
 
 
-def normal_dressing_chain(metric):
-    """The normal connection wn, its boost dressing u1 and w1 = wn^u1, the frame
-    dressing ubar of w1 and the holonomic connection wl = w1^ubar."""
-    wn = normal_connection(metric)
-    u1 = boost_dressing(wn)
-    w1 = dress(wn, u1)
+def dressing_chain(conn: ConnectionField):
+    """The dressing chain of a connection w, as lazy fields: its boost dressing u1,
+    w1 = w^u1, the frame dressing ubar of w1 and the holonomic connection
+    wl = w1^ubar."""
+    u1 = boost_dressing(conn)
+    w1 = dress(conn, u1)
     ubar = frame_dressing(w1)
-    return {"wn": wn, "u1": u1, "w1": w1, "ubar": ubar, "wl": dress(w1, ubar)}
+    return {"u1": u1, "w1": w1, "ubar": ubar, "wl": dress(w1, ubar)}
+
+
+def normal_dressing_chain(metric):
+    """The normal connection wn and its dressing chain."""
+    wn = normal_connection(metric)
+    return {"wn": wn, **dressing_chain(wn)}
 
 
 def dress(chi, u: JetField):

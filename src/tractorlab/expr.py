@@ -429,7 +429,8 @@ class Program:
             for op, i, args, node in self._code:
                 vals[i] = op(alg, *[vals[a] for a in args])
         except JetDomainError as exc:
-            raise ExprEvalError(f"{exc} in subexpression {to_string(node)!r}") from exc
+            at = tuple(float(v) for v in x[exc.index])
+            raise ExprEvalError(f"{exc} in subexpression {to_string(node)!r} at {at}") from exc
         out = np.empty(x.shape[:-1] + (len(self._roots), alg.ncoef))
         for r, i in enumerate(self._roots):
             out[..., r, :] = vals[i]
@@ -537,26 +538,3 @@ def mul(*nodes):
     for nd in nodes[1:]:
         out = BinOp("*", out, nd)
     return out
-
-
-def monomial(coeff, alpha):
-    """coeff * x0^a0 * x1^a1 * ... as an expression tree."""
-    factors = []
-    for i, a in enumerate(alpha):
-        if a == 1:
-            factors.append(Coord(i))
-        elif a > 1:
-            factors.append(Pow(Coord(i), a))
-    if not factors:
-        return const(coeff)
-    if coeff == 1.0:
-        return mul(*factors)
-    return mul(const(coeff), *factors)
-
-
-def polynomial(coeffs: dict) -> object:
-    """Expression tree for sum_alpha c_alpha x^alpha (deterministic term order)."""
-    terms = [monomial(c, alpha) for alpha, c in sorted(coeffs.items()) if c != 0.0]
-    if not terms:
-        return const(0.0)
-    return add(*terms)

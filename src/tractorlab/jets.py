@@ -29,7 +29,15 @@ class JetError(ValueError):
 
 
 class JetDomainError(JetError):
-    """Function evaluated outside its domain (div by zero value, ln <= 0, ...)."""
+    """Function evaluated outside its domain (div by zero value, ln <= 0, ...).
+
+    `index` is the batch index of the first value outside it, so that a caller
+    that holds the points can name the point.
+    """
+
+    def __init__(self, what, values, bad):
+        self.index = np.unravel_index(np.argmax(bad), np.shape(bad))
+        super().__init__(f"{what}, got {float(values[self.index])!r}")
 
 
 def _multi_indices(n, order):
@@ -113,17 +121,6 @@ class JetAlgebra:
         out[..., 0] = value
         return out
 
-    def coord(self, i, point):
-        """Jet of the coordinate function x^i at the given point."""
-        if not 0 <= i < self.n:
-            raise JetError(f"coordinate index {i} out of range for dimension {self.n}")
-        out = self.zeros()
-        out[0] = point[i]
-        if self.order >= 1:
-            unit = tuple(1 if k == i else 0 for k in range(self.n))
-            out[self.index_of[unit]] = 1.0
-        return out
-
     # -- ring operations ----------------------------------------------------
 
     def mul(self, a, b):
@@ -202,8 +199,9 @@ class JetAlgebra:
 
     def reciprocal(self, a):
         a0 = np.asarray(a)[..., 0]
-        if np.any(a0 == 0.0):
-            raise JetDomainError(f"division by a jet with zero value (values {a0!r})")
+        bad = a0 == 0.0
+        if bad.any():
+            raise JetDomainError("division by a jet with zero value", a0, bad)
         return self._compose(a, lambda m, x: (-1.0) ** m * x ** (-m - 1))
 
     def div(self, a, b):
@@ -214,8 +212,9 @@ class JetAlgebra:
 
     def log(self, a):
         a0 = np.asarray(a)[..., 0]
-        if np.any(a0 <= 0.0):
-            raise JetDomainError(f"ln of a jet with non-positive value (values {a0!r})")
+        bad = a0 <= 0.0
+        if bad.any():
+            raise JetDomainError("ln of a jet with non-positive value", a0, bad)
 
         def c(m, x):
             if m == 0:
@@ -226,8 +225,9 @@ class JetAlgebra:
 
     def sqrt(self, a):
         a0 = np.asarray(a)[..., 0]
-        if np.any(a0 <= 0.0):
-            raise JetDomainError(f"sqrt of a jet with non-positive value (values {a0!r})")
+        bad = a0 <= 0.0
+        if bad.any():
+            raise JetDomainError("sqrt of a jet with non-positive value", a0, bad)
 
         def c(m, x):
             coef = 1.0

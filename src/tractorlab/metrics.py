@@ -35,6 +35,8 @@ CATALOG = (
 SAMPLE_SHRINK = 0.1
 # the signature check adds the 2^n sampling-box corners up to this dimension
 CORNER_MAX_DIM = 10
+# the signature check counts an eigenvalue this small as zero: g is degenerate
+DEGENERATE_EIGENVALUE = 1e-9
 
 
 class MetricError(ValueError):
@@ -45,10 +47,13 @@ class SignatureError(MetricError):
     def __init__(self, name, point, eigenvalues, expected):
         self.point = tuple(point)
         self.eigenvalues = tuple(eigenvalues)
-        super().__init__(
-            f"metric {name!r} fails signature check at {self.point}: "
-            f"eigenvalue signs {['+' if e > 0 else '-' for e in eigenvalues]}, expected {expected}"
-        )
+        small = [e for e in eigenvalues if abs(e) < DEGENERATE_EIGENVALUE]
+        if small:
+            why = f"eigenvalue {small[0]:.3e} is (near) zero, so g is degenerate"
+        else:
+            why = (f"eigenvalue signs {['+' if e > 0 else '-' for e in eigenvalues]}, "
+                   f"expected {expected}")
+        super().__init__(f"metric {name!r} fails signature check at {self.point}: {why}")
 
 
 @dataclass
@@ -68,7 +73,7 @@ def eta_matrix(signature):
 class MetricField:
     """Chart metric with jet accessors for g and its inverse."""
 
-    def __init__(self, name, n, signature, g_fn, domain, spec=None):
+    def __init__(self, name, n, signature, g_fn, domain):
         if n < 3:
             raise MetricError(f"dimension must be >= 3, got {n}")
         if signature[0] + signature[1] != n:
@@ -79,7 +84,6 @@ class MetricField:
         self.eta = eta_matrix(signature)
         self._g_fn = g_fn
         self.domain = [(float(lo), float(hi)) for lo, hi in domain]
-        self.spec = spec
 
     def g(self, point, order):
         """Component jets g_{mu,nu} at a point or a batch of points (..., n): (..., n, n, NC)."""
@@ -123,8 +127,8 @@ class MetricField:
                               f"g_{i}{j} = {at[i, j]}")
         eig = np.linalg.eigvalsh(g)
         r, s = self.signature
-        bad = (np.abs(eig) < 1e-9).any(axis=-1) | ((eig < 0).sum(axis=-1) != r) | (
-            (eig > 0).sum(axis=-1) != s)
+        bad = (np.abs(eig) < DEGENERATE_EIGENVALUE).any(axis=-1) | (
+            (eig < 0).sum(axis=-1) != r) | ((eig > 0).sum(axis=-1) != s)
         if bad.any():
             raise SignatureError(self.name, first_point(pts, bad), eig[np.argmax(bad)],
                                  self.signature)
@@ -157,19 +161,25 @@ def metric_from_spec(spec: MetricSpec) -> MetricField:
         program = expr.Program([spec.components[k] for k in keys], n)
     except expr.ExprError as exc:
         raise MetricError(f"metric {spec.name!r}: {exc}") from exc
-    # each component fills (i, j) and, off the diagonal, (j, i)
+    domain = spec.domain or [(-1.0, 1.0)] * n
+    return MetricField(spec.name, n, spec.signature, _symmetric(keys, n, program), domain)
+
+
+def _symmetric(keys, n, components):
+    """g_fn of the components g_ij, i <= j, of `keys`: `components(point, order)`
+    gives their jets (..., len(keys), NC) in that order, and each fills (i, j)
+    and, off the diagonal, (j, i)."""
     src = [r for r, (i, j) in enumerate(keys)] + [r for r, (i, j) in enumerate(keys) if i != j]
     rows = [i for i, _ in keys] + [j for i, j in keys if i != j]
     cols = [j for _, j in keys] + [i for i, j in keys if i != j]
 
     def g_fn(point, order):
-        comps = program(point, order)
+        comps = components(point, order)
         out = np.zeros(comps.shape[:-2] + (n, n, comps.shape[-1]))
         out[..., rows, cols, :] = comps[..., src, :]
         return out
 
-    domain = spec.domain or [(-1.0, 1.0)] * n
-    return MetricField(spec.name, n, spec.signature, g_fn, domain, spec=spec)
+    return g_fn
 
 
 # -- catalog ------------------------------------------------------------------
@@ -233,17 +243,18 @@ def schwarzschild(mass=1.0, n=4):
 
 
 def poly_perturbation(amplitude=0.05, seed=0, n=4, degree=3):
-    """Flat Euclidean metric plus a seeded random polynomial perturbation."""
+    """Flat Euclidean metric plus a seeded random polynomial perturbation: one
+    random polynomial per component g_ij, i <= j, all evaluated by one product."""
     rng = np.random.default_rng(int(seed))
-    comps = {}
-    for i in range(n):
-        for j in range(i, n):
-            p = expr.polynomial(random_polynomial(rng, n, degree, float(amplitude)))
-            base = expr.const(1.0) if i == j else None
-            comps[(i, j)] = expr.BinOp("+", base, p) if base else p
+    keys = [(i, j) for i in range(n) for j in range(i, n)]
+    polys = [random_polynomial(rng, n, degree, float(amplitude)) for _ in keys]
+    for (i, j), poly in zip(keys, polys):
+        if i == j:
+            poly[(0,) * n] = 1.0 + poly[(0,) * n]
+    evaluator = expr.PolynomialEvaluator(polys, n)
+    g_fn = _symmetric(keys, n, lambda p, k: evaluator.coeffs_at(p, jets.algebra(n, k)))
     name = f"poly_perturbation(a={amplitude},seed={seed})"
-    spec = MetricSpec(name, n, (0, n), comps, [(-0.3, 0.3)] * n)
-    return metric_from_spec(spec)
+    return MetricField(name, n, (0, n), g_fn, [(-0.3, 0.3)] * n)
 
 
 _BUILDERS = {

@@ -630,8 +630,7 @@ def check_k1_erasure(ctx, rng):
     scale = 1.0 + np.abs(b).max(axis=(-4, -3, -2, -1), keepdims=True)
     for _ in range(20):
         gam1 = cartan.h_field(ctx.metric, r=[domain_poly_field(rng, ctx.metric, 2, 0.5) for _ in range(n)])
-        wg = cartan.transform_connection(wn, gam1)
-        dressed = dressing.dress(wg, dressing.boost_dressing(wg))
+        dressed = dressing.dressing_chain(cartan.transform_connection(wn, gam1))["w1"]
         tr.add(pts, np.abs(dressed.at(pts, 1) - b) / scale)
     return tr
 
@@ -643,8 +642,7 @@ def check_boost_constraint(ctx, rng):
     wn = ctx.pipeline()["wn"]
     zf = domain_z_field(rng, ctx.metric)
     gam = cartan.h_field(ctx.metric, z=zf, r=[domain_poly_field(rng, ctx.metric, 2, 0.4) for _ in range(n)])
-    wg = cartan.transform_connection(wn, gam)
-    dressed = dressing.dress(wg, dressing.boost_dressing(wg))
+    dressed = dressing.dressing_chain(cartan.transform_connection(wn, gam))["w1"]
 
     def residual(p):
         return cartan.conn_blocks(dressed.at(p, 0))["a"]
@@ -658,13 +656,13 @@ def check_dressed_curvature(ctx, rng):
     wn = ctx.pipeline()["wn"]
     gam1 = cartan.h_field(ctx.metric, r=[domain_poly_field(rng, ctx.metric, 2, 0.4) for _ in range(n)])
     wg = cartan.transform_connection(wn, gam1)
-    u1 = dressing.boost_dressing(wg)
-    dressed = dressing.dress(wg, u1)
+    chain = dressing.dressing_chain(wg)
     curv_base = cartan.curvature(wg)
-    curv_dressed = cartan.curvature(dressed)
+    curv_dressed = cartan.curvature(chain["w1"])
 
     def residual(p):
-        return _value(curv_dressed(p, 0) - cartan.transform_curvature(curv_base(p, 0), u1.at(p, 0)))
+        return _value(curv_dressed(p, 0)
+                      - cartan.transform_curvature(curv_base(p, 0), chain["u1"].at(p, 0)))
     return ctx.sweep(rng, residual, "third")
 
 
@@ -792,8 +790,7 @@ def check_dressing_weyl(ctx, rng):
     u1 = ctx.pipeline()["u1"]
     zf = domain_z_field(rng, ctx.metric)
     zgauge = cartan.h_field(ctx.metric, z=zf)
-    wz = cartan.transform_connection(wn, zgauge)
-    u1z = dressing.boost_dressing(wz)
+    u1z = dressing.dressing_chain(cartan.transform_connection(wn, zgauge))["u1"]
     cz = dressing.weyl_cocycle(ctx.metric, zf, "C")
     a1 = jets.algebra(n, 1)
 
@@ -816,7 +813,7 @@ def check_iterated_cocycle(ctx, rng):
     g12 = cartan.h_field(ctx.metric, z=zz)
     w_final = cartan.transform_connection(cartan.transform_connection(wn, g1),
                                           cartan.h_field(ctx.metric, z=z2))
-    u_iter = dressing.boost_dressing(w_final)
+    u_iter = dressing.dressing_chain(w_final)["u1"]
     c12 = dressing.weyl_cocycle(ctx.metric, zz, "C")
     a1 = jets.algebra(n, 1)
 
@@ -833,18 +830,16 @@ def check_two_pipeline_1(ctx, rng):
     zf = domain_z_field(rng, ctx.metric)
     cz = dressing.weyl_cocycle(ctx.metric, zf, "C")
     zgauge = cartan.h_field(ctx.metric, z=zf)
-    wz = cartan.transform_connection(pipe["wn"], zgauge)
-    u1z = dressing.boost_dressing(wz)
+    chain_z = dressing.dressing_chain(cartan.transform_connection(pipe["wn"], zgauge))
     conn_a = cartan.transform_connection(pipe["w1"], cz)
-    conn_b = dressing.dress(wz, u1z)
     phi = random_section(rng, ctx.metric)
     phi1 = dressing.dress(phi, pipe["u1"])
     phi_a = cartan.transform_section(phi1, cz)
-    phi_b = dressing.dress(cartan.transform_section(phi, zgauge), u1z)
+    phi_b = dressing.dress(cartan.transform_section(phi, zgauge), chain_z["u1"])
 
     def residual(p):
         return {
-            "connection": conn_a.at(p, 1) - conn_b.at(p, 1),
+            "connection": conn_a.at(p, 1) - chain_z["w1"].at(p, 1),
             "section": phi_a.at(p, 1) - phi_b.at(p, 1),
         }
     return ctx.sweep(rng, residual, "half")
@@ -857,21 +852,18 @@ def check_two_pipeline_L(ctx, rng):
     zf = domain_z_field(rng, ctx.metric)
     cbar = dressing.weyl_cocycle(ctx.metric, zf, "Cbar")
     zgauge = cartan.h_field(ctx.metric, z=zf)
-    wz = cartan.transform_connection(pipe["wn"], zgauge)
-    u1z = dressing.boost_dressing(wz)
-    w1z = dressing.dress(wz, u1z)
-    wlz_redress = dressing.dress(w1z, dressing.frame_dressing(w1z))
+    chain_z = dressing.dressing_chain(cartan.transform_connection(pipe["wn"], zgauge))
     wlz_cocycle = cartan.transform_connection(pipe["wl"], cbar)
     phi = random_section(rng, ctx.metric)
     phil = dressing.dress(dressing.dress(phi, pipe["u1"]), pipe["ubar"])
     phil_a = cartan.transform_section(phil, cbar)
     phil_b = dressing.dress(
-        dressing.dress(cartan.transform_section(phi, zgauge), u1z), dressing.frame_dressing(w1z)
+        dressing.dress(cartan.transform_section(phi, zgauge), chain_z["u1"]), chain_z["ubar"]
     )
 
     def residual(p):
         return {
-            "connection": wlz_cocycle.at(p, 0) - wlz_redress.at(p, 0),
+            "connection": wlz_cocycle.at(p, 0) - chain_z["wl"].at(p, 0),
             "section": phil_a.at(p, 1) - phil_b.at(p, 1),
         }
     return ctx.sweep(rng, residual, "half")
@@ -1298,28 +1290,30 @@ def check_ghost_membership(ctx, rng):
 @check("brst-algebra", "dressed-ghost-first",
        "first-stage composite ghost equals c(eps) + v_s; the boost ghost disappears", 1e-9)
 def check_dressed_ghost_first(ctx, rng):
-    wn = ctx.pipeline()["wn"]
+    pipe = ctx.pipeline()
     ghost = _random_ghost(ctx, rng)
     ghost_iota = _random_ghost(ctx, rng, generators=2, with_s=False, with_eps=False)
 
     def residual(p):
-        _, _, mismatch = brst.dressed_ghost(ctx.metric, wn, ghost, "first", p, 0)
-        v1_iota, _, _ = brst.dressed_ghost(ctx.metric, wn, ghost_iota, "first", p, 0)
-        return {"closed form": mismatch, "boost ghost erased": v1_iota.max_abs()}
+        v1 = brst.dressed_ghost(ctx.metric, pipe, ghost, "first", p, 0)
+        mismatch = v1 - brst.closed_form_ghost(ctx.metric, ghost, "first", p, 0)
+        v1_iota = brst.dressed_ghost(ctx.metric, pipe, ghost_iota, "first", p, 0)
+        return {"closed form": mismatch.max_abs(), "boost ghost erased": v1_iota.max_abs()}
     return ctx.sweep(rng, residual, "third")
 
 
 @check("brst-algebra", "dressed-ghost-full",
        "full composite ghost equals the holonomic cocycle linearization", 1e-9)
 def check_dressed_ghost_full(ctx, rng):
-    wn = ctx.pipeline()["wn"]
+    pipe = ctx.pipeline()
     ghost = _random_ghost(ctx, rng)
     ghost_no_eps = _random_ghost(ctx, rng, generators=2, with_eps=False)
 
     def residual(p):
-        _, _, mismatch = brst.dressed_ghost(ctx.metric, wn, ghost, "full", p, 0)
-        vw0, _, _ = brst.dressed_ghost(ctx.metric, wn, ghost_no_eps, "full", p, 0)
-        return {"closed form": mismatch, "Lorentz+boost erased": vw0.max_abs()}
+        vw = brst.dressed_ghost(ctx.metric, pipe, ghost, "full", p, 0)
+        mismatch = vw - brst.closed_form_ghost(ctx.metric, ghost, "full", p, 0)
+        vw0 = brst.dressed_ghost(ctx.metric, pipe, ghost_no_eps, "full", p, 0)
+        return {"closed form": mismatch.max_abs(), "Lorentz+boost erased": vw0.max_abs()}
     return ctx.sweep(rng, residual, "third")
 
 
@@ -1331,8 +1325,8 @@ def check_residual_invariance(ctx, rng):
     phil = dressing.dress(dressing.dress(random_section(rng, ctx.metric), pipe["u1"]), pipe["ubar"])
 
     def residual(p):
-        vw_hi, _, _ = brst.dressed_ghost(ctx.metric, pipe["wn"], ghost, "full", p, 1)
-        s_w = brst.brst_connection_with(pipe["wl"], vw_hi, p)
+        vw_hi = brst.dressed_ghost(ctx.metric, pipe, ghost, "full", p, 1)
+        s_w = brst.brst_connection(pipe["wl"], vw_hi, p)
         s_phi = brst.brst_section(brst.section_graded(phil, p, 0), vw_hi.truncate(0))
         return {"s w_L": s_w.max_abs(), "s phi_L": s_phi.max_abs()}
     return ctx.sweep(rng, residual, "third")
@@ -1350,7 +1344,7 @@ def check_sphi_column(ctx, rng):
     def residual(p):
         geom = Geometry(ctx.metric, p)
         ginv = np.linalg.inv(_value(geom.g(0)))
-        vw, _, _ = brst.dressed_ghost(ctx.metric, pipe["wn"], ghost, "full", p, 0)
+        vw = brst.dressed_ghost(ctx.metric, pipe, ghost, "full", p, 0)
         s_phi = brst.brst_section(brst.section_graded(phil, p, 0), vw)
         pv = _value(phil.at(p, 0))
         rho, ell, sig = pv[..., :1], pv[..., 1:-1], pv[..., -1:]
@@ -1380,8 +1374,8 @@ def check_s_wl_blocks(ctx, rng):
         g = _value(geom.g(0))
         ginv = np.linalg.inv(g)
         P = _value(geom.schouten1)
-        vw_hi, _, _ = brst.dressed_ghost(ctx.metric, pipe["wn"], ghost, "full", p, 1)
-        s_w = brst.brst_connection_with(pipe["wl"], vw_hi, p)
+        vw_hi = brst.dressed_ghost(ctx.metric, pipe, ghost, "full", p, 1)
+        s_w = brst.brst_connection(pipe["wl"], vw_hi, p)
         out = []
         for k, (eps_f, _, _) in enumerate(ghost.parts):
             eps_j = eps_f.coeffs(p, 2)
@@ -1423,7 +1417,7 @@ def check_s_omega_blocks(ctx, rng):
         ginv = np.linalg.inv(_value(geom.g(0)))
         FL = _value(curvl(p, 0))
         bl = cartan.curv_blocks(FL)
-        vw, _, _ = brst.dressed_ghost(ctx.metric, pipe["wn"], ghost, "full", p, 0)
+        vw = brst.dressed_ghost(ctx.metric, pipe, ghost, "full", p, 0)
         s_f = brst.brst_curvature(brst.curvature_graded(curvl, p, 0, n), vw)
         out = []
         for k, (eps_f, _, _) in enumerate(ghost.parts):
@@ -1455,7 +1449,7 @@ def check_sv_composite(ctx, rng):
     def residual(p):
         geom = Geometry(ctx.metric, p)
         ginv = np.linalg.inv(_value(geom.g(0)))
-        vw, _, _ = brst.dressed_ghost(ctx.metric, pipe["wn"], ghost, "full", p, 0)
+        vw = brst.dressed_ghost(ctx.metric, pipe, ghost, "full", p, 0)
         sv = brst.brst_ghost(vw)
         eps, de_up = [], []
         for eps_f, _, _ in ghost.parts:
@@ -1506,7 +1500,7 @@ def check_s2_section(ctx, rng):
     phi = random_section(rng, ctx.metric)
 
     def residual(p):
-        return brst.s2_section(phi, ghost, p)
+        return brst.s2_section(brst.section_graded(phi, p, 0), ghost.value(p, 0))
     return ctx.sweep(rng, residual, "third")
 
 
@@ -1537,8 +1531,8 @@ def check_s2_composite(ctx, rng):
     phil = dressing.dress(dressing.dress(random_section(rng, ctx.metric), pipe["u1"]), pipe["ubar"])
 
     def residual(p):
-        vw, _, _ = brst.dressed_ghost(ctx.metric, pipe["wn"], ghost, "full", p, 0)
-        return brst.s2_section_with(brst.section_graded(phil, p, 0), vw)
+        vw = brst.dressed_ghost(ctx.metric, pipe, ghost, "full", p, 0)
+        return brst.s2_section(brst.section_graded(phil, p, 0), vw)
     return ctx.sweep(rng, residual, "quarter")
 
 
@@ -1575,15 +1569,20 @@ def run_check(ctx, check_id, fn):
     )
 
 
-def run_suites(metric, suite_names, seed=0, npoints=20, tolerances=None):
-    """Execute the selected suites on one metric, one check after another;
-    returns a list of CheckResults."""
-    if suite_names in ("all", ["all"]):
-        suite_names = list(SUITES)
-    ctx = Context(metric, seed=seed, npoints=npoints, tolerances=tolerances)
-    jobs = []
-    for name in suite_names:
-        if name not in SUITES:
+def expand_suites(names):
+    """The suite names that `names` (one name or a list) selects: every suite, in
+    registry order, if one of them is 'all'.  Every name is checked first, so an
+    unknown name next to 'all' is still a ValueError."""
+    names = [names] if isinstance(names, str) else list(names)
+    for name in names:
+        if name != "all" and name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; available: {', '.join(SUITES)}")
-        jobs.extend(SUITES[name])
+    return list(SUITES) if "all" in names else names
+
+
+def run_suites(metric, suite_names, seed=0, npoints=20, tolerances=None):
+    """Execute the selected suites (see `expand_suites`) on one metric, one check
+    after another; returns a list of CheckResults."""
+    jobs = [job for name in expand_suites(suite_names) for job in SUITES[name]]
+    ctx = Context(metric, seed=seed, npoints=npoints, tolerances=tolerances)
     return [run_check(ctx, cid, fn) for cid, fn in jobs]

@@ -1,6 +1,6 @@
 """Reference implementations that only the tests compare against: a second-order
 finite-difference oracle, the graded split of the Cartan algebra, the factored
-group inverse, and raw partial derivatives of a jet."""
+group inverse, raw partial derivatives of a jet, and the jet of a coordinate."""
 
 import math
 
@@ -72,3 +72,15 @@ def partial(alg, a, alpha):
     for x in alpha:
         fac *= math.factorial(x)
     return np.asarray(a)[..., alg.index_of[alpha]] * fac
+
+
+def coord(alg, i, point):
+    """Jet of the coordinate function x^i at the given point, in the algebra `alg`."""
+    if not 0 <= i < alg.n:
+        raise JetError(f"coordinate index {i} out of range for dimension {alg.n}")
+    out = alg.zeros()
+    out[0] = point[i]
+    if alg.order >= 1:
+        unit = tuple(1 if k == i else 0 for k in range(alg.n))
+        out[alg.index_of[unit]] = 1.0
+    return out

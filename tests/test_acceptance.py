@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 import conftest
-from reference import fd_second, partial
+from reference import coord, fd_second, partial
 from tractorlab import brst, cartan, dressing, jets, metrics, oracle, suites, tractor
 from tractorlab.fields import ScalarField, domain_poly_field, random_polynomial
 from tractorlab.geometry import Geometry
@@ -252,7 +252,7 @@ def test_criterion_9_derivative_engine():
         x = rng.uniform(-1, 1, n)
         coeffs = coeffs_list[rng.integers(len(coeffs_list))]
         jet = alg.zeros(())
-        coords = [alg.coord(i, x) for i in range(n)]
+        coords = [coord(alg, i, x) for i in range(n)]
         for a, c in coeffs.items():
             term = alg.const(c)
             for i, k in enumerate(a):
@@ -277,7 +277,7 @@ def test_criterion_9_derivative_engine():
 
         x = rng.uniform(-0.8, 0.8, 2)
         inner = a2.zeros(())
-        coords = [a2.coord(i, x) for i in range(2)]
+        coords = [coord(a2, i, x) for i in range(2)]
         for a, c in coeffs.items():
             term = a2.const(c)
             for i, k in enumerate(a):

@@ -135,8 +135,14 @@ def test_covariant_derivative_and_laplacian(case):
 
 
 def test_normal_dressing_chain(case):
+    """The chain of the normal connection and of a gauge transform of it."""
     metric, pts = case
-    for fld in dressing.normal_dressing_chain(metric).values():
+    rng = np.random.default_rng(8)
+    normal = dressing.normal_dressing_chain(metric)
+    gam = cartan.h_field(metric, z=domain_z_field(rng, metric),
+                         r=[domain_poly_field(rng, metric, 2, 0.4) for _ in range(metric.n)])
+    gauged = dressing.dressing_chain(cartan.transform_connection(normal["wn"], gam))
+    for fld in [*normal.values(), *gauged.values()]:
         for order in range(fld.max_order + 1):
             _assert_stacked(fld.at(pts, order), [fld.at(p, order) for p in pts])
         if isinstance(fld, cartan.ConnectionField):
@@ -418,12 +424,12 @@ def test_brst_ghosts_composites_and_nilpotency(case):
             _assert_stacked(_graded(brst.linearized_boost(metric, ghost, pts, order, holonomic)),
                             [_graded(brst.linearized_boost(metric, ghost, p, order, holonomic))
                              for p in pts])
+    chain = dressing.dressing_chain(wn)
     for stage in ("first", "full"):
-        def parts(p):
-            composite, closed, mismatch = brst.dressed_ghost(metric, wn, ghost, stage, p, 0)
-            return _graded(composite) + _graded(closed) + [mismatch]
-        _assert_stacked(parts(pts), [parts(p) for p in pts])
-    for measured in (lambda p: brst.s2_section(phi, ghost, p),
+        for ghost_of in (lambda p: brst.dressed_ghost(metric, chain, ghost, stage, p, 0),
+                         lambda p: brst.closed_form_ghost(metric, ghost, stage, p, 0)):
+            _assert_stacked(_graded(ghost_of(pts)), [_graded(ghost_of(p)) for p in pts])
+    for measured in (lambda p: brst.s2_section(brst.section_graded(phi, p, 0), ghost.value(p, 0)),
                      lambda p: brst.s2_ghost(ghost, p),
                      lambda p: brst.s2_connection(wn, ghost, p),
                      lambda p: brst.sigma_membership_residual(ghost, p)):

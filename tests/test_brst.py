@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tractorlab import brst, cartan, jets
+from tractorlab import brst, cartan, dressing, jets
 from tractorlab.geometry import Geometry
 from tractorlab.ghosts import GradedValue, merge_sign
 
@@ -76,16 +76,16 @@ def test_scurvature_flat_vanishes(flat, rng):
     assert sF.max_abs() < 1e-14
 
 
-def test_dressed_ghost_examples(bumpy, rng):
-    wn = cartan.normal_connection(bumpy)
+def test_dressed_ghost_examples(bumpy):
+    chain = dressing.normal_dressing_chain(bumpy)
     # boost-only ghost disappears
     gh_iota = brst.Ghost(bumpy, [(None, None, ["0.1*x1", "0.2", "x0", "0.05"])])
-    v1, _, _ = brst.dressed_ghost(bumpy, wn, gh_iota, "first", PT, 0)
+    v1 = brst.dressed_ghost(bumpy, chain, gh_iota, "first", PT, 0)
     assert v1.max_abs() < 1e-14
     # eps-only, first stage: off-diagonal row is d eps . e^-1
     gh_eps = brst.Ghost(bumpy, [("0.2*x0 + 0.1*x1*x2", None, None)])
-    v1, _, mismatch = brst.dressed_ghost(bumpy, wn, gh_eps, "first", PT, 0)
-    assert mismatch < 1e-12
+    v1 = brst.dressed_ghost(bumpy, chain, gh_eps, "first", PT, 0)
+    assert (v1 - brst.closed_form_ghost(bumpy, gh_eps, "first", PT, 0)).max_abs() < 1e-12
     m = _val(v1.component((0,)))
     geom = Geometry(bumpy, PT)
     eps_j = gh_eps.parts[0][0].coeffs(PT, 1)
@@ -94,8 +94,8 @@ def test_dressed_ghost_examples(bumpy, rng):
     assert np.abs(m[0, 1:-1] - row).max() < 1e-12
     assert m[0, 0] == pytest.approx(float(eps_j[0]))
     # full stage: holonomic pattern (eps, d eps, 0; 0, eps 1, g^-1 d eps; 0 0 -eps)
-    vw, _, mismatch_w = brst.dressed_ghost(bumpy, wn, gh_eps, "full", PT, 0)
-    assert mismatch_w < 1e-12
+    vw = brst.dressed_ghost(bumpy, chain, gh_eps, "full", PT, 0)
+    assert (vw - brst.closed_form_ghost(bumpy, gh_eps, "full", PT, 0)).max_abs() < 1e-12
     mw = _val(vw.component((0,)))
     eps = float(eps_j[0])
     assert np.abs(mw[0, 1:-1] - de).max() < 1e-12
@@ -105,10 +105,25 @@ def test_dressed_ghost_examples(bumpy, rng):
     assert mw[-1, -1] == pytest.approx(-eps)
 
 
+def test_dressed_ghost_reads_the_dressings_of_its_chain(bumpy, monkeypatch):
+    chain = dressing.normal_dressing_chain(bumpy)
+    gh = brst.Ghost(bumpy, [("0.2*x0 + 0.1*x1*x2", None, ["0.1*x1", "0.2", "x0", "0.05"])])
+
+    def rebuilt(conn):
+        raise AssertionError("dressed_ghost rebuilt a dressing its chain holds")
+
+    # in brst too, in case it imports them by name
+    for module in (dressing, brst):
+        for name in ("boost_dressing", "frame_dressing"):
+            monkeypatch.setattr(module, name, rebuilt, raising=False)
+    for stage in ("first", "full"):
+        got = brst.dressed_ghost(bumpy, chain, gh, stage, PT, 1)
+        assert (got - brst.closed_form_ghost(bumpy, gh, stage, PT, 1)).max_abs() < 1e-12
+
+
 def test_sv_composite_single_block(bumpy):
-    wn = cartan.normal_connection(bumpy)
     gh = brst.Ghost(bumpy, [("0.2*x0 + 0.1*x1", None, None), ("0.3*x2 - 0.2*x3", None, None)])
-    vw, _, _ = brst.dressed_ghost(bumpy, wn, gh, "full", PT, 0)
+    vw = brst.dressed_ghost(bumpy, dressing.normal_dressing_chain(bumpy), gh, "full", PT, 0)
     sv = brst.brst_ghost(vw)
     comp = _val(sv.component((0, 1)))
     geom = Geometry(bumpy, PT)
@@ -133,7 +148,7 @@ def test_nilpotency(bumpy, rng):
         ("0.1*x1 + 0.3*x2*x3", _so_matrix(rng, bumpy.eta), ["0.2*x3", "0.1*x0^2", "0.4", "x1*x2"]),
     ])
     phi = cartan.section_field(bumpy, "0.3*x0", ["x1", "0.2", "x2*x0", "1"], "exp(0.1*x3)")
-    assert brst.s2_section(phi, gh, PT) < 1e-12
+    assert brst.s2_section(brst.section_graded(phi, PT, 0), gh.value(PT, 0)) < 1e-12
     assert brst.s2_ghost(gh, PT) < 1e-12
     assert brst.s2_connection(wn, gh, PT) < 1e-12
 

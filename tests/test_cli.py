@@ -94,6 +94,26 @@ def test_a_metric_with_the_wrong_signature_only_near_a_corner_exits_2(tmp_path, 
     assert "fails signature check at (0.9, 0.9, 0.9, 0.9)" in err
 
 
+OUTSIDE_THE_DOMAIN = {
+    "ln(x0)": "ln of a jet with non-positive value, got -0.8",
+    "sqrt(x0)": "sqrt of a jet with non-positive value, got -0.8",
+    "exp(x0)^400": "eigenvalue 3.231e-148 is (near) zero",
+}
+
+
+@pytest.mark.parametrize("g00", sorted(OUTSIDE_THE_DOMAIN))
+def test_a_metric_outside_its_domain_is_a_one_line_error_at_one_point(g00, tmp_path, capsys):
+    # x0 < 0 on part of the box; exp(x0)^400 is positive but 3e-148 at x0 = -0.85
+    path = tmp_path / "domain.ini"
+    path.write_text(f"[metric]\nn=4\n[components]\ng_00 = {g00}\ng_11 = 1\ng_22 = 1\ng_33 = 1\n")
+    code = cli.main(["run", "--metric", str(path), "--suite", "riemann-laws",
+                     "--points", "3", "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tractorlab: error: ") and err.count("\n") == 1
+    assert OUTSIDE_THE_DOMAIN[g00] in err and "at (-0.849" in err and "array(" not in err
+
+
 NON_FINITE = {
     "overflowing-param": ["--metric", "conformally_flat", "--param", "factor=1000*x0"],
     "overflowing-spec": ["--metric", "spec"],

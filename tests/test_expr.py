@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from reference import partial
+from reference import coord, partial
 from tractorlab import expr, jets
 
 
@@ -113,14 +113,6 @@ def test_eval_coordinate_out_of_range():
         _evaluate("x5", (0.0, 0.0), 1)
 
 
-def test_polynomial_builder_roundtrips():
-    coeffs = {(0, 0): -0.5, (1, 0): 2.0, (1, 2): -1.25}
-    tree = expr.polynomial(coeffs)
-    assert expr.parse(expr.to_string(tree)) == tree
-    j = expr.Program([tree], 2)((0.5, -1.0), 2)[0]
-    assert j[0] == pytest.approx(-0.5 + 2 * 0.5 - 1.25 * 0.5 * 1.0)
-
-
 # -- compiled programs against a recursive reference ---------------------------
 
 EPS = np.finfo(float).eps
@@ -158,7 +150,7 @@ def _reference(node, point, order, sizes=None):
     if isinstance(node, expr.Const):
         out = alg.const(node.value)
     elif isinstance(node, expr.Coord):
-        out = alg.coord(node.index, point)
+        out = coord(alg, node.index, point)
     elif isinstance(node, expr.Neg):
         out = -_reference(node.operand, point, order, sizes)
     elif isinstance(node, expr.Pow):

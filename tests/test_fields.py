@@ -174,11 +174,32 @@ def test_weights_equal_the_per_evaluator_table():
     evaluator = expr.PolynomialEvaluator([sparse, {}, {(3, 1): 2.0}], 2)
     assert np.array_equal(evaluator.which, [0, 0, 2])
     _assert_weights_are_the_old_ones(evaluator)
-    metric = metrics.load_metric("poly_perturbation", seed=5)
-    keys = sorted(metric.spec.components)
-    program = expr.Program([metric.spec.components[k] for k in keys], metric.n)
-    assert program._poly.npoly == len(keys)
+    program = _poly_metric_program(5)
+    assert program._poly.npoly == 10
     _assert_weights_are_the_old_ones(program._poly)
+
+
+def _poly_metric_program(seed):
+    """The components g_ij, i <= j, of `metrics.poly_perturbation(seed=seed)` as
+    expression trees of the same draws, compiled into one program."""
+    rng, n, box = np.random.default_rng(seed), 4, [(-1.0, 1.0)] * 4
+    trees = []
+    for i in range(n):
+        for j in range(i, n):
+            tree = _domain_poly_tree(fields.random_polynomial(rng, n, 3, 0.05), box)
+            trees.append(expr.BinOp("+", expr.const(1.0), tree) if i == j else tree)
+    return expr.Program(trees, n)
+
+
+def test_the_poly_metric_is_the_program_of_its_polynomial_trees():
+    metric = metrics.load_metric("poly_perturbation", seed=5)
+    program = _poly_metric_program(5)
+    rows, cols = np.triu_indices(4)
+    points = _points(metric, 5, 3)
+    for order in range(4):
+        g, comps = metric.g(points, order), program(points, order)
+        assert np.array_equal(g[:, rows, cols], comps)
+        assert np.array_equal(g[:, cols, rows], comps)
 
 
 def test_fields_of_one_support_share_one_structure():

@@ -38,20 +38,27 @@ def _public_definitions():
                     yield path, d.name, d.lineno, d.end_lineno
 
 
+MODULES = {path.stem for path in PACKAGE.glob("*.py")}
+
+
 def _references(path):
-    """(name, line) of each code reference in a file: a name read, an attribute,
-    or an imported name; words in comments and assignments do not count, and
-    words in strings count only in the benchmark, which patches methods by name."""
+    """(name, line, module) of each code reference in a file: a name read, an
+    attribute, or an imported name; words in comments and assignments do not
+    count, and words in strings count only in the benchmark, which patches
+    methods by name.  An attribute of a package module, such as `expr.coord`,
+    refers to that module's definition only, and its module is the module's
+    name; every other reference has the module None."""
     by_name = path.is_relative_to(ROOT / "tractorbench")
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, None
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            base = node.value.id if isinstance(node.value, ast.Name) else None
+            yield node.attr, node.lineno, base if base in MODULES else None
         elif isinstance(node, ast.alias):
-            yield node.name.rsplit(".", 1)[-1], node.lineno
+            yield node.name.rsplit(".", 1)[-1], node.lineno, None
         elif by_name and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield node.value, node.lineno
+            yield node.value, node.lineno, None
 
 
 def test_every_public_definition_has_a_caller():
@@ -61,8 +68,9 @@ def test_every_public_definition_has_a_caller():
     uncalled = []
     for module, name, first, last in _public_definitions():
         if name not in UNCALLED_KEPT and not any(
-                ref == name and not (path == module and first <= line <= last)
-                for path, found in refs.items() for ref, line in found):
+                ref == name and owner in (None, module.stem)
+                and not (path == module and first <= line <= last)
+                for path, found in refs.items() for ref, line, owner in found):
             uncalled.append(f"{module.name}:{first} {name}")
     assert not uncalled, "public names with no caller: " + ", ".join(uncalled)
 
