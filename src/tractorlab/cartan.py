@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import jets
-from .fields import JetField, RowField, ScalarField, origin, require_positive
+from .fields import BatchMemo, JetField, RowField, ScalarField, origin, require_positive
 from .geometry import Geometry
 
 
@@ -153,20 +153,21 @@ class ConnectionField:
         self.eta = np.asarray(eta, dtype=float)
         self.max_order = max_order
         self.col0_order = col0_order
+        self._at_memo, self._col0_memo = BatchMemo(n), BatchMemo(n)
 
     def at(self, point, order):
         if order > self.max_order:
             raise jets.JetError(
                 f"connection {origin(self._at)} supports order <= {self.max_order}"
             )
-        return self._at(point, order)
+        return self._at_memo.read(self._at, point, order)
 
     def col0(self, point, order):
         if order > self.col0_order:
             raise jets.JetError(
                 f"connection {origin(self._col0)} first column supports order <= {self.col0_order}"
             )
-        return self._col0(point, order)
+        return self._col0_memo.read(self._col0, point, order)
 
     def frame(self, point, order):
         """Vielbein e^a_mu and inverse extracted from the soldering block."""
@@ -209,11 +210,11 @@ def normal_connection(metric) -> ConnectionField:
     def at(point, order):
         geom = Geometry(metric, point)
         alg = jets.algebra(n, order)
-        # spin1 first: it memoises e(2), which the e(order) read below truncates
-        a_spin = jets.algebra(n, 1).truncate(geom.spin1, order)
+        # Schouten, then spin: the reads after them truncate their Gamma, g^-1 and e
+        schouten = geom.schouten(order)
+        a_spin = geom.spin(order)
         e_mu = np.swapaxes(geom.e(order), -3, -2)  # [mu, a] = e^a_mu
-        p_frame = alg.matmul(jets.algebra(n, 1).truncate(geom.schouten1, order),
-                             geom.einv(order))  # P_{mu b}
+        p_frame = alg.matmul(schouten, geom.einv(order))  # P_{mu b}
         w = alg.zeros(e_mu.shape[:-3] + (n, N, N))
         w[..., 0, 1:-1, :] = p_frame
         w[..., 1:-1, 0, :] = e_mu

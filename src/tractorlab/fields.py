@@ -13,6 +13,8 @@ random polynomial on a chart box is evaluated at the box-normalized point
 (x - center) / halfwidth and its coefficients rescaled by the chain rule.
 Fields compose on their coefficient arrays: a product is the jet product of
 the two factors, and a positive rescaling is the jet `exp` of a polynomial.
+A `JetField` and a `cartan.ConnectionField` memoise their jets for the latest
+batch of points (`BatchMemo`), so their results are read-only.
 """
 
 from __future__ import annotations
@@ -100,6 +102,33 @@ class RowField:
         return len(self.components)
 
 
+def per_order(memo, n, order, build):
+    """The memo rule of every lazily built jet, `memo` mapping order -> jet: a read
+    at order k truncates a memoised jet of order >= k, and otherwise builds the
+    jet with `build(k)` in the order-k algebra and memoises it read-only."""
+    have = min((k for k in memo if k >= order), default=None)
+    if have is None:
+        have = order
+        memo[order] = build(order)
+        memo[order].flags.writeable = False
+    return jets.algebra(n, order).truncate(memo[have], order)
+
+
+class BatchMemo:
+    """The jets of fn(point, order) at its latest batch of points (keyed like a
+    `geometry.Geometry`), by the rule of `per_order`: a check reads one field at
+    several orders, and a dressing chain reads a first column at every order."""
+
+    def __init__(self, n):
+        self.n, self.key, self.jets = n, None, {}
+
+    def read(self, fn, point, order):
+        batch = np.asarray(point, dtype=float)
+        if (batch.shape, batch.tobytes()) != self.key:
+            self.key, self.jets = (batch.shape, batch.tobytes()), {}
+        return per_order(self.jets, self.n, order, lambda k: fn(point, k))
+
+
 class JetField:
     """Array-valued field on a chart: fn(point, order) -> (..., NC) jet array.
 
@@ -112,6 +141,7 @@ class JetField:
         self._fn = fn
         self.n = n
         self.max_order = max_order
+        self._memo = BatchMemo(n)
 
     def at(self, point, order):
         if order > self.max_order:
@@ -119,7 +149,7 @@ class JetField:
                 f"field {origin(self._fn)} supports jets to order {self.max_order}, "
                 f"requested {order}"
             )
-        return self._fn(point, order)
+        return self._memo.read(self._fn, point, order)
 
 
 def origin(fn):

@@ -255,11 +255,11 @@ def check_frame(ctx, rng):
 def check_curvature_symmetries(ctx, rng):
     def residual(p):
         geom = Geometry(ctx.metric, p)
-        gam = _value(geom.gamma2)
-        riem_up = _value(geom.riemann1)
+        riem_up = _value(geom.riemann(0))  # first: gamma(0) truncates its Gamma
+        gam = _value(geom.gamma(0))
         g = _value(geom.g(1))
         riem = np.einsum("...ra,...asmn->...rsmn", g, riem_up)
-        ricci = _value(geom.ricci1)
+        ricci = _value(geom.ricci(0))
         return {
             "Gamma(mu,nu) sym": gam - np.swapaxes(gam, -2, -1),
             "Ricci sym": ricci - np.swapaxes(ricci, -2, -1),
@@ -277,14 +277,14 @@ def check_curvature_symmetries(ctx, rng):
 def check_conformal_traces(ctx, rng):
     def residual(p):
         geom = Geometry(ctx.metric, p)
-        w = geom.weyl
+        cotton, w = geom.cotton, geom.weyl  # Cotton first: the Weyl tensor truncates its jets
         g = _value(geom.g(1))
         ginv = np.linalg.inv(g)
         return {
             "W^r_{s r n}": np.einsum("...rsrn->...sn", w),
             "W^r_{s m r}": np.einsum("...rsmr->...sm", w),
             "g^{sm} W^r_{s m n}": np.einsum("...sm,...rsmn->...rn", ginv, w),
-            "g^{mn} C_{m l, n}": np.einsum("...mn,...mln->...l", ginv, geom.cotton),
+            "g^{mn} C_{m l, n}": np.einsum("...mn,...mln->...l", ginv, cotton),
         }
     return ctx.sweep(rng, residual, "all")
 
@@ -298,13 +298,13 @@ def check_schouten_weyl(ctx, rng):
     def residual(p):
         geom, geom_hat = Geometry(ctx.metric, p), Geometry(hat, p)
         ups = dressing.upsilon_row(zf, p, 1, ctx.metric.n)
+        P, u0 = _value(geom.schouten(0)), _value(ups)  # P first: nabla truncates its Gamma
         nab_u = _value(geom.covariant_derivative(ups, "d"))
-        u0 = _value(ups)
         g = _value(geom.g(0))
         ups2 = np.einsum("...a,...ab,...b->...", u0, np.linalg.inv(g), u0)
-        expected = (_value(geom.schouten1) + nab_u - u0[..., :, None] * u0[..., None, :]
+        expected = (P + nab_u - u0[..., :, None] * u0[..., None, :]
                     + 0.5 * ups2[..., None, None] * g)
-        return _value(geom_hat.schouten1) - expected
+        return _value(geom_hat.schouten(0)) - expected
     return ctx.sweep(rng, residual, "third")
 
 
@@ -327,7 +327,7 @@ def check_contracted_bianchi(ctx, rng):
 
     def residual(p):
         geom = Geometry(ctx.metric, p)
-        einstein = geom.ricci1 - 0.5 * a1.mul(geom.scalar1[..., None, None, :], geom.g(1))
+        einstein = geom.ricci(1) - 0.5 * a1.mul(geom.scalar(1)[..., None, None, :], geom.g(1))
         nab = _value(geom.covariant_derivative(einstein, "dd"))  # [lam, mu, nu]
         ginv = np.linalg.inv(_value(geom.g(0)))
         return np.einsum("...lm,...lmn->...n", ginv, nab)
@@ -342,7 +342,7 @@ def check_spin_connection(ctx, rng):
 
     def residual(p):
         geom = Geometry(ctx.metric, p)
-        A = _value(geom.spin1)
+        A = _value(geom.spin(0))
         anti = np.einsum("ac,...mcb->...mab", eta, A) + np.einsum("bc,...mca->...mab", eta, A)
         e1 = geom.e(1)
         dev = _value(a1.grad(e1, 2))  # d_mu e^a_nu
@@ -362,7 +362,7 @@ def check_fd_oracle(ctx, rng):
         return _value(metric.g(x, 0))
 
     def gamma_val(x):
-        return _value(Geometry(metric, x).gamma2)
+        return _value(Geometry(metric, x).gamma(0))
 
     def residual(p):
         dg = oracle.fd_grad(g_val, p)
@@ -373,6 +373,7 @@ def check_fd_oracle(ctx, rng):
             np.einsum("...mbn->...bmn", dg) + np.einsum("...nbm->...bmn", dg) - dg,
         )
         dgam = oracle.fd_grad(gamma_val, p)
+        riem = _value(Geometry(metric, p).riemann(0))  # first: gamma(0) truncates its Gamma
         gam = gamma_val(p)
         riem_fd = (
             np.einsum("...mrns->...rsmn", dgam)
@@ -383,7 +384,7 @@ def check_fd_oracle(ctx, rng):
         scale = 1.0 + np.abs(riem_fd).max(axis=(-4, -3, -2, -1), keepdims=True)
         return {
             "Gamma vs fd": gam - gam_fd,
-            "Riemann vs fd": (_value(Geometry(metric, p).riemann1) - riem_fd) / scale,
+            "Riemann vs fd": (riem - riem_fd) / scale,
         }
     return ctx.sweep(rng, residual, "few")
 
@@ -606,8 +607,8 @@ def check_bianchi(ctx, rng):
 
     def residual(p):
         dF = oracle.fd_grad(curv_val, p, h=1e-4)
+        F = curv_val(p)  # first: w truncates the connection's memoised order-1 jet
         w = _value(wn.at(p, 0))
-        F = curv_val(p)
         brk = np.einsum("...lab,...mnbc->...lmnac", w, F) - np.einsum("...mnab,...lbc->...lmnac", F, w)
         t = dF + brk
         return t + np.einsum("...lmnac->...mnlac", t) + np.einsum("...lmnac->...nlmac", t)
@@ -675,9 +676,9 @@ def check_holonomic_blocks(ctx, rng):
     def residual(p):
         geom = Geometry(ctx.metric, p)
         b = {k: _value(v) for k, v in cartan.conn_blocks(wl.at(p, 0)).items()}
-        P = _value(geom.schouten1)
+        P = _value(geom.schouten(0))
         g = _value(geom.g(0))
-        gam = _value(geom.gamma2)
+        gam = _value(geom.gamma(0))
         return {
             "dx": b["theta"] - np.eye(n),
             "Gamma": b["A"] - np.einsum("...rmn->...mrn", gam),
@@ -1239,7 +1240,7 @@ def check_ae_witness(ctx, rng):
         nonlocal einstein
         geom = Geometry(ctx.metric, p)
         der = _value(cartan.section_derivative(conn, t1, p))
-        P = _value(geom.schouten1)
+        P = _value(geom.schouten(0))
         g = _value(geom.g(0))
         trace = np.einsum("...ab,...ab->...", np.linalg.inv(g), P)
         tfp = P - (trace / n)[..., None, None] * g
@@ -1373,7 +1374,7 @@ def check_s_wl_blocks(ctx, rng):
         geom = Geometry(ctx.metric, p)
         g = _value(geom.g(0))
         ginv = np.linalg.inv(g)
-        P = _value(geom.schouten1)
+        P = _value(geom.schouten(0))
         vw_hi = brst.dressed_ghost(ctx.metric, pipe, ghost, "full", p, 1)
         s_w = brst.brst_connection(pipe["wl"], vw_hi, p)
         out = []

@@ -51,16 +51,17 @@ def prolongation_connection(metric) -> ConnectionField:
 
     def at(point, order):
         geom = Geometry(metric, point)
+        # Schouten first: the reads after it truncate its Gamma and g^-1
+        schouten = geom.schouten(order)
         g = geom.g(order)
         m = jets.algebra(n, order).zeros(g.shape[:-3] + (n, n + 2, n + 2))
         for mu in range(n):
             m[..., mu, 0, 1 + mu, 0] = -1.0
-        m[..., 1:-1, 0, :] = -jets.algebra(n, 1).truncate(geom.schouten1, order)
-        gam = jets.algebra(n, 2).truncate(geom.gamma2, order)
+        m[..., 1:-1, 0, :] = -schouten
+        gam = geom.gamma(order)
         m[..., 1:-1, 1:-1, :] = -np.einsum("...amnc->...mnac", gam)  # row nu, col alpha
         m[..., 1:-1, -1, :] = g
-        Pup = jets.algebra(n, 1).truncate(geom.schouten_up1, order)  # P^alpha_mu
-        m[..., -1, 1:-1, :] = np.swapaxes(Pup, -3, -2)
+        m[..., -1, 1:-1, :] = np.swapaxes(geom.schouten_up(order), -3, -2)  # P^alpha_mu
         return m
 
     def col0(point, order):
@@ -76,6 +77,8 @@ def prolong_field(metric, sigma_field) -> JetField:
 
     def fn(point, order):
         geom = Geometry(metric, point)
+        # first: the Laplacian truncates its Gamma and g^-1
+        trace = geom.schouten_trace(order)
         alg = jets.algebra(n, order)
         sig = sig_f.coeffs(point, min(3, order + 2))
         alg_s = jets.algebra(n, min(3, order + 2))
@@ -84,9 +87,7 @@ def prolong_field(metric, sigma_field) -> JetField:
         grad = alg_s.grad(sig, 0)
         out[..., 1:-1, :] = jets.algebra(n, min(3, order + 2) - 1).truncate(grad, order)
         lap = geom.laplacian(sig)
-        p_sig = alg.mul(
-            jets.algebra(n, 1).truncate(geom.schouten_trace1, order), out[..., 0, :]
-        )
+        p_sig = alg.mul(trace, out[..., 0, :])
         out[..., -1, :] = -(jets.algebra(n, min(3, order + 2) - 2).truncate(lap, order) - p_sig) / n
         return out
 
@@ -97,13 +98,14 @@ def ae_residual(metric, sigma_field, point):
     """Trace-free part of (nabla_mu nabla_nu sigma - P_{mu nu} sigma) (values)."""
     n = metric.n
     geom = Geometry(metric, point)
+    a0 = jets.algebra(n, 0)
+    # first: the Hessian truncates its Gamma and g^-1
+    p = a0.value(geom.schouten(0))
     sig_f = ScalarField.coerce(sigma_field)
     sig = sig_f.coeffs(point, 2)
-    a0 = jets.algebra(n, 0)
     hess = geom.covariant_derivative(
         geom.covariant_derivative(sig, ""), "d"
     )  # nabla_mu nabla_nu sigma, values
-    p = a0.value(jets.algebra(n, 1).truncate(geom.schouten1, 0))
     x = a0.value(hess) - p * sig[..., None, None, 0]
     g = a0.value(geom.g(0))
     trace = np.einsum("...ab,...ab->...", np.linalg.inv(g), x)

@@ -2,6 +2,7 @@
 
 import collections
 import functools
+import inspect
 import operator
 
 import numpy as np
@@ -15,10 +16,19 @@ from tractorlab.jets import JetAlgebra
 EPS = np.finfo(float).eps
 BATCH = 7
 METRICS = [("schwarzschild", {}), ("round_sphere", {}), ("poly_perturbation", {"seed": 11})]
-# every cached property, and the frame and its LDL^T factors read at order 3
+# the highest order of each per-order read of a Geometry: 3 less the number of
+# derivatives of g it takes
+MAX_ORDER = {"e": 3, "einv": 3, "ginv": 3, "gamma": 2, "spin": 2, "riemann": 1, "ricci": 1,
+             "scalar": 1, "schouten": 1, "schouten_trace": 1, "schouten_up": 1, "weyl_jet": 1}
+PER_ORDER = sorted(name for name, obj in vars(Geometry).items()
+                   if inspect.isfunction(obj) and hasattr(obj, "__wrapped__"))
+# every property, every per-order read at every order, and the LDL^T factors at order 3
 ACCESSORS = {name: operator.attrgetter(name) for name, obj in vars(Geometry).items()
-             if isinstance(obj, functools.cached_property)}
-ACCESSORS |= {"e3": lambda geom: geom.e(3), "_ldl": lambda geom: geom._ldl(3)}
+             if isinstance(obj, (property, functools.cached_property))}
+ACCESSORS |= {f"{name}{k}": operator.methodcaller(name, k)
+              for name in PER_ORDER for k in range(MAX_ORDER[name] + 1)}
+ACCESSORS["_ldl"] = lambda geom: geom._ldl(3)
+LOWER = [(name, k) for name in PER_ORDER for k in range(MAX_ORDER[name])]
 
 
 def _assert_close(got, want):
@@ -58,6 +68,14 @@ def test_geometry_property(case, prop):
     metric, pts = case
     read = ACCESSORS[prop]
     _assert_stacked(read(Geometry(metric, pts)), [read(Geometry(metric, p)) for p in pts])
+
+
+def test_max_order_names_every_per_order_read_and_its_highest_order():
+    assert sorted(MAX_ORDER) == PER_ORDER
+    geom = Geometry(metrics.load_metric("round_sphere"), (0.1, -0.2, 0.3, 0.05))
+    for name, top in MAX_ORDER.items():
+        with pytest.raises(jets.JetError):
+            getattr(geom, name)(top + 1)
 
 
 INVERSES = [(name, order) for name in ("einv", "ginv") for order in range(4)]
@@ -112,9 +130,56 @@ def _spin_order_2(geom):
     return alg.matmul(eg - de, alg.inv_matrix(alg3.truncate(e3, 2))[..., None, :, :, :])
 
 
+def _spy_builds(monkeypatch):
+    """The (name, order) of every per-order build of a Geometry from now on."""
+    builds = []
+
+    def spied(geom, name, order, build, _read=Geometry._per_order):
+        def recorded(k):
+            builds.append((name, k))
+            return build(k)
+        return _read(geom, name, order, recorded)
+
+    monkeypatch.setattr(Geometry, "_per_order", spied)
+    return builds
+
+
+@pytest.mark.parametrize("name,order", LOWER, ids=[f"{n}{k}" for n, k in LOWER])
+def test_a_lower_order_read_is_the_truncation_of_a_higher_one(case, name, order, monkeypatch):
+    """Read first, a jet at order k is built at order k and equals its highest-order
+    jet truncated to k; read after that one, it is the truncation exactly, with
+    no build.  Either way it is read-only."""
+    metric, pts = case
+    top = MAX_ORDER[name]
+    built = getattr(_fresh(metric, pts), name)(order)
+    geom = _fresh(metric, pts)
+    want = jets.algebra(metric.n, top).truncate(getattr(geom, name)(top), order)
+    builds = _spy_builds(monkeypatch)
+    got = getattr(geom, name)(order)
+    assert builds == [] and np.array_equal(got, want)
+    _assert_close(built, want)
+    assert not built.flags.writeable and not got.flags.writeable
+
+
+def test_the_flagship_oracle_builds_curvature_at_order_1_at_most(monkeypatch):
+    """The oracle reads both connections at order 0, so it builds Gamma only at
+    orders <= 1 and Riemann only at order 0, and inverts g only at orders <= 1."""
+    builds = _spy_builds(monkeypatch)
+    for name, params in (("schwarzschild", {}), ("poly_perturbation", {"seed": 1})):
+        metric = metrics.load_metric(name, **params)
+        rng = np.random.default_rng(8)
+        rep = tractor.equivalence_check(metric, metrics.sample_points(metric, 5, rng), rng)
+        assert rep["max_residual"] < 1e-12
+    orders = collections.defaultdict(set)
+    for name, k in builds:
+        orders[name].add(k)
+    assert orders["ginv"] <= {0, 1}
+    assert orders["gamma"] == {1} and orders["riemann"] == {0}
+
+
 def test_spin1_is_the_order_2_spin_connection_truncated(case):
     metric, pts = case
-    spin1 = _fresh(metric, pts).spin1
+    spin1 = _fresh(metric, pts).spin(1)
     _assert_close(spin1, jets.algebra(metric.n, 2).truncate(_spin_order_2(_fresh(metric, pts)), 1))
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tractorlab import expr, fields, jets, metrics
+from tractorlab import cartan, expr, fields, jets, metrics
 
 EPS = np.finfo(float).eps
 
@@ -255,3 +255,56 @@ def test_a_narrow_box_far_from_the_origin_keeps_its_digits(domain, degree, order
         scale = max(abs(exact[i]) for i in block)
         error = max(abs(Fraction(float(got[i])) - exact[i]) for i in block)
         assert error <= 16 * EPS * scale, (k, float(error), float(scale))
+
+
+# -- the memo of a field's latest batch -----------------------------------------
+
+
+def _counted_field(make, rng, n=3):
+    """A field built by `make(fn)` over a random cubic, and the list of the orders
+    its evaluation function was called at."""
+    poly = fields.random_poly_field(rng, n, 3)
+    calls = []
+
+    def fn(point, order):
+        calls.append(order)
+        return poly.coeffs(point, order)
+
+    return make(fn), calls
+
+
+def _connection(read):
+    """`make` for a `cartan.ConnectionField` whose `read` ("at" or "col0") evaluates fn."""
+
+    def make(fn):
+        conn = cartan.ConnectionField(fn, fn, 3, np.eye(3), max_order=3, col0_order=3)
+        return getattr(conn, read)
+
+    return make
+
+
+@pytest.mark.parametrize("make", [
+    lambda fn: fields.JetField(fn, 3).at, _connection("at"), _connection("col0"),
+], ids=["JetField.at", "ConnectionField.at", "ConnectionField.col0"])
+def test_a_field_memoises_its_latest_batch(make):
+    """A second read of one batch does not evaluate again, a lower order is the
+    truncation of the memoised jet, a higher order or a new batch evaluates, and
+    every result is read-only."""
+    rng = np.random.default_rng(2)
+    read, calls = _counted_field(make, rng)
+    pts = rng.uniform(-1, 1, size=(4, 3))
+    alg2 = jets.algebra(3, 2)
+    first = read(pts, 2)
+    assert calls == [2] and not first.flags.writeable
+    assert np.array_equal(read(pts.copy(), 2), first) and calls == [2]
+    low = read(pts, 1)
+    assert calls == [2] and np.array_equal(low, alg2.truncate(first, 1))
+    assert not low.flags.writeable
+    read(pts, 3)
+    assert calls == [2, 3]
+    read(pts[:2], 1)  # a new batch evaluates at the order it is read
+    assert calls == [2, 3, 1]
+    read(pts, 0)  # only the latest batch is memoised
+    assert calls == [2, 3, 1, 0]
+    read([tuple(p) for p in pts], 0)  # keyed by the batch's values, not by its type
+    assert calls == [2, 3, 1, 0]

@@ -35,9 +35,9 @@ def test_sphere_curvature_values(sphere):
     geo = Geometry(sphere, (0.3, -0.2, 0.1, 0.05))
     g = _val(geo.g(1))
     assert np.abs(_val(geo.ricci1) - 3 * g).max() < 1e-9
-    assert float(_val(geo.scalar1)) == pytest.approx(12.0, abs=1e-9)
+    assert float(_val(geo.scalar(1))) == pytest.approx(12.0, abs=1e-9)
     assert np.abs(_val(geo.schouten1) + 0.5 * g).max() < 1e-9
-    assert float(_val(geo.schouten_trace1)) == pytest.approx(-2.0, abs=1e-9)
+    assert float(_val(geo.schouten_trace(1))) == pytest.approx(-2.0, abs=1e-9)
     assert np.abs(geo.cotton).max() < 1e-8
     assert np.abs(geo.weyl).max() < 1e-8
 
@@ -46,7 +46,7 @@ def test_schwarzschild_vacuum(schw, rng):
     for p in metrics.sample_points(schw, 3, rng):
         geo = Geometry(schw, p)
         assert np.abs(_val(geo.ricci1)).max() < 1e-8
-        assert float(np.abs(_val(geo.schouten_trace1))) < 1e-8
+        assert float(np.abs(_val(geo.schouten_trace(1)))) < 1e-8
         assert np.abs(geo.riemann1).max() > 1e-4
         assert np.abs(geo.cotton).max() < 1e-8
     center = (0.0, 2.5, 2.5, 2.5)
@@ -132,7 +132,7 @@ def test_vielbein_pivot_error():
 def test_spin_connection_properties(bumpy, rng):
     for p in metrics.sample_points(bumpy, 3, rng):
         geo = Geometry(bumpy, p)
-        A = _val(geo.spin1)
+        A = _val(geo.spin(1))
         eta = bumpy.eta
         anti = np.einsum("ac,mcb->mab", eta, A) + np.einsum("bc,mca->mab", eta, A)
         assert np.abs(anti).max() < 1e-10

@@ -235,7 +235,7 @@ def _flipped_schouten_connection(metric, original=tractor.prolongation_connectio
     conn = original(metric)
 
     def at(point, order):
-        m = conn.at(point, order)
+        m = conn.at(point, order).copy()  # a field's result is read-only
         m[..., 1:-1, 0, :] *= -1.0
         return m
 
