@@ -22,7 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import jets
-from .cartan import ConnectionField, matvec, sigma_matrix, transform_connection, transform_section
+from .cartan import (ConnectionField, inverse, matvec, sigma_matrix, transform_connection,
+                     transform_section)
 from .fields import JetField, RowField, ScalarField
 from .geometry import Geometry
 from .ghosts import GradedValue, even, odd
@@ -194,8 +195,10 @@ def dressed_ghost(metric, chain, ghost: Ghost, stage, point, order) -> GradedVal
     rules of the dressings; `closed_form_ghost` is what it should equal."""
     n = metric.n
     alg = jets.algebra(n, order)
+    # first: ubar reads u1 one order higher, which the read of u1 then truncates
+    ubar = chain["ubar"].at(point, order) if stage == "full" else None
     u1_val = chain["u1"].at(point, order)
-    u1_g, u1_inv = even(n, order, u1_val), even(n, order, alg.inv_matrix(u1_val))
+    u1_g, u1_inv = even(n, order, u1_val), even(n, order, inverse(alg, chain["u1"], u1_val))
 
     v = ghost.value(point, order)
     v_eps = ghost.value(point, order, select=("eps",))
@@ -209,7 +212,6 @@ def dressed_ghost(metric, chain, ghost: Ghost, stage, point, order) -> GradedVal
     if stage == "first":
         return v1
 
-    ubar = chain["ubar"].at(point, order)
     ub, ub_inv = even(n, order, ubar), even(n, order, alg.inv_matrix(ubar))
     tilde_v_eps = _tilde_eps(metric, ghost, point, order)
     s_ub = tilde_v_eps.matmul(ub) - v_s.matmul(ub)

@@ -244,7 +244,7 @@ def k1_jet_matrix(alg, q, q_up):
 
 
 def h_field(metric, z=None, S=None, r=None) -> JetField:
-    """Group-valued field K0(z(x), S) K1(r(x)) with jets; S is constant.  With S
+    """Field K0(z(x), S) K1(r(x)) with jets, marked H-valued; S is constant.  With S
     alone it is diag(1, S, 1), the residual Lorentz element."""
     n = metric.n
     N = n + 2
@@ -270,7 +270,7 @@ def h_field(metric, z=None, S=None, r=None) -> JetField:
         rj = r_f.coeffs(point, order)  # (..., n, NC)
         return alg.matmul(k0, k1_jet_matrix(alg, rj, eta_inv @ rj))
 
-    return JetField(fn, n, max_order=3)
+    return JetField(fn, n, max_order=3, group_eta=eta)
 
 
 def section_field(metric, rho, ell, sigma) -> JetField:
@@ -297,8 +297,20 @@ def section_field(metric, rho, ell, sigma) -> JetField:
 # -- transforms (the same formulas serve gauge transformation and dressing) ----
 
 
+def inverse(alg, gfield: JetField, g):
+    """g^-1 of the jets g (..., N, N, NC) of the field `gfield`: Newton steps, or for
+    a field marked H-valued Sigma g^T Sigma, exact and with no kernel call, the
+    signed permutation (g^-1)_il = s_i s_l g_{pi(l) pi(i)}, with pi swapping the
+    first and last index and s = (-1, diag eta, -1)."""
+    if gfield.group_eta is None:
+        return alg.inv_matrix(g)
+    s = np.concatenate(([-1.0], np.diag(gfield.group_eta), [-1.0]))
+    pi = np.r_[len(s) - 1, 1:len(s) - 1, 0]
+    return np.outer(s, s)[..., None] * np.swapaxes(g, -3, -2)[..., pi[:, None], pi, :]
+
+
 def transform_connection(conn: ConnectionField, gfield: JetField) -> ConnectionField:
-    """chi -> g^-1 chi g + g^-1 dg for a matrix-valued 1-form field."""
+    """chi -> g^-1 chi g + g^-1 dg for a matrix-valued 1-form field, g^-1 by `inverse`."""
     n = conn.n
 
     # g and its inverse get an axis for the direction mu of the 1-form
@@ -307,7 +319,7 @@ def transform_connection(conn: ConnectionField, gfield: JetField) -> ConnectionF
         alg = jets.algebra(n, order)
         g_hi = gfield.at(point, order + 1)
         g = alg_hi.truncate(g_hi, order)
-        ginv = alg.inv_matrix(g)[..., None, :, :, :]
+        ginv = inverse(alg, gfield, g)[..., None, :, :, :]
         w = conn.at(point, order)
         dg = alg_hi.grad(g_hi, 2)
         core = alg.matmul(alg.matmul(ginv, w), g[..., None, :, :, :])
@@ -318,7 +330,7 @@ def transform_connection(conn: ConnectionField, gfield: JetField) -> ConnectionF
         alg = jets.algebra(n, order)
         g_hi = gfield.at(point, order + 1)
         g = alg_hi.truncate(g_hi, order)
-        ginv = alg.inv_matrix(g)[..., None, :, :, :]
+        ginv = inverse(alg, gfield, g)[..., None, :, :, :]
         col = conn.col0(point, order)  # (..., n, N, NC)
         g00 = g[..., 0, 0, :][..., None, None, :]
         out = alg.mul(g00, matvec(alg, ginv, col))
@@ -332,12 +344,12 @@ def transform_connection(conn: ConnectionField, gfield: JetField) -> ConnectionF
 
 
 def transform_section(phi: JetField, gfield: JetField) -> JetField:
-    """phi -> g^-1 phi."""
+    """phi -> g^-1 phi, with g^-1 from `inverse`."""
     n = phi.n
 
     def fn(point, order):
         alg = jets.algebra(n, order)
-        ginv = alg.inv_matrix(gfield.at(point, order))
+        ginv = inverse(alg, gfield, gfield.at(point, order))
         return matvec(alg, ginv, phi.at(point, order))
 
     return JetField(fn, n, min(phi.max_order, gfield.max_order))

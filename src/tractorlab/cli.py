@@ -4,10 +4,10 @@
         --report out.json --format json
 
 Exit code 0 iff every check passes, 1 if a check fails, and 2 for bad input
-(usage, metric spec, parameters, expressions, tolerance overrides, a metric
-with no frame of its signature at a sampled point), which is reported as one
-`tractorlab: error: ...` line.  Reports are deterministic for
-a fixed (config, seed) apart from the timing field.
+(usage, a repeated `--param`, metric spec, parameters, n above 10, expressions,
+tolerance overrides, a metric with no frame of its signature at a sampled
+point), which is reported as one `tractorlab: error: ...` line.  Reports are
+deterministic for a fixed (config, seed) apart from the timing field.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ def parse_params(pairs):
         if "=" not in pair:
             raise UsageError(f"--param expects key=value, got {pair!r}")
         key, value = pair.split("=", 1)
+        if key in out:
+            raise UsageError(f"--param {key} is given more than once")
         try:
             parsed = json.loads(value)
         except json.JSONDecodeError:

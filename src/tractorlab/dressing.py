@@ -36,7 +36,9 @@ from .geometry import Geometry
 
 
 def boost_vector(conn: ConnectionField, point, order):
-    """q_b = a_mu e^mu_b from the connection's first column: (..., n, NC)."""
+    """q_b = a_mu e^mu_b from the connection's first column: (..., n, NC).  It solves
+    q e = a, e = e0 + ebar with ebar nilpotent, without inverting e: each step
+    q <- (a - q ebar) e0^-1 after q = a e0^-1 is exact to one order more."""
     col = conn.col0(point, order)
     alg = jets.algebra(conn.n, order)
     a = col[..., :, 0, :]  # (..., n, NC)
@@ -46,8 +48,11 @@ def boost_vector(conn: ConnectionField, point, order):
     singular = np.abs(np.linalg.det(e_val)) < 1e-12 * scale
     if singular.any():
         raise CartanError(f"soldering block is singular at {first_point(point, singular)}")
-    einv = alg.inv_matrix(e)
-    return alg.matmul(a[..., None, :, :], einv)[..., 0, :, :]
+    e0inv_t = np.swapaxes(np.linalg.inv(e_val), -2, -1)  # row @ e0^-1 as e0^-T @ column
+    ebar, q = e - alg.const(e_val), e0inv_t @ a
+    for _ in range(order):
+        q = e0inv_t @ (a - alg.matmul(q[..., None, :, :], ebar)[..., 0, :, :])
+    return q
 
 
 def boost_dressing(conn: ConnectionField) -> JetField:
@@ -60,7 +65,7 @@ def boost_dressing(conn: ConnectionField) -> JetField:
         q = boost_vector(conn, point, order)
         return k1_jet_matrix(alg, q, eta_inv @ q)
 
-    return JetField(fn, n, max_order=conn.col0_order)
+    return JetField(fn, n, max_order=conn.col0_order, group_eta=conn.eta)
 
 
 def frame_dressing(conn: ConnectionField) -> JetField:
@@ -112,9 +117,10 @@ def upsilon_row(z_field: ScalarField, point, order, n):
 
 
 def weyl_cocycle(metric, z_field, variant="C") -> JetField:
-    """Cocycle matrix field: C(z) in frame form or Cbar(z) in holonomic form."""
+    """Cocycle matrix field: C(z) in frame form, marked H-valued, or Cbar(z) in
+    holonomic form, which maps Sigma to the tractor metric G."""
     k1f, zf = cocycle_factors(metric, z_field, variant)
-    return field_matmul(k1f, zf)
+    return field_matmul(k1f, zf, group_eta=metric.eta if variant == "C" else None)
 
 
 def cocycle_factors(metric, z_field, variant="C"):

@@ -134,13 +134,15 @@ class JetField:
 
     `max_order` caps the evaluation order the field can honestly support
     (derivative extraction lowers it; gauge transforms consume one order for
-    the d-gamma term).
+    the d-gamma term).  `group_eta` marks values in the structure group H of
+    that eta, which `cartan.inverse` inverts in closed form.
     """
 
-    def __init__(self, fn, n, max_order=3):
+    def __init__(self, fn, n, max_order=3, group_eta=None):
         self._fn = fn
         self.n = n
         self.max_order = max_order
+        self.group_eta = group_eta
         self._memo = BatchMemo(n)
 
     def at(self, point, order):
@@ -172,14 +174,14 @@ def require_positive(values, points, error, what):
         raise error(f"{what} must be positive, got {values[bad][0]} at {first_point(points, bad)}")
 
 
-def field_matmul(a: JetField, b: JetField) -> JetField:
-    """Pointwise jet matrix product a @ b of two matrix fields."""
+def field_matmul(a: JetField, b: JetField, group_eta=None) -> JetField:
+    """Pointwise jet matrix product a @ b of two matrix fields, marked `group_eta`."""
 
     def fn(point, order):
         alg = jets.algebra(a.n, order)
         return alg.matmul(a.at(point, order), b.at(point, order))
 
-    return JetField(fn, a.n, max_order=min(a.max_order, b.max_order))
+    return JetField(fn, a.n, max_order=min(a.max_order, b.max_order), group_eta=group_eta)
 
 
 @lru_cache(maxsize=None)

@@ -169,7 +169,9 @@ class JetAlgebra:
         The value's inverse is exact to order 0, and a Newton step doubles
         the order to which the inverse is exact, so one step in the order-1
         algebra makes it exact to order 1 and a second step, in this algebra,
-        exact to order 2 or 3.
+        exact to order 2 or 3.  The pipeline calls it only where it has no
+        closed form: g (`Geometry.ginv`), the frame (`ConnectionField.frame`),
+        fields not marked H-valued (ubar, Cbar), and `transform_curvature`.
         """
         a = np.asarray(a, dtype=float)
         m = a.shape[-2]

@@ -37,6 +37,8 @@ SAMPLE_SHRINK = 0.1
 CORNER_MAX_DIM = 10
 # the signature check counts an eigenvalue this small as zero: g is degenerate
 DEGENERATE_EIGENVALUE = 1e-9
+# the largest n of a spec file (its keys g_ij take one digit per index) or `--param n=`
+MAX_DIMENSION = 10
 
 
 class MetricError(ValueError):
@@ -289,6 +291,8 @@ def _check_params(name, params):
             out[key] = tuple(value)
         else:
             raise MetricError(f"metric {name!r}: bad value {value!r} for parameter {key!r}")
+    if not 3 <= out.get("n", 3) <= MAX_DIMENSION:  # before anything of size n is built
+        raise MetricError(f"metric {name!r}: n must be in 3..{MAX_DIMENSION}, got {out['n']}")
     return out
 
 
@@ -347,9 +351,8 @@ def parse_metric_file(path) -> MetricSpec:
         raise MetricError(f"{path}: missing [metric] section")
     meta = cp["metric"]
     n = meta.get("n", "4").strip()
-    # component keys g_ij have one digit per index
-    if not n.isdecimal() or not 3 <= int(n) <= 10:
-        raise MetricError(f"{path}: n must be an integer in 3..10, got {n!r}")
+    if not n.isdecimal() or not 3 <= int(n) <= MAX_DIMENSION:
+        raise MetricError(f"{path}: n must be an integer in 3..{MAX_DIMENSION}, got {n!r}")
     n = int(n)
     name = meta.get("name", "unnamed")
     signature = _parse_signature(meta.get("signature", "euclidean"), n)

@@ -182,6 +182,14 @@ def _joined(points, *blocks):
     return np.concatenate([np.reshape(b, lead + (-1,)) for b in blocks], axis=-1)
 
 
+def _membership(gfield, p, eta):
+    """g^T Sigma g - Sigma of a matrix field at order 1: zero where its values lie in H,
+    the only place where the closed form `cartan.inverse` takes is the inverse."""
+    alg, g = jets.algebra(gfield.n, 1), gfield.at(p, 1)
+    sig = alg.const(cartan.sigma_matrix(eta))
+    return alg.matmul(np.swapaxes(g, -3, -2), alg.matmul(sig, g)) - sig
+
+
 def _expm(a):
     """exp(a) by its Taylor series to 24 terms."""
     out = np.eye(a.shape[0])
@@ -440,6 +448,7 @@ def check_gt0(ctx, rng):
             "A": b0["A"] - np.einsum("ab,...mbc,cd->...mad", Sinv, bn["A"], S),
             "P^t": b0["P_t"] - np.einsum("ab,...mb->...ma", Sinv, bn["P_t"]) / zv,
             "theta^t": b0["theta_t"] - zv * bn["theta_t"] @ S,
+            "H membership": _membership(gam0, p, ctx.metric.eta),
         }
     return ctx.sweep(rng, residual, "half")
 
@@ -479,6 +488,7 @@ def check_gt1(ctx, rng):
                                 - np.einsum("...a,...mb,...b->...ma", rt, thtv, rt) + Ptv
                                 + np.einsum("...a,...m->...ma", rt, av) + drt),
             "-a (corner)": b1["a"] - (av - np.einsum("...mb,...b->...m", thtv, rt)),
+            "H membership": _membership(gam1, p, ctx.metric.eta),
         }
     return ctx.sweep(rng, residual, "half")
 
@@ -589,9 +599,8 @@ def check_normality_cov(ctx, rng):
     wg = cartan.transform_connection(wn, gam1)
     curv = cartan.curvature(wg)
 
-    def residual(p):
-        _, einv = wg.frame(p, 0)
-        rep = cartan.normality_report(_value(curv(p, 0)), _value(einv))
+    def residual(p):  # the curvature first: the frame then truncates its order-2 vielbein
+        rep = cartan.normality_report(_value(curv(p, 0)), _value(wg.frame(p, 0)[1]))
         return {k: v for k, v in rep.items() if k != "normal"}
     return ctx.sweep(rng, residual, "third")
 
@@ -643,10 +652,12 @@ def check_boost_constraint(ctx, rng):
     wn = ctx.pipeline()["wn"]
     zf = domain_z_field(rng, ctx.metric)
     gam = cartan.h_field(ctx.metric, z=zf, r=[domain_poly_field(rng, ctx.metric, 2, 0.4) for _ in range(n)])
-    dressed = dressing.dressing_chain(cartan.transform_connection(wn, gam))["w1"]
+    chain = dressing.dressing_chain(cartan.transform_connection(wn, gam))
 
     def residual(p):
-        return cartan.conn_blocks(dressed.at(p, 0))["a"]
+        return {"a": cartan.conn_blocks(chain["w1"].at(p, 0))["a"],
+                "gauge H membership": _membership(gam, p, ctx.metric.eta),
+                "u1 H membership": _membership(chain["u1"], p, ctx.metric.eta)}
     return ctx.sweep(rng, residual, "half")
 
 
@@ -709,12 +720,10 @@ def check_metric_G(ctx, rng):
     sig = cartan.sigma_matrix(ctx.metric.eta)
 
     def residual(p):
-        ub = _value(ubar.at(p, 0))
         G1 = dressing.tractor_metric_G(ctx.metric, p, 1)
-        return {
-            "G assembly": np.swapaxes(ub, -2, -1) @ sig @ ub - _value(G1),
-            "D_L G": cartan.metric_defect(wl, G1, p),
-        }
+        defect = cartan.metric_defect(wl, G1, p)  # first: it reads ubar at order 1
+        ub = _value(ubar.at(p, 0))
+        return {"G assembly": np.swapaxes(ub, -2, -1) @ sig @ ub - _value(G1), "D_L G": defect}
     return ctx.sweep(rng, residual, "half")
 
 
@@ -1177,8 +1186,8 @@ def check_prolong_covariance(ctx, rng):
     a0 = jets.algebra(n, 0)
 
     def residual(p):
-        rhs = cartan.matvec(a0, u.at(p, 0), t.at(p, 0))
-        return t_hat.at(p, 0) - rhs
+        tv = t.at(p, 0)  # first: u truncates the g^-1 that the Schouten tensor reads at order 1
+        return t_hat.at(p, 0) - cartan.matvec(a0, u.at(p, 0), tv)
     return ctx.sweep(rng, residual, "half")
 
 
@@ -1195,11 +1204,11 @@ def check_tractor_pairing(ctx, rng):
     a1 = jets.algebra(n, 1)
 
     def residual(p):
+        t1_hi, t2_hi = t1.at(p, 1), t2.at(p, 1)  # first: the order-0 pairings truncate g^-1(1)
+        dpair = a1.grad(tractor.inner(ctx.metric, p, t1_hi, t2_hi, order=1), 0)
         inv_res = _value(tractor.inner(hat, p, t1h.at(p, 0), t2h.at(p, 0))) - _value(
             tractor.inner(ctx.metric, p, t1.at(p, 0), t2.at(p, 0))
         )
-        t1_hi, t2_hi = t1.at(p, 1), t2.at(p, 1)
-        dpair = a1.grad(tractor.inner(ctx.metric, p, t1_hi, t2_hi, order=1), 0)
         # the direction axis mu goes in front, so the per-point metric broadcasts over it
         d1, d2 = (np.moveaxis(cartan.section_derivative(conn, t, p), -3, 0) for t in (t1, t2))
         prod = _value(tractor.inner(ctx.metric, p, d1, a1.truncate(t2_hi, 0))

@@ -305,14 +305,22 @@ def test_equivalence_check_kernel_calls_do_not_grow_with_points(monkeypatch):
 
 def test_equivalence_check_builds_no_order_3_jets(monkeypatch):
     """The oracle, calibration included, reads every Geometry jet at order 2 or
-    less: it makes no order-3 `matmul`, inverts no order-3 matrix and factors no
-    frame above order 2."""
+    less: it makes no order-3 `matmul` and factors no frame above order 2.  It
+    Newton-inverts no matrix above order 1 and no (n+2)-square one above order
+    0: the gauge and dressing fields in the structure group are inverted in
+    closed form, and the boost vector solves against the frame's value."""
     calls = collections.Counter()
-    for name in ("matmul", "inv_matrix"):
-        def counted(alg, *args, _kernel=getattr(JetAlgebra, name), _name=name):
-            calls[_name, alg.order] += 1
-            return _kernel(alg, *args)
-        monkeypatch.setattr(JetAlgebra, name, counted)
+    inverted = collections.Counter()  # (order, size) of each Newton inverse
+
+    def matmul(alg, *args, _kernel=JetAlgebra.matmul):
+        calls["matmul", alg.order] += 1
+        return _kernel(alg, *args)
+
+    def inv_matrix(alg, a, _kernel=JetAlgebra.inv_matrix):
+        inverted[alg.order, np.shape(a)[-2]] += 1
+        return _kernel(alg, a)
+    monkeypatch.setattr(JetAlgebra, "matmul", matmul)
+    monkeypatch.setattr(JetAlgebra, "inv_matrix", inv_matrix)
 
     def factor(geom, order, _ldl=Geometry._ldl):
         calls["_ldl", order] += 1
@@ -322,9 +330,32 @@ def test_equivalence_check_builds_no_order_3_jets(monkeypatch):
     rng = np.random.default_rng(8)
     rep = tractor.equivalence_check(metric, metrics.sample_points(metric, 5, rng), rng)
     assert rep["max_residual"] < 1e-12
-    assert calls["matmul", 2] > 0 and calls["inv_matrix", 2] > 0
-    assert calls["matmul", 3] == calls["inv_matrix", 3] == 0
+    assert calls["matmul", 2] > 0 and calls["matmul", 3] == 0
     assert calls["_ldl", 2] > 0 and calls["_ldl", 3] == 0
+    n = metric.n
+    assert inverted[0, n + 2] > 0 and inverted[1, n] > 0
+    assert not [k for k in inverted if k[0] > 1 or (k[0] > 0 and k[1] == n + 2)], inverted
+
+
+def test_no_geometry_of_a_verdict_builds_a_jet_at_two_orders(monkeypatch):
+    """Every residual reads the frame and g^-1 at their highest order first, so no
+    Geometry of a Schwarzschild verdict at 5 points factors g (`_ldl`) at two
+    orders, or builds any other per-order jet at two orders."""
+    factored, built = collections.defaultdict(set), collections.defaultdict(set)
+
+    def factor(geom, order, _ldl=Geometry._ldl):
+        factored[geom].add(order)  # keyed by the object: no id is reused
+        return _ldl(geom, order)
+
+    def per_order(geom, name, order, build, _read=Geometry._per_order):
+        return _read(geom, name, order, lambda k: built[geom, name].add(k) or build(k))
+    monkeypatch.setattr(Geometry, "_ldl", factor)
+    monkeypatch.setattr(Geometry, "_per_order", per_order)
+    results = suites.run_suites(metrics.load_metric("schwarzschild"), "all", seed=7, npoints=5)
+    assert all(r.passed for r in results)
+    assert len(factored) > 10
+    assert [sorted(o) for o in factored.values() if len(o) > 1] == []
+    assert [(name, sorted(o)) for (_, name), o in built.items() if len(o) > 1] == []
 
 
 def _memoized(metric):

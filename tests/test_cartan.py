@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from reference import grading_parts, h_inverse
-from tractorlab import cartan, dressing, jets, metrics
-from tractorlab.fields import ScalarField
+from tractorlab import cartan, dressing, jets, metrics, suites
+from tractorlab.fields import ScalarField, domain_poly_field, domain_z_field
 from tractorlab.geometry import Geometry
 
 A0 = jets.algebra(4, 0)
@@ -243,3 +243,62 @@ def test_a_field_asked_beyond_its_order_names_the_function_that_built_it(flat):
                        match=r"field tractorlab\.dressing\.boost_dressing\.<locals>\.fn "
                              r"supports jets to order 3, requested 4"):
         u1.at(pt, 4)
+
+
+def _marked_fields(metric):
+    """A field of each constructor that marks its values H-valued, from seeded draws."""
+    rng = np.random.default_rng(3)
+    zf = domain_z_field(rng, metric)
+    r = [domain_poly_field(rng, metric, 2, 0.4) for _ in range(metric.n)]
+    S = suites.random_eta_orthogonal(rng, metric.eta)
+    gauged = cartan.transform_connection(cartan.normal_connection(metric),
+                                         cartan.h_field(metric, z=zf, r=r))
+    return {
+        "h_field(z,S,r)": cartan.h_field(metric, z=zf, S=S, r=r),
+        "h_field(S)": cartan.h_field(metric, S=S),
+        "h_field(r)": cartan.h_field(metric, r=r),
+        "boost_dressing": dressing.boost_dressing(gauged),
+        "weyl_cocycle(C)": dressing.weyl_cocycle(metric, zf, "C"),
+    }
+
+
+MARKED = [(name, order) for name, top in (("h_field(z,S,r)", 3), ("h_field(S)", 3),
+                                          ("h_field(r)", 3), ("boost_dressing", 2),
+                                          ("weyl_cocycle(C)", 2))
+          for order in range(top + 1)]
+
+
+@pytest.mark.parametrize("metric_name", ["schw", "bumpy"])
+@pytest.mark.parametrize("name, order", MARKED)
+def test_the_closed_form_inverse_of_a_marked_field_is_its_newton_inverse(
+        metric_name, name, order, request):
+    """On a batch and point by point, `cartan.inverse` of every marked constructor
+    agrees with `inv_matrix` within 1e3 eps normwise, and makes no kernel call."""
+    metric = request.getfixturevalue(metric_name)
+    field = _marked_fields(metric)[name]
+    assert field.max_order == max(o for c, o in MARKED if c == name)
+    assert np.array_equal(field.group_eta, metric.eta)
+    alg = jets.algebra(metric.n, order)
+    pts = metrics.sample_points(metric, 5, np.random.default_rng(4))
+    for p in [pts, *pts]:
+        g = field.at(p, order)
+        newton = alg.inv_matrix(g)
+        with pytest.MonkeyPatch.context() as mp:
+            for kernel in ("mul", "matmul", "inv_matrix"):
+                mp.setattr(jets.JetAlgebra, kernel, None)
+            closed = cartan.inverse(alg, field, g)
+        assert closed.shape == newton.shape
+        err = np.abs(closed - newton).max()
+        assert err <= 1e3 * np.finfo(float).eps * max(1.0, np.abs(newton).max()), err
+
+
+def test_an_unmarked_field_is_newton_inverted(schw):
+    """The frame dressing maps Sigma to the tractor metric G and the holonomic
+    cocycle is not in H either: neither is marked, and `inverse` of each is the
+    Newton inverse."""
+    wn = cartan.normal_connection(schw)
+    pts = metrics.sample_points(schw, 3, np.random.default_rng(4))
+    for field in (dressing.frame_dressing(wn), dressing.weyl_cocycle(schw, "1.5 + 0.1*x0", "Cbar")):
+        assert field.group_eta is None
+        g = field.at(pts, 1)
+        assert np.array_equal(cartan.inverse(A1, field, g), A1.inv_matrix(g))

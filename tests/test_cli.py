@@ -64,6 +64,50 @@ def test_bad_input_is_a_one_line_error_with_exit_code_2(args, tmp_path, capsys):
     assert err.startswith("tractorlab: error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["--param", "mass=1", "--param", "mass=2"],
+    ["--param", "mass=1", "--param", "mass=1"],
+])
+def test_a_repeated_param_is_a_usage_error(args, capsys):
+    code = cli.main(["run", "--metric", "schwarzschild", *args, "--suite", "riemann-laws",
+                     "--points", "1", "--quiet"])
+    assert code == 2
+    assert capsys.readouterr().err == "tractorlab: error: --param mass is given more than once\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["--metric", "round_sphere", "--param", "n=11"],
+    ["--metric", "flat_minkowski", "--param", "n=40"],
+    ["--metric", "poly_perturbation", "--param", "n=1000"],
+    ["--metric", "conformally_flat", "--param", "n=2"],
+    ["--metric", "spec"],
+])
+def test_a_dimension_over_the_cap_is_refused_before_any_jet_table_is_built(
+        args, tmp_path, capsys, monkeypatch):
+    """A dimension above `metrics.MAX_DIMENSION` (or below 3) is a one-line error
+    with exit code 2, raised before any jet table or multi-index list of that
+    size is built: no large algebra is built here."""
+    from tractorlab import fields, jets
+
+    def guard(real):
+        def guarded(n, order):
+            assert 3 <= n <= metrics.MAX_DIMENSION, f"built a table for n = {n}"
+            return real(n, order)
+        return guarded
+    monkeypatch.setattr(jets, "algebra", guard(jets.algebra))
+    monkeypatch.setattr(jets, "_multi_indices", guard(jets._multi_indices))
+    fields._exponents.cache_clear()
+    if args[1] == "spec":
+        path = tmp_path / "big.ini"
+        path.write_text("[metric]\nn=11\n[components]\ng_00 = 1\n")
+        args = ["--metric", str(path)]
+    code = cli.main(["run", *args, "--suite", "riemann-laws", "--points", "1", "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tractorlab: error: ") and err.count("\n") == 1
+    assert f"3..{metrics.MAX_DIMENSION}" in err
+
+
 def test_a_metric_with_no_frame_at_a_sample_point_exits_2(tmp_path, capsys):
     # Lorentzian at every point (it passes the signature check), but g_00 = x1 > 0
     # puts the first frame pivot at the wrong sign wherever x1 > 0

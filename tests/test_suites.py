@@ -4,7 +4,8 @@ the runner."""
 import numpy as np
 import pytest
 
-from tractorlab import cartan, jets, metrics, suites, tractor
+from tractorlab import cartan, dressing, jets, metrics, suites, tractor
+from tractorlab.fields import field_matmul
 from tractorlab.geometry import Geometry
 
 
@@ -292,3 +293,32 @@ def test_a_broken_connection_combinator_fails_the_checks_that_share_it(name, mon
     results = run()
     assert [r.check_id for r in results if r.passed] == []
     assert not any((r.note or "").startswith("error") for r in results)
+
+
+# the block each check that draws a gauge marked H-valued adds on that gauge
+MEMBERSHIP = {"gt0-table": "H membership", "gt1-table": "H membership",
+              "boost-constraint": "gauge H membership"}
+
+
+def test_a_marked_gauge_field_outside_the_group_fails_its_membership_block(monkeypatch):
+    """The closed-form inverse `cartan.inverse` takes for a marked field is its
+    inverse only in H.  A drawn gauge times the holonomic cocycle Cbar, which is
+    not in H, marked H-valued all the same, fails each check that draws a marked
+    gauge on its g^T Sigma g - Sigma block, with no error note."""
+    checks = {cid: fn for entries in suites.SUITES.values() for cid, fn in entries}
+
+    def run():
+        ctx = suites.Context(metrics.load_metric("schwarzschild"), seed=7, npoints=3)
+        return [suites.run_check(ctx, cid, checks[cid]) for cid in MEMBERSHIP]
+
+    assert all(r.passed for r in run())
+    h_field = cartan.h_field
+
+    def outside_h(metric, **parts):
+        g = field_matmul(h_field(metric, **parts), dressing.weyl_cocycle(metric, "1.5 + 0.1*x0", "Cbar"))
+        g.group_eta = metric.eta
+        return g
+    monkeypatch.setattr(cartan, "h_field", outside_h)
+    for r in run():
+        assert not r.passed and r.note is None, r.check_id
+        assert r.block_diff[MEMBERSHIP[r.check_id]] > r.tolerance, r.check_id
