@@ -246,7 +246,8 @@ def _tilde_eps(metric, ghost, point, order):
 
 
 def exp_field(metric, coeff_field: JetField, t) -> JetField:
-    """exp(t * M(x)) as a jet matrix field: its Taylor series to 16 terms."""
+    """exp(t * M(x)) as a jet matrix field: its Taylor series to 16 terms.  M is a
+    ghost's matrix, in the algebra of H, so the field is marked H-valued."""
     n = metric.n
 
     def fn(point, order):
@@ -259,7 +260,7 @@ def exp_field(metric, coeff_field: JetField, t) -> JetField:
             out = out + power
         return out
 
-    return JetField(fn, n, max_order=coeff_field.max_order)
+    return JetField(fn, n, max_order=coeff_field.max_order, group_eta=metric.eta)
 
 
 def finite_consistency(metric, conn: ConnectionField, ghost: Ghost, kind, point,

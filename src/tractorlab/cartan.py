@@ -245,30 +245,33 @@ def k1_jet_matrix(alg, q, q_up):
 
 def h_field(metric, z=None, S=None, r=None) -> JetField:
     """Field K0(z(x), S) K1(r(x)) with jets, marked H-valued; S is constant.  With S
-    alone it is diag(1, S, 1), the residual Lorentz element."""
+    alone it is diag(1, S, 1), the residual Lorentz element.  K0 scales the rows of
+    K1 (r may have draw axes): row 0 by z, the middle ones by S, the last to 1/z."""
     n = metric.n
     N = n + 2
     eta = metric.eta
     eta_inv = np.linalg.inv(eta)
     z_f = None if z is None else ScalarField.coerce(z)
     r_f = None if r is None else RowField.coerce(r)
-    s_mat = np.eye(n) if S is None else np.asarray(S, dtype=float)
-    if np.abs(s_mat.T @ eta @ s_mat - eta).max() > 1e-10:
+    S = None if S is None else np.asarray(S, dtype=float)
+    if S is not None and np.abs(S.T @ eta @ S - eta).max() > 1e-10:
         raise CartanError("S is not eta-orthogonal")
 
     def fn(point, order):
         alg = jets.algebra(n, order)
-        k0 = alg.const(np.broadcast_to(np.eye(N), np.shape(point)[:-1] + (N, N)))
+        if r_f is None:
+            h = alg.const(np.broadcast_to(np.eye(N), np.shape(point)[:-1] + (N, N)))
+        else:
+            rj = r_f.coeffs(point, order)  # (..., n, NC)
+            h = k1_jet_matrix(alg, rj, eta_inv @ rj)
+        if S is not None:
+            h[..., 1:-1, :, :] = np.einsum("ab,...bjk->...ajk", S, h[..., 1:-1, :, :])
         if z_f is not None:
             zj = z_f.coeffs(point, order)
             require_positive(zj[..., 0], point, CartanError, "Weyl factor")
-            k0[..., 0, 0, :] = zj
-            k0[..., -1, -1, :] = alg.reciprocal(zj)
-        k0[..., 1:-1, 1:-1, :] = alg.const(s_mat)
-        if r_f is None:
-            return k0
-        rj = r_f.coeffs(point, order)  # (..., n, NC)
-        return alg.matmul(k0, k1_jet_matrix(alg, rj, eta_inv @ rj))
+            h[..., 0, :, :] = alg.mul(zj[..., None, :], h[..., 0, :, :])
+            h[..., -1, -1, :] = alg.reciprocal(zj)
+        return h
 
     return JetField(fn, n, max_order=3, group_eta=eta)
 
@@ -375,12 +378,14 @@ def curvature(conn: ConnectionField):
     return fn
 
 
-def transform_curvature(curv, g):
+def transform_curvature(curv, gfield: JetField, point):
     """F -> g^-1 F g, the curvature of the connection transformed by g, from order-0
-    jets of the curvature (..., n, n, N, N, 1) and of g (..., N, N, 1)."""
-    alg = jets.algebra(curv.shape[-5], 0)
-    g = g[..., None, None, :, :, :]  # one per (mu, nu)
-    return alg.matmul(alg.matmul(alg.inv_matrix(g), curv), g)
+    jets of the curvature (..., n, n, N, N, 1) and of the field g at `point`, with
+    g^-1 from `inverse`."""
+    alg = jets.algebra(gfield.n, 0)
+    g = gfield.at(point, 0)
+    ginv = inverse(alg, gfield, g)[..., None, None, :, :, :]  # one per (mu, nu)
+    return alg.matmul(alg.matmul(ginv, curv), g[..., None, None, :, :, :])
 
 
 def section_derivative(conn: ConnectionField, phi: JetField, point, order=0):

@@ -1,14 +1,15 @@
 """Scalar/vector fields on a chart.  Every field and helper here evaluates
 through jets at a point (n,) or a batch of points (..., n), with the batch
-axes in front of every result.
+axes in front of every result, behind the draw axes of stacked draws.
 
 A scalar field is a rule (point, order) -> jet coefficients, and it comes
 from one of two places.  An expression (a metric's conformal factor, a spec
 file, a rescaling written as text) compiles once per dimension into an
-`expr.Program`.  A random polynomial (the gauge parameters the suites draw)
-is a coefficient dict and goes straight to an `expr.PolynomialEvaluator`;
-evaluators of polynomials with the same exponents share the structure of
-their weight tables, so a new random field costs a few numpy calls.  A
+`expr.Program`.  Random polynomials (the gauge parameters the suites draw)
+are coefficient dicts and go straight to an `expr.PolynomialEvaluator`, one
+per drawn row (`domain_poly_rows`), whose draw axes come before the point
+axes; evaluators of polynomials with the same exponents share the structure
+of their weight tables, so a new random field costs a few numpy calls.  A
 random polynomial on a chart box is evaluated at the box-normalized point
 (x - center) / halfwidth and its coefficients rescaled by the chain rule.
 Fields compose on their coefficient arrays: a product is the jet product of
@@ -85,21 +86,22 @@ class ScalarField:
 
 
 class RowField:
-    """Tuple of scalar fields evaluated as a stacked (..., m, NC) jet array."""
+    """Row of m scalar fields evaluated as one stacked (..., m, NC) jet array; a row
+    of stacked draws carries its draw axes in front of the point axes."""
 
-    def __init__(self, components):
-        self.components = [ScalarField.coerce(c) for c in components]
+    def __init__(self, fn):
+        self._fn = fn
 
     @classmethod
     def coerce(cls, source):
         """`source` itself if it is a row field, else the row of its components."""
-        return source if isinstance(source, cls) else cls(source)
+        if isinstance(source, cls):
+            return source
+        components = [ScalarField.coerce(c) for c in source]
+        return cls(lambda p, k: np.stack([c.coeffs(p, k) for c in components], axis=-2))
 
     def coeffs(self, point, order) -> np.ndarray:
-        return np.stack([c.coeffs(point, order) for c in self.components], axis=-2)
-
-    def __len__(self):
-        return len(self.components)
+        return self._fn(point, order)
 
 
 def per_order(memo, n, order, build):
@@ -161,17 +163,21 @@ def origin(fn):
 
 
 def first_point(points, bad):
-    """The first point of a batch (..., n) at which the mask `bad` (...) holds, as floats."""
-    at = np.asarray(points, dtype=float)[np.unravel_index(np.argmax(bad), np.shape(bad))]
-    return tuple(float(x) for x in at)
+    """The first point of a batch (..., n) at which the mask `bad` (..., after any draw
+    axes) holds for some draw, as floats."""
+    points = np.asarray(points, dtype=float)
+    bad = np.reshape(bad, (-1,) + points.shape[:-1]).any(axis=0)
+    return tuple(float(x) for x in points[np.unravel_index(np.argmax(bad), bad.shape)])
 
 
 def require_positive(values, points, error, what):
     """Raise `error` naming the first point of the batch `points` (..., n) at which
-    `values` (...) is not positive."""
+    `values` (..., after any draw axes) is not positive, and its first bad value."""
     bad = values <= 0
     if bad.any():
-        raise error(f"{what} must be positive, got {values[bad][0]} at {first_point(points, bad)}")
+        per_point = np.moveaxis(np.reshape(values, (-1,) + np.shape(points)[:-1]), 0, -1)
+        raise error(f"{what} must be positive, got {per_point[per_point <= 0][0]} "
+                    f"at {first_point(points, bad)}")
 
 
 def field_matmul(a: JetField, b: JetField, group_eta=None) -> JetField:
@@ -208,29 +214,41 @@ def random_poly_field(rng, n, degree) -> ScalarField:
     return ScalarField.from_polynomial(random_polynomial(rng, n, degree), n)
 
 
-def domain_poly_field(rng, metric, degree=2, scale=0.4) -> ScalarField:
-    """Random polynomial in domain-normalized coordinates: O(scale) on the box.
+def domain_poly_rows(rng, metric, shape, degree, scale) -> RowField:
+    """A block `shape` (..., m) of random polynomials in domain-normalized coordinates,
+    O(scale) on the box: one uniform draw, the numbers of prod(shape) single draws in
+    their order, and one evaluator, giving (*shape[:-1], *points, m, NC).
 
     f(x) = sum_alpha c_alpha y^alpha at the normalized point
-    y = (x - center) / halfwidth.  The field takes the polynomial's jet at y and
-    scales its coefficient beta by prod_i halfwidth_i^-beta_i (the chain rule).
-    It never expands the polynomial in powers of x, which on a narrow box far
+    y = (x - center) / halfwidth.  The field takes the polynomials' jets at y and
+    scales their coefficient beta by prod_i halfwidth_i^-beta_i (the chain rule).
+    It never expands a polynomial in powers of x, which on a narrow box far
     from the origin would cancel terms of size (|center| / halfwidth)^degree.
     """
     n = metric.n
     lo, hi = np.array(metric.domain, dtype=float).T
     center, width = (lo + hi) / 2.0, (hi - lo) / 2.0
-    poly = expr.PolynomialEvaluator([random_polynomial(rng, n, degree, scale)], n)
-    chain = {}
+    exponents = _exponents(n, degree)
+    c = rng.uniform(-scale, scale, size=shape + (len(exponents),))
+    poly = expr.PolynomialEvaluator(
+        [dict(zip(exponents, row)) for row in c.reshape(-1, len(exponents)).tolist()], n)
+    chain, draws = {}, range(len(shape) - 1)
 
     def fn(x, k):
         alg = jets.algebra(n, k)
         if k not in chain:
             chain[k] = np.prod(width ** -np.array(alg.indices, dtype=float), axis=1)
         y = (np.asarray(x, dtype=float) - center) / width
-        return poly.coeffs_at(y, alg)[..., 0, :] * chain[k]
+        out = poly.coeffs_at(y, alg).reshape(y.shape[:-1] + shape + (alg.ncoef,))
+        return np.moveaxis(out, [y.ndim - 1 + d for d in draws], list(draws)) * chain[k]
 
-    return ScalarField(fn)
+    return RowField(fn)
+
+
+def domain_poly_field(rng, metric, degree=2, scale=0.4) -> ScalarField:
+    """One random polynomial of `domain_poly_rows`: a row of one."""
+    row = domain_poly_rows(rng, metric, (1,), degree, scale)
+    return ScalarField(lambda x, k: row._fn(x, k)[..., 0, :])
 
 
 def domain_z_field(rng, metric) -> ScalarField:

@@ -171,8 +171,8 @@ class JetAlgebra:
         algebra makes it exact to order 1 and a second step, in this algebra,
         exact to order 2 or 3.  The pipeline calls it only where it has no
         closed form: g (`Geometry.ginv`), the frame (`ConnectionField.frame`),
-        fields not marked H-valued (ubar, Cbar), and `transform_curvature`.
-        """
+        and, through `cartan.inverse`, fields not marked H-valued (ubar, Cbar,
+        unmarked `fields.field_matmul` products)."""
         a = np.asarray(a, dtype=float)
         m = a.shape[-2]
         x = np.linalg.inv(self.value(a))[..., None]

@@ -8,9 +8,11 @@ batch of chart points (P, n), then `return ctx.sweep(rng, residual, rule)`.
 The sweep draws the points of a count rule from `COUNTS`, calls the residual
 once on the whole batch and tracks the worst point.  A residual is an array
 whose leading axis runs over the points, a dict of named blocks of such
-arrays, or a list of these.  The checks with no chart points, with one
-batch per gauge or cocycle variant, or with a single point call
-`Tracker.add` themselves.
+arrays, or a list of these.  The checks with no chart points
+(`algebra-grading`, `sigma-pairing`), with one batch per cocycle variant
+(`cocycle-identity`, `cocycle-factorization`), with one residual per draw of
+a stacked gauge draw (`k1-erasure`) or with a single point
+(`finite-consistency`) call `Tracker.add` themselves.
 
 Checks are deterministic: every check derives its own RNG from (seed,
 check_id), so results are bit-identical across runs and independent of
@@ -25,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import brst, cartan, dressing, jets, metrics, oracle, tractor
-from .fields import JetField, RowField, ScalarField, domain_poly_field, domain_z_field, field_matmul
+from .fields import (JetField, ScalarField, domain_poly_field, domain_poly_rows, domain_z_field,
+                     field_matmul)
 from .geometry import FrameError, Geometry
 from .tractor import DEFAULT_Z
 
@@ -222,7 +225,7 @@ def random_section(rng, metric):
     return cartan.section_field(
         metric,
         domain_poly_field(rng, metric, 2, 1.0),
-        [domain_poly_field(rng, metric, 2, 1.0) for _ in range(metric.n)],
+        domain_poly_rows(rng, metric, (metric.n,), 2, 1.0),
         domain_poly_field(rng, metric, 2, 1.0),
     )
 
@@ -459,7 +462,7 @@ def check_gt1(ctx, rng):
     n = ctx.metric.n
     eta_inv = np.linalg.inv(ctx.metric.eta)
     wn = ctx.pipeline()["wn"]
-    r_fields = RowField([domain_poly_field(rng, ctx.metric, 2, 0.4) for _ in range(n)])
+    r_fields = domain_poly_rows(rng, ctx.metric, (n,), 2, 0.4)
     gam1 = cartan.h_field(ctx.metric, r=r_fields)
     w1g = cartan.transform_connection(wn, gam1)
     a1 = jets.algebra(n, 1)
@@ -502,7 +505,7 @@ def check_gtvphi(ctx, rng):
     zf = domain_z_field(rng, ctx.metric)
     S = random_eta_orthogonal(rng, ctx.metric.eta)
     gam0 = cartan.h_field(ctx.metric, z=zf, S=S)
-    r_fields = RowField([domain_poly_field(rng, ctx.metric, 2, 0.4) for _ in range(n)])
+    r_fields = domain_poly_rows(rng, ctx.metric, (n,), 2, 0.4)
     gam1 = cartan.h_field(ctx.metric, r=r_fields)
     phi0 = cartan.transform_section(phi, gam0)
     phi1 = cartan.transform_section(phi, gam1)
@@ -548,14 +551,14 @@ def check_curv_tensorial(ctx, rng):
     n = ctx.metric.n
     wn = ctx.pipeline()["wn"]
     zf = domain_z_field(rng, ctx.metric)
-    r_fields = [domain_poly_field(rng, ctx.metric, 2, 0.4) for _ in range(n)]
+    r_fields = domain_poly_rows(rng, ctx.metric, (n,), 2, 0.4)
     gam = cartan.h_field(ctx.metric, z=zf, S=random_eta_orthogonal(rng, ctx.metric.eta), r=r_fields)
     wg = cartan.transform_connection(wn, gam)
     curv_base = cartan.curvature(wn)
     curv_direct = cartan.curvature(wg)
 
     def residual(p):
-        return _value(curv_direct(p, 0) - cartan.transform_curvature(curv_base(p, 0), gam.at(p, 0)))
+        return _value(curv_direct(p, 0) - cartan.transform_curvature(curv_base(p, 0), gam, p))
     return ctx.sweep(rng, residual, "half")
 
 
@@ -595,7 +598,7 @@ def check_normality(ctx, rng):
 def check_normality_cov(ctx, rng):
     n = ctx.metric.n
     wn = ctx.pipeline()["wn"]
-    gam1 = cartan.h_field(ctx.metric, r=[domain_poly_field(rng, ctx.metric, 2, 0.4) for _ in range(n)])
+    gam1 = cartan.h_field(ctx.metric, r=domain_poly_rows(rng, ctx.metric, (n,), 2, 0.4))
     wg = cartan.transform_connection(wn, gam1)
     curv = cartan.curvature(wg)
 
@@ -638,10 +641,11 @@ def check_k1_erasure(ctx, rng):
     pts = ctx.points(rng, COUNTS["few"](ctx.npoints))
     b = wn.at(pts, 1)
     scale = 1.0 + np.abs(b).max(axis=(-4, -3, -2, -1), keepdims=True)
-    for _ in range(20):
-        gam1 = cartan.h_field(ctx.metric, r=[domain_poly_field(rng, ctx.metric, 2, 0.5) for _ in range(n)])
-        dressed = dressing.dressing_chain(cartan.transform_connection(wn, gam1))["w1"]
-        tr.add(pts, np.abs(dressed.at(pts, 1) - b) / scale)
+    # the 20 boosts on one draw axis, in front of the points
+    gam1 = cartan.h_field(ctx.metric, r=domain_poly_rows(rng, ctx.metric, (20, n), 2, 0.5))
+    dressed = dressing.dressing_chain(cartan.transform_connection(wn, gam1))["w1"]
+    for res in np.abs(dressed.at(pts, 1) - b) / scale:
+        tr.add(pts, res)
     return tr
 
 
@@ -651,7 +655,7 @@ def check_boost_constraint(ctx, rng):
     n = ctx.metric.n
     wn = ctx.pipeline()["wn"]
     zf = domain_z_field(rng, ctx.metric)
-    gam = cartan.h_field(ctx.metric, z=zf, r=[domain_poly_field(rng, ctx.metric, 2, 0.4) for _ in range(n)])
+    gam = cartan.h_field(ctx.metric, z=zf, r=domain_poly_rows(rng, ctx.metric, (n,), 2, 0.4))
     chain = dressing.dressing_chain(cartan.transform_connection(wn, gam))
 
     def residual(p):
@@ -666,7 +670,7 @@ def check_boost_constraint(ctx, rng):
 def check_dressed_curvature(ctx, rng):
     n = ctx.metric.n
     wn = ctx.pipeline()["wn"]
-    gam1 = cartan.h_field(ctx.metric, r=[domain_poly_field(rng, ctx.metric, 2, 0.4) for _ in range(n)])
+    gam1 = cartan.h_field(ctx.metric, r=domain_poly_rows(rng, ctx.metric, (n,), 2, 0.4))
     wg = cartan.transform_connection(wn, gam1)
     chain = dressing.dressing_chain(wg)
     curv_base = cartan.curvature(wg)
@@ -674,7 +678,7 @@ def check_dressed_curvature(ctx, rng):
 
     def residual(p):
         return _value(curv_dressed(p, 0)
-                      - cartan.transform_curvature(curv_base(p, 0), chain["u1"].at(p, 0)))
+                      - cartan.transform_curvature(curv_base(p, 0), chain["u1"], p))
     return ctx.sweep(rng, residual, "third")
 
 
@@ -956,7 +960,7 @@ def check_omega1z_table(ctx, rng):
         geom = Geometry(ctx.metric, p)
         F1 = curv1(p, 0)
         b1 = cartan.curv_blocks(_value(F1))
-        bz = cartan.curv_blocks(_value(cartan.transform_curvature(F1, cz.at(p, 0))))
+        bz = cartan.curv_blocks(_value(cartan.transform_curvature(F1, cz, p)))
         zv = _value(zf.coeffs(p, 0))[..., None, None, None]
         upsa = np.einsum("...m,...ma->...a", _value(dressing.upsilon_row(zf, p, 0, n)),
                          _value(geom.einv(0)))
@@ -1042,7 +1046,7 @@ def check_omegaLz_table(ctx, rng):
     def residual(p):
         FL = curvl(p, 0)
         bl = cartan.curv_blocks(_value(FL))
-        bz = cartan.curv_blocks(_value(cartan.transform_curvature(FL, cbar.at(p, 0))))
+        bz = cartan.curv_blocks(_value(cartan.transform_curvature(FL, cbar, p)))
         ups = _value(dressing.upsilon_row(zf, p, 0, n))
         return {
             "C": bz["C"] - (bl["C"] - np.einsum("...a,...mnab->...mnb", ups, bl["W"])),
@@ -1282,7 +1286,7 @@ def _random_ghost(ctx, rng, generators=3, with_s=True, with_iota=True, with_eps=
     for _ in range(generators):
         eps = domain_poly_field(rng, ctx.metric, 2, 0.4) if with_eps else None
         s = _eta_antisymmetric(rng.normal(size=(n, n)) * 0.4, ctx.metric.eta) if with_s else None
-        iota = [domain_poly_field(rng, ctx.metric, 2, 0.4) for _ in range(n)] if with_iota else None
+        iota = domain_poly_rows(rng, ctx.metric, (n,), 2, 0.4) if with_iota else None
         comps.append((eps, s, iota))
     return brst.Ghost(ctx.metric, comps)
 
@@ -1486,7 +1490,7 @@ def check_finite_consistency(ctx, rng):
     wn = ctx.pipeline()["wn"]
     s = _eta_antisymmetric(rng.normal(size=(n, n)) * 0.4, ctx.metric.eta)
     ghost = brst.Ghost(ctx.metric, [(domain_poly_field(rng, ctx.metric, 1, 0.4), s,
-                                     [domain_poly_field(rng, ctx.metric, 1, 0.4) for _ in range(n)])])
+                                     domain_poly_rows(rng, ctx.metric, (n,), 1, 0.4))])
     phi = random_section(rng, ctx.metric)
     pts = ctx.points(rng, 1)
     rep_c = brst.finite_consistency(ctx.metric, wn, ghost, "connection", pts[0])

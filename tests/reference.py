@@ -1,12 +1,15 @@
 """Reference implementations that only the tests compare against: a second-order
 finite-difference oracle, the graded split of the Cartan algebra, the factored
-group inverse, raw partial derivatives of a jet, and the jet of a coordinate."""
+group inverse, the jets of K0 K1 as a jet matrix product, raw partial
+derivatives of a jet, the jet of a coordinate, and `k1-erasure` drawn one gauge
+at a time."""
 
 import math
 
 import numpy as np
 
-from tractorlab import cartan
+from tractorlab import cartan, dressing, jets, suites
+from tractorlab.fields import ScalarField, domain_poly_field
 from tractorlab.jets import JetError
 
 
@@ -58,6 +61,40 @@ def h_inverse(z, S, r, eta):
     eta_inv = np.linalg.inv(eta)
     s_inv = eta_inv @ S.T @ eta
     return cartan.k1_matrix(-np.asarray(r), eta) @ cartan.k0_matrix(1.0 / z, s_inv)
+
+
+def h_product(metric, point, order, z=None, S=None, r=None):
+    """The jets of K0(z, S) K1(r) at `point` as the jet matrix product of the two
+    factors, each built on its own (absent parts are 1)."""
+    n, N = metric.n, metric.n + 2
+    alg = jets.algebra(n, order)
+    k0 = alg.const(np.broadcast_to(np.eye(N), np.shape(point)[:-1] + (N, N)))
+    if z is not None:
+        zj = ScalarField.coerce(z).coeffs(point, order)
+        k0[..., 0, 0, :], k0[..., -1, -1, :] = zj, alg.reciprocal(zj)
+    if S is not None:
+        k0[..., 1:-1, 1:-1, :] = alg.const(S)
+    k1 = alg.const(np.broadcast_to(np.eye(N), np.shape(point)[:-1] + (N, N)))
+    if r is not None:
+        rj = np.stack([ScalarField.coerce(c).coeffs(point, order) for c in r], axis=-2)
+        k1 = cartan.k1_jet_matrix(alg, rj, np.linalg.inv(metric.eta) @ rj)
+    return alg.matmul(k0, k1)
+
+
+def k1_erasure_loop(ctx, rng):
+    """The `k1-erasure` check with one gauge at a time: 20 boosts K1(r), each from n
+    single polynomial draws, each through its own transform and dressing chain."""
+    tr = suites.Tracker()
+    wn = ctx.pipeline()["wn"]
+    pts = ctx.points(rng, suites.COUNTS["few"](ctx.npoints))
+    b = wn.at(pts, 1)
+    scale = 1.0 + np.abs(b).max(axis=(-4, -3, -2, -1), keepdims=True)
+    for _ in range(20):
+        r = [domain_poly_field(rng, ctx.metric, 2, 0.5) for _ in range(ctx.metric.n)]
+        gam1 = cartan.h_field(ctx.metric, r=r)
+        dressed = dressing.dressing_chain(cartan.transform_connection(wn, gam1))["w1"]
+        tr.add(pts, np.abs(dressed.at(pts, 1) - b) / scale)
+    return tr
 
 
 def partial(alg, a, alpha):

@@ -443,8 +443,8 @@ def test_cartan_group_fields_curvature_and_blocks(case):
     _assert_stacked(list(cartan.curv_blocks(f[..., 0]).values()),
                     [list(cartan.curv_blocks(curv(p, 0)[..., 0]).values()) for p in pts])
     base = cartan.curvature(wn)
-    _assert_stacked(cartan.transform_curvature(base(pts, 0), h.at(pts, 0)),
-                    [cartan.transform_curvature(base(p, 0), h.at(p, 0)) for p in pts])
+    _assert_stacked(cartan.transform_curvature(base(pts, 0), h, pts),
+                    [cartan.transform_curvature(base(p, 0), h, p) for p in pts])
     einv = Geometry(metric, pts).einv(0)[..., 0]
     rep = cartan.normality_report(f[..., 0], einv)
     singles = [cartan.normality_report(curv(p, 0)[..., 0], e) for p, e in zip(pts, einv)]

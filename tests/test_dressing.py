@@ -47,6 +47,28 @@ def test_k1_erasure(bumpy, rng):
         assert np.abs(diff).max() < 1e-9 * (1.0 + np.abs(wn.at(PT, 1)).max())
 
 
+def test_a_singular_soldering_block_in_a_stacked_draw_names_its_point(bumpy):
+    """A connection with 4 stacked draws in front of 3 points, draw 2 with a zero
+    soldering block at point 1: the boost dressing, of the stack and of its
+    dressing chain, fails with one line that names point 1."""
+    wn = cartan.normal_connection(bumpy)
+    pts = np.array([PT, (0.1, 0.2, -0.1, 0.0), (-0.2, 0.1, 0.3, 0.05)])
+
+    def col0(point, order):
+        col = np.repeat(wn.col0(point, order)[None], 4, axis=0)
+        col[2, 1, :, 1:-1, :] = 0.0
+        return col
+
+    conn = cartan.ConnectionField(wn.at, col0, 4, bumpy.eta, max_order=1, col0_order=3)
+    message = f"soldering block is singular at {tuple(float(x) for x in pts[1])}"
+    with pytest.raises(cartan.CartanError) as err:
+        dressing.boost_vector(conn, pts, 1)
+    assert str(err.value) == message
+    with pytest.raises(cartan.CartanError) as err:
+        dressing.dressing_chain(conn)["w1"].col0(pts, 0)
+    assert str(err.value) == message
+
+
 def test_dress_with_identity(bumpy):
     wn = cartan.normal_connection(bumpy)
     ident = cartan.h_field(bumpy)
@@ -61,7 +83,7 @@ def test_dressed_curvature_consistency(bumpy, rng):
     wg = cartan.transform_connection(wn, gam1)
     u1 = dressing.boost_dressing(wg)
     dressed = dressing.dress(wg, u1)
-    conj = cartan.transform_curvature(cartan.curvature(wg)(PT, 0), u1.at(PT, 0))
+    conj = cartan.transform_curvature(cartan.curvature(wg)(PT, 0), u1, PT)
     direct = cartan.curvature(dressed)(PT, 0)
     assert np.abs(conj - direct).max() < 1e-9
 
@@ -169,7 +191,7 @@ def test_normal_curvature_cotton_block_law(bumpy):
     w1 = dressing.dress(wn, u1)
     cz = dressing.weyl_cocycle(bumpy, zf, "C")
     F1 = cartan.curvature(w1)(PT, 0)
-    Fz = cartan.transform_curvature(F1, cz.at(PT, 0))
+    Fz = cartan.transform_curvature(F1, cz, PT)
     b1, bz = cartan.curv_blocks(_val(F1)), cartan.curv_blocks(_val(Fz))
     zv = zf.coeffs(PT, 0)[0]
     upsa = _val(dressing.upsilon_row(zf, PT, 0, 4)) @ _val(Geometry(bumpy, PT).einv(0))

@@ -215,6 +215,44 @@ def test_fields_of_one_support_share_one_structure():
     assert (info.misses, info.hits) == (4, 196)
 
 
+# -- stacked draws: one evaluator per row ---------------------------------------
+
+
+@pytest.mark.parametrize("shape", [(4,), (20, 4), (2, 3, 5)])
+@pytest.mark.parametrize("name", ["schwarzschild", "poly_perturbation"])
+def test_a_stacked_draw_is_its_single_draws_in_order(name, shape):
+    """`domain_poly_rows` leaves the rng where prod(shape) single `domain_poly_field`
+    draws leave it, and its coefficients (*draws, *points, m, NC) are theirs, row
+    by row in draw order, within 1e3 eps at orders 0-3, on a batch and at a point."""
+    metric = metrics.load_metric(name)
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    rows = fields.domain_poly_rows(rng, metric, shape, 2, 0.5)
+    singles = [fields.domain_poly_field(ref, metric, 2, 0.5) for _ in range(math.prod(shape))]
+    assert rng.uniform() == ref.uniform()
+    points = metrics.sample_points(metric, 3, np.random.default_rng(0))
+    for order in range(4):
+        for at in (points, points[1]):
+            each = np.stack([f.coeffs(at, order) for f in singles])
+            want = each.reshape(shape[:-1] + (shape[-1],) + each.shape[1:])
+            _assert_close(rows.coeffs(at, order), np.moveaxis(want, len(shape) - 1, -2))
+
+
+def test_a_bad_member_of_a_stacked_draw_names_its_point():
+    """With draw axes in front of the batch, the error names the first point that is
+    bad for some draw, and a value that is bad there, on one line."""
+    points = metrics.sample_points(metrics.load_metric("schwarzschild"), 3,
+                                   np.random.default_rng(0)).tolist()
+    values = np.ones((20, 3))
+    values[7, 2], values[12, 1] = -0.5, -2.0
+    assert fields.first_point(points, values <= 0) == tuple(points[1])
+    with pytest.raises(ValueError) as err:
+        fields.require_positive(values, points, ValueError, "Weyl factor")
+    assert str(err.value) == f"Weyl factor must be positive, got -2.0 at {tuple(points[1])}"
+    with pytest.raises(ValueError, match=r"got -0\.5 at \(") as err:
+        fields.require_positive(values[7], points[2], ValueError, "Weyl factor")
+    assert str(err.value).endswith(f"at {tuple(points[2])}")
+
+
 # -- precision on a narrow box far from the origin -----------------------------
 
 

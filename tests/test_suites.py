@@ -4,6 +4,7 @@ the runner."""
 import numpy as np
 import pytest
 
+from reference import k1_erasure_loop
 from tractorlab import cartan, dressing, jets, metrics, suites, tractor
 from tractorlab.fields import field_matmul
 from tractorlab.geometry import Geometry
@@ -244,10 +245,10 @@ def _flipped_schouten_connection(metric, original=tractor.prolongation_connectio
                                   metric.n, metric.eta, max_order=1, col0_order=1)
 
 
-def _reversed_curvature_transform(curv, g):
+def _reversed_curvature_transform(curv, gfield, point):
     """g F g^-1 in place of g^-1 F g."""
-    alg = jets.algebra(curv.shape[-5], 0)
-    g = g[..., None, None, :, :, :]
+    alg = jets.algebra(gfield.n, 0)
+    g = gfield.at(point, 0)[..., None, None, :, :, :]
     return alg.matmul(alg.matmul(g, curv), alg.inv_matrix(g))
 
 
@@ -322,3 +323,18 @@ def test_a_marked_gauge_field_outside_the_group_fails_its_membership_block(monke
     for r in run():
         assert not r.passed and r.note is None, r.check_id
         assert r.block_diff[MEMBERSHIP[r.check_id]] > r.tolerance, r.check_id
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name", ["schwarzschild", "poly_perturbation"])
+def test_k1_erasure_on_one_draw_axis_is_its_loop_over_draws(name, seed):
+    """The 20 boosts of `k1-erasure`, stacked on one draw axis, give the report of
+    a loop that draws and dresses one boost at a time, bit for bit."""
+    def run(check):
+        ctx = suites.Context(metrics.load_metric(name), seed=seed, npoints=20)
+        return suites.run_check(ctx, "k1-erasure", check)
+
+    got, want = run(dict(suites.SUITES["dressing-k1"])["k1-erasure"]), run(k1_erasure_loop)
+    assert got.passed and got.note is None
+    assert (got.max_residual, got.worst_point, got.points) == (
+        want.max_residual, want.worst_point, want.points)
