@@ -195,7 +195,7 @@ def dressed_ghost(metric, chain, ghost: Ghost, stage, point, order) -> GradedVal
     rules of the dressings; `closed_form_ghost` is what it should equal."""
     n = metric.n
     alg = jets.algebra(n, order)
-    # first: ubar reads u1 one order higher, which the read of u1 then truncates
+    # first: in a gauged chain ubar reads u1 one order higher, which the read of u1 truncates
     ubar = chain["ubar"].at(point, order) if stage == "full" else None
     u1_val = chain["u1"].at(point, order)
     u1_g, u1_inv = even(n, order, u1_val), even(n, order, inverse(alg, chain["u1"], u1_val))

@@ -4,10 +4,11 @@
         --report out.json --format json
 
 Exit code 0 iff every check passes, 1 if a check fails, and 2 for bad input
-(usage, a repeated `--param`, metric spec, parameters, n above 10, expressions,
-tolerance overrides, a metric with no frame of its signature at a sampled
-point), which is reported as one `tractorlab: error: ...` line.  Reports are
-deterministic for a fixed (config, seed) apart from the timing field.
+(usage, a repeated `--param`, metric spec, parameters, n above 10, a polynomial
+degree above 3, expressions, tolerance overrides, a metric with no frame of its
+signature at a sampled point), which is reported as one `tractorlab: error: ...`
+line.  Reports are deterministic for a fixed (config, seed) apart from the timing
+field.
 """
 
 from __future__ import annotations
@@ -148,7 +149,8 @@ def main(argv=None):
     run.add_argument("--metric", required=True,
                      help=f"catalog name ({', '.join(metrics.CATALOG)}) or spec file path")
     run.add_argument("--param", action="append", metavar="K=V",
-                     help="metric parameter (factor=..., amplitude=..., seed=..., mass=..., n=...)")
+                     help="metric parameter (factor=..., amplitude=..., seed=..., degree=..., "
+                          "mass=..., n=...)")
     run.add_argument("--suite", action="append", default=None,
                      help=f"suite name or 'all' ({', '.join(suites.SUITES)})")
     run.add_argument("--points", type=positive_int, default=20)

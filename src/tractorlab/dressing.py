@@ -5,7 +5,9 @@ connection; the frame dressing ubar = diag(1, e, 1) converts the result to
 holonomic (coordinate) form.  Both use only the first matrix column of the
 connection, so their jets stay exact through chains of gauge transforms.
 `dressing_chain` is the one place that chains them: the checks and the BRST
-composite ghosts read its fields and build no dressing of their own.
+composite ghosts read its fields and build no dressing of their own.  The
+normal connection wn has a = 0, so its u1 is the identity and
+`normal_dressing_chain` starts at w1 = wn; the two chains share the frame stage.
 
 Residual Weyl transformations of dressed fields act through the cocycle
 matrices C(z) (frame form) and Cbar(z) (holonomic form); residual Lorentz
@@ -25,6 +27,7 @@ from . import jets
 from .cartan import (
     CartanError,
     ConnectionField,
+    h_field,
     k1_jet_matrix,
     matvec,
     normal_connection,
@@ -87,15 +90,20 @@ def dressing_chain(conn: ConnectionField):
     w1 = w^u1, the frame dressing ubar of w1 and the holonomic connection
     wl = w1^ubar."""
     u1 = boost_dressing(conn)
-    w1 = dress(conn, u1)
-    ubar = frame_dressing(w1)
-    return {"u1": u1, "w1": w1, "ubar": ubar, "wl": dress(w1, ubar)}
+    return {"u1": u1, **_frame_stage(dress(conn, u1))}
 
 
 def normal_dressing_chain(metric):
-    """The normal connection wn and its dressing chain."""
+    """The normal connection wn and its dressing chain.  wn has a = 0, so q = 0 and
+    u1 = K1(0) = 1, the constant identity of `h_field`: the chain starts at w1 = wn.
+    It equals `dressing_chain(wn)` exactly."""
     wn = normal_connection(metric)
-    return {"wn": wn, **dressing_chain(wn)}
+    return {"wn": wn, "u1": h_field(metric), **_frame_stage(wn)}
+
+
+def _frame_stage(w1: ConnectionField):
+    ubar = frame_dressing(w1)
+    return {"w1": w1, "ubar": ubar, "wl": dress(w1, ubar)}
 
 
 def dress(chi, u: JetField):

@@ -39,7 +39,7 @@ class ScalarField:
 
     def jet(self, point, order) -> np.ndarray:
         """Same as `coeffs`; kept because the traced benchmark patches it by name,
-        until ROADMAP item 3(a)'s benchmark change lets it go."""
+        until ROADMAP item 1(a)'s benchmark change lets it go."""
         return self._fn(point, order)
 
     def coeffs(self, point, order) -> np.ndarray:

@@ -39,6 +39,10 @@ CORNER_MAX_DIM = 10
 DEGENERATE_EIGENVALUE = 1e-9
 # the largest n of a spec file (its keys g_ij take one digit per index) or `--param n=`
 MAX_DIMENSION = 10
+# the largest `degree` of poly_perturbation: at n = MAX_DIMENSION, riemann-laws at 3
+# points took 1.3 s and 113 MB at degree 3, 4.4 s and 233 MB at 4, and 57 s and 2.4 GB
+# at 6 (one BLAS thread, 2-core Xeon)
+MAX_POLY_DEGREE = 3
 
 
 class MetricError(ValueError):
@@ -96,7 +100,7 @@ class MetricField:
 
     def component_jet(self, i, j, point, order):
         """g_{ij} at a point or a batch of points: (..., NC).  Kept because the traced
-        benchmark patches it by name, until ROADMAP item 3(a)'s benchmark change
+        benchmark patches it by name, until ROADMAP item 1(a)'s benchmark change
         lets it go."""
         return self.g(point, order)[..., i, j, :]
 
@@ -293,6 +297,9 @@ def _check_params(name, params):
             raise MetricError(f"metric {name!r}: bad value {value!r} for parameter {key!r}")
     if not 3 <= out.get("n", 3) <= MAX_DIMENSION:  # before anything of size n is built
         raise MetricError(f"metric {name!r}: n must be in 3..{MAX_DIMENSION}, got {out['n']}")
+    if out.get("degree", 0) > MAX_POLY_DEGREE:
+        raise MetricError(f"metric {name!r}: degree must be in 0..{MAX_POLY_DEGREE}, "
+                          f"got {out['degree']}")
     return out
 
 

@@ -876,8 +876,9 @@ def check_two_pipeline_L(ctx, rng):
     )
 
     def residual(p):
+        wlz = chain_z["wl"].at(p, 0)  # first: it reads the frame at order 2, pipe["wl"] at 1
         return {
-            "connection": wlz_cocycle.at(p, 0) - chain_z["wl"].at(p, 0),
+            "connection": wlz_cocycle.at(p, 0) - wlz,
             "section": phil_a.at(p, 1) - phil_b.at(p, 1),
         }
     return ctx.sweep(rng, residual, "half")

@@ -304,23 +304,37 @@ def test_equivalence_check_kernel_calls_do_not_grow_with_points(monkeypatch):
 
 
 def test_equivalence_check_builds_no_order_3_jets(monkeypatch):
-    """The oracle, calibration included, reads every Geometry jet at order 2 or
-    less: it makes no order-3 `matmul` and factors no frame above order 2.  It
-    Newton-inverts no matrix above order 1 and no (n+2)-square one above order
-    0: the gauge and dressing fields in the structure group are inverted in
-    closed form, and the boost vector solves against the frame's value."""
+    """The oracle, calibration included, makes no jet product above order 1 outside
+    the metric's own evaluation (g at order 3), and factors the frame at order 1
+    only: the normal connection's boost dressing is the identity, so nothing reads
+    its frame at order 2.  It Newton-inverts no matrix above order 1 and no
+    (n+2)-square one above order 0: the gauge and dressing fields in the
+    structure group are inverted in closed form."""
     calls = collections.Counter()
     inverted = collections.Counter()  # (order, size) of each Newton inverse
+    in_metric = [0]  # depth of MetricField.g calls
 
-    def matmul(alg, *args, _kernel=JetAlgebra.matmul):
-        calls["matmul", alg.order] += 1
-        return _kernel(alg, *args)
+    def spy(name):
+        def kernel(alg, *args, _kernel=getattr(JetAlgebra, name)):
+            if not in_metric[0]:
+                calls[name, alg.order] += 1
+            return _kernel(alg, *args)
+        return kernel
+
+    def metric_g(metric, *args, _g=metrics.MetricField.g):
+        in_metric[0] += 1
+        try:
+            return _g(metric, *args)
+        finally:
+            in_metric[0] -= 1
 
     def inv_matrix(alg, a, _kernel=JetAlgebra.inv_matrix):
         inverted[alg.order, np.shape(a)[-2]] += 1
         return _kernel(alg, a)
-    monkeypatch.setattr(JetAlgebra, "matmul", matmul)
+    monkeypatch.setattr(JetAlgebra, "mul", spy("mul"))
+    monkeypatch.setattr(JetAlgebra, "matmul", spy("matmul"))
     monkeypatch.setattr(JetAlgebra, "inv_matrix", inv_matrix)
+    monkeypatch.setattr(metrics.MetricField, "g", metric_g)
 
     def factor(geom, order, _ldl=Geometry._ldl):
         calls["_ldl", order] += 1
@@ -330,8 +344,9 @@ def test_equivalence_check_builds_no_order_3_jets(monkeypatch):
     rng = np.random.default_rng(8)
     rep = tractor.equivalence_check(metric, metrics.sample_points(metric, 5, rng), rng)
     assert rep["max_residual"] < 1e-12
-    assert calls["matmul", 2] > 0 and calls["matmul", 3] == 0
-    assert calls["_ldl", 2] > 0 and calls["_ldl", 3] == 0
+    assert calls["mul", 1] > 0 and calls["matmul", 1] > 0
+    assert [k for k in calls if k[0] != "_ldl" and k[1] > 1] == []
+    assert [k for k in calls if k[0] == "_ldl"] == [("_ldl", 1)]
     n = metric.n
     assert inverted[0, n + 2] > 0 and inverted[1, n] > 0
     assert not [k for k in inverted if k[0] > 1 or (k[0] > 0 and k[1] == n + 2)], inverted

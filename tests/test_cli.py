@@ -108,6 +108,26 @@ def test_a_dimension_over_the_cap_is_refused_before_any_jet_table_is_built(
     assert f"3..{metrics.MAX_DIMENSION}" in err
 
 
+@pytest.mark.parametrize("degree", [metrics.MAX_POLY_DEGREE + 1, 50, 10**6])
+def test_a_polynomial_degree_over_the_cap_is_refused_before_the_builder_runs(
+        degree, capsys, monkeypatch):
+    """A poly_perturbation degree above `metrics.MAX_POLY_DEGREE` is a one-line error
+    with exit code 2, raised before any polynomial is drawn: no large one is built."""
+    real = metrics.random_polynomial
+
+    def guarded(rng, n, degree=3, scale=1.0):
+        assert degree <= metrics.MAX_POLY_DEGREE, f"drew a polynomial of degree {degree}"
+        return real(rng, n, degree, scale)
+    monkeypatch.setattr(metrics, "random_polynomial", guarded)
+    assert metrics.load_metric("poly_perturbation", degree=metrics.MAX_POLY_DEGREE, n=3)
+    code = cli.main(["run", "--metric", "poly_perturbation", "--param", f"degree={degree}",
+                     "--suite", "riemann-laws", "--points", "1", "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tractorlab: error: ") and err.count("\n") == 1
+    assert f"degree must be in 0..{metrics.MAX_POLY_DEGREE}, got {degree}" in err
+
+
 def test_a_metric_with_no_frame_at_a_sample_point_exits_2(tmp_path, capsys):
     # Lorentzian at every point (it passes the signature check), but g_00 = x1 > 0
     # puts the first frame pivot at the wrong sign wherever x1 > 0

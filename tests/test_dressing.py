@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reference import h_inverse
-from tractorlab import cartan, dressing, jets
+from tractorlab import cartan, dressing, jets, metrics
 from tractorlab.fields import ScalarField
 from tractorlab.geometry import Geometry
 
@@ -17,10 +17,47 @@ def _val(x):
     return np.asarray(x)[..., 0]
 
 
-def test_boost_dressing_of_normal_is_identity(bumpy):
-    wn = cartan.normal_connection(bumpy)
-    u1 = dressing.boost_dressing(wn)
-    assert np.abs(_val(u1.at(PT, 1)) - np.eye(6)).max() == 0.0
+NORMAL_CASES = [("schwarzschild", {}), ("round_sphere", {}), ("flat_minkowski", {}),
+                ("poly_perturbation", {"seed": 11})]
+
+
+def _points(metric):
+    pts = metrics.sample_points(metric, 5, np.random.default_rng(5))
+    return [pts, *pts[:2]]  # a batch and two single points
+
+
+@pytest.mark.parametrize("name, params", NORMAL_CASES, ids=[c[0] for c in NORMAL_CASES])
+def test_boost_dressing_of_normal_is_identity(name, params):
+    """wn has a = 0, so its boost dressing is K1(0) = 1 in every jet coefficient."""
+    metric = metrics.load_metric(name, **params)
+    u1 = dressing.boost_dressing(cartan.normal_connection(metric))
+    N = metric.n + 2
+    for p in _points(metric):
+        for order in range(4):
+            ident = jets.algebra(metric.n, order).const(np.eye(N))
+            assert np.array_equal(u1.at(p, order),
+                                  np.broadcast_to(ident, p.shape[:-1] + ident.shape))
+
+
+@pytest.mark.parametrize("name, params", NORMAL_CASES, ids=[c[0] for c in NORMAL_CASES])
+def test_normal_chain_equals_the_general_chain_of_wn(name, params):
+    """`normal_dressing_chain` skips the identity boost dressing; every field it
+    gives equals that of `dressing_chain(wn)` bit for bit, at every order the
+    general chain supports (the normal chain supports at least as many)."""
+    normal = dressing.normal_dressing_chain(metrics.load_metric(name, **params))
+    metric = metrics.load_metric(name, **params)  # its own memo
+    general = dressing.dressing_chain(cartan.normal_connection(metric))
+    assert list(normal) == ["wn", *general]
+    for key, want in general.items():
+        got = normal[key]
+        assert got.max_order >= want.max_order
+        for p in _points(metric):
+            for order in range(want.max_order + 1):
+                assert np.array_equal(got.at(p, order), want.at(p, order)), (key, order)
+            if isinstance(want, cartan.ConnectionField):
+                assert got.col0_order >= want.col0_order
+                for order in range(want.col0_order + 1):
+                    assert np.array_equal(got.col0(p, order), want.col0(p, order)), (key, order)
 
 
 def test_constant_boost_gives_inverse(bumpy):

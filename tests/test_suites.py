@@ -296,6 +296,27 @@ def test_a_broken_connection_combinator_fails_the_checks_that_share_it(name, mon
     assert not any((r.note or "").startswith("error") for r in results)
 
 
+# the checks that read the boost dressing of a gauged connection, in run order
+BOOST_READERS = ["k1-erasure", "boost-constraint", "dressing-weyl-cocycle", "iterated-cocycle",
+                 "residual-two-pipeline-1", "residual-two-pipeline-L"]
+
+
+def test_a_broken_boost_vector_fails_the_checks_that_dress_a_gauged_connection(monkeypatch):
+    """The normal chain's boost dressing is the identity and runs no `boost_vector`,
+    so only the gauged chains test it: a boost vector scaled by 1.01 fails exactly
+    the checks that dress a gauged connection, with no error note."""
+    def run():
+        return suites.run_suites(metrics.load_metric("schwarzschild"),
+                                 ["dressing-k1", "dressing-residual"], seed=7, npoints=5)
+
+    assert all(r.passed for r in run())
+    boost_vector = dressing.boost_vector
+    monkeypatch.setattr(dressing, "boost_vector", lambda *args: 1.01 * boost_vector(*args))
+    results = run()
+    assert [r.check_id for r in results if not r.passed] == BOOST_READERS
+    assert not any((r.note or "").startswith("error") for r in results)
+
+
 # the block each check that draws a gauge marked H-valued adds on that gauge
 MEMBERSHIP = {"gt0-table": "H membership", "gt1-table": "H membership",
               "boost-constraint": "gauge H membership"}
