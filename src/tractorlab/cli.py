@@ -4,17 +4,18 @@
         --report out.json --format json
 
 Exit code 0 iff every check passes, 1 if a check fails, and 2 for bad input
-(usage, a repeated `--param`, metric spec, parameters, n above 10, a polynomial
-degree above 3, expressions, tolerance overrides, a metric with no frame of its
-signature at a sampled point), which is reported as one `tractorlab: error: ...`
-line.  Reports are deterministic for a fixed (config, seed) apart from the timing
-field.
+(usage, more than 500 `--points`, a repeated `--param`, metric spec, parameters,
+n above 10, a polynomial degree above 3, expressions, a tolerance override that
+is not a finite number of at least 1e-12, a metric with no frame of its signature
+at a sampled point), which is reported as one `tractorlab: error: ...` line.
+Reports are deterministic for a fixed (config, seed) apart from the timing field.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -55,8 +56,8 @@ def parse_tol_overrides(pairs):
             tol = float(value)
         except ValueError:
             raise UsageError(f"tolerance for {key} must be a number, got {value!r}") from None
-        if not tol >= 1e-12:
-            raise UsageError(f"tolerance for {key} must be >= 1e-12, got {tol}")
+        if not (math.isfinite(tol) and tol >= 1e-12):  # an infinite one switches the check off
+            raise UsageError(f"tolerance for {key} must be finite and >= 1e-12, got {value!r}")
         out[key] = tol
     return out
 
@@ -77,6 +78,8 @@ def non_negative_int(text):
 
 
 def build_report(args):
+    if args.points > suites.MAX_POINTS:  # before any point is drawn
+        raise UsageError(f"--points must be at most {suites.MAX_POINTS}, got {args.points}")
     params = parse_params(args.param)
     tolerances = parse_tol_overrides(args.tol_override)
     try:
@@ -153,7 +156,8 @@ def main(argv=None):
                           "mass=..., n=...)")
     run.add_argument("--suite", action="append", default=None,
                      help=f"suite name or 'all' ({', '.join(suites.SUITES)})")
-    run.add_argument("--points", type=positive_int, default=20)
+    run.add_argument("--points", type=positive_int, default=20,
+                     help=f"chart points per check, 1 to {suites.MAX_POINTS} (default 20)")
     run.add_argument("--seed", type=non_negative_int, default=0)
     run.add_argument("--tol-override", action="append", metavar="CHECK=TOL")
     run.add_argument("--report", default=None, help="write the report to this path")

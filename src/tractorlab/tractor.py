@@ -9,9 +9,9 @@ derivative is `cartan.section_derivative`, the tractor curvature
 
 Tractor triples are stored (sigma, l_nu, rho) with l covariant; the dressed
 composite sections come out as (rho_L, l_L^mu, sigma) with l contravariant.
-The dictionary between the two conventions is not hand-asserted: it is
-calibrated by a finite search over reversal/index-lowering/sign candidates
-against the Weyl transformation law, and the survivor is used everywhere.
+The dictionary between the two conventions is not hand-asserted: one stacked
+pass over a finite family of reversal/index-lowering/sign candidates calibrates
+it against the Weyl transformation law, and the survivor is used everywhere.
 
 Every field and function here takes a point (n,) or a batch of points
 (..., n), with the batch axes in front of every result; the calibration and
@@ -226,6 +226,8 @@ class ConventionMap:
 
 # the rescaling z(x) that convention calibration compares the Weyl laws under
 DEFAULT_Z = "exp(0.3*x0 + 0.1*x1^2)"
+# its field, compiled once per dimension and shared: a ScalarField keeps no batch
+DEFAULT_Z_FIELD = ScalarField.from_expression(DEFAULT_Z)
 
 ALL_CANDIDATES = tuple(
     ConventionMap(reverse, lower, s_ell, s_rho)
@@ -236,10 +238,24 @@ ALL_CANDIDATES = tuple(
 )
 
 
+def _apply_all(alg, column, g, ginv):
+    """`cand.apply(alg, column, g, ginv)` of every candidate, stacked in `ALL_CANDIDATES`
+    order: two products lower, and reversal and signs broadcast over axes of size 2."""
+    out = np.empty((2, 3, 2, 2) + column.shape)  # (reverse, lower, s_ell, s_rho, ...)
+    ends = np.stack([column[..., -1, :], column[..., 0, :]])[:, None, None, None]
+    sign = np.array([1.0, -1.0]).reshape((2,) + (1,) * (column.ndim - 1))  # +-1 over (..., NC)
+    out[..., 0, :] = ends  # sigma: the last component if reversed, else the first
+    out[..., -1, :] = ends[::-1] * sign  # rho, times s_rho
+    mid = column[..., 1:-1, :]
+    for k, low in enumerate((matvec(alg, g, mid), matvec(alg, ginv, mid), mid)):
+        out[:, k, ..., 1:-1, :] = sign[:, None, None] * low  # times s_ell
+    return out.reshape((len(ALL_CANDIDATES),) + column.shape)
+
+
 def calibrate_convention_map(metric, z_field, points, rng):
-    """Search the candidate family for the unique map commuting with the Weyl
-    transformation laws of both pipelines, to 1e-8 relative; fails loudly on 0 or
-    >1 survivors."""
+    """Search the candidate family, in one stacked pass over it, for the unique map
+    commuting with the Weyl transformation laws of both pipelines, to 1e-8
+    relative; fails loudly on 0 or >1 survivors."""
     n = metric.n
     z_f = ScalarField.coerce(z_field)
     rescaled = metric.rescale(z_f)
@@ -259,13 +275,11 @@ def calibrate_convention_map(metric, z_field, points, rng):
     phi = a0.const(rng.normal(size=(len(x), 4, n + 2)))
     phi_z = matvec(a0, cbar_inv, phi)
 
-    survivors = []
-    for cand in ALL_CANDIDATES:
-        lhs = cand.apply(a0, phi_z, g_hat, ginv_hat)
-        rhs = matvec(a0, u, cand.apply(a0, phi, g, ginv))
-        scale = 1.0 + np.abs(rhs).max(axis=(-2, -1))
-        if np.all(np.abs(lhs - rhs).max(axis=(-2, -1)) <= 1e-8 * scale):
-            survivors.append(cand)
+    lhs = _apply_all(a0, phi_z, g_hat, ginv_hat)
+    rhs = matvec(a0, u, _apply_all(a0, phi, g, ginv))  # u broadcasts over the candidates
+    scale = 1.0 + np.abs(rhs).max(axis=(-2, -1))
+    ok = (np.abs(lhs - rhs).max(axis=(-2, -1)) <= 1e-8 * scale).all(axis=(1, 2))
+    survivors = [cand for cand, keep in zip(ALL_CANDIDATES, ok) if keep]
     if not survivors:
         raise CalibrationError("no convention map matches both Weyl laws; upstream convention bug")
     if len(survivors) > 1:
@@ -283,8 +297,7 @@ def equivalence_check(metric, points, rng, cmap=None):
     n = metric.n
     if cmap is None:
         cal_pts = points[: max(3, min(5, len(points)))]
-        cmap = calibrate_convention_map(metric, ScalarField.from_expression(DEFAULT_Z),
-                                        cal_pts, rng)
+        cmap = calibrate_convention_map(metric, DEFAULT_Z_FIELD, cal_pts, rng)
 
     wl = normal_dressing_chain(metric)["wl"]
     sigma = random_poly_field(rng, n, 2)

@@ -1,15 +1,17 @@
 """Reference implementations that only the tests compare against: a second-order
 finite-difference oracle, the graded split of the Cartan algebra, the factored
 group inverse, the jets of K0 K1 as a jet matrix product, raw partial
-derivatives of a jet, the jet of a coordinate, and `k1-erasure` drawn one gauge
-at a time."""
+derivatives of a jet, the jet of a coordinate, `k1-erasure` drawn one gauge
+at a time, and the convention calibration tested one candidate at a time."""
 
 import math
 
 import numpy as np
 
-from tractorlab import cartan, dressing, jets, suites
+from tractorlab import cartan, dressing, jets, suites, tractor
+from tractorlab.cartan import matvec
 from tractorlab.fields import ScalarField, domain_poly_field
+from tractorlab.geometry import Geometry
 from tractorlab.jets import JetError
 
 
@@ -95,6 +97,43 @@ def k1_erasure_loop(ctx, rng):
         dressed = dressing.dressing_chain(cartan.transform_connection(wn, gam1))["w1"]
         tr.add(pts, np.abs(dressed.at(pts, 1) - b) / scale)
     return tr
+
+
+def calibrate_loop(metric, z_field, points, rng):
+    """`tractor.calibrate_convention_map` with each candidate applied and tested on
+    its own, in `ALL_CANDIDATES` order."""
+    n = metric.n
+    z_f = ScalarField.coerce(z_field)
+    rescaled = metric.rescale(z_f)
+    cbar = dressing.weyl_cocycle(metric, z_f, "Cbar")
+    gt = tractor.weyl_matrix_field(metric, z_f)
+    a0 = jets.algebra(n, 0)
+    x = np.asarray(points, dtype=float)
+    geom = Geometry(metric, x)
+    g, ginv = geom.g(0)[:, None], geom.ginv(0)[:, None]
+    g_hat = rescaled.g(x, 0)[:, None]
+    ginv_hat = a0.inv_matrix(g_hat)
+    cbar_inv = a0.inv_matrix(cbar.at(x, 0))[:, None]
+    u = gt.at(x, 0)[:, None]
+    phi = a0.const(rng.normal(size=(len(x), 4, n + 2)))
+    phi_z = matvec(a0, cbar_inv, phi)
+
+    survivors = []
+    for cand in tractor.ALL_CANDIDATES:
+        lhs = cand.apply(a0, phi_z, g_hat, ginv_hat)
+        rhs = matvec(a0, u, cand.apply(a0, phi, g, ginv))
+        scale = 1.0 + np.abs(rhs).max(axis=(-2, -1))
+        if np.all(np.abs(lhs - rhs).max(axis=(-2, -1)) <= 1e-8 * scale):
+            survivors.append(cand)
+    if not survivors:
+        raise tractor.CalibrationError(
+            "no convention map matches both Weyl laws; upstream convention bug")
+    if len(survivors) > 1:
+        raise tractor.CalibrationError(
+            f"{len(survivors)} convention maps survive (degenerate sample; use a non-constant "
+            f"rescaling): {survivors}"
+        )
+    return survivors[0]
 
 
 def partial(alg, a, alpha):

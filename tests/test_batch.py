@@ -4,11 +4,12 @@ import collections
 import functools
 import inspect
 import operator
+import sys
 
 import numpy as np
 import pytest
 
-from tractorlab import brst, cartan, dressing, jets, metrics, suites, tractor
+from tractorlab import brst, cartan, dressing, expr, jets, metrics, suites, tractor
 from tractorlab.fields import ScalarField, domain_poly_field, domain_z_field, random_poly_field
 from tractorlab.geometry import FrameError, Geometry
 from tractorlab.jets import JetAlgebra
@@ -586,6 +587,60 @@ def test_calibration_draws_the_per_point_numbers():
     _draws_one_by_one(ref, 5 * 4, N)
     assert rng.bit_generator.state == ref.bit_generator.state
     assert cmap == tractor.ConventionMap(True, "g", -1, -1)
+
+
+def test_calibration_tests_every_candidate_in_a_fixed_number_of_products(monkeypatch):
+    """One calibration makes the same jet matrix products on any metric and sample,
+    at most 6 of them its own (the rest evaluate the Weyl fields), and applies no
+    candidate on its own: a loop over the candidates made two per candidate."""
+    callers = collections.Counter()  # the function that asked for each product
+    applied = []
+
+    def matmul(alg, a, b, _kernel=JetAlgebra.matmul):
+        frame = sys._getframe(1)
+        while frame.f_code.co_filename in (jets.__file__, cartan.__file__):  # matvec
+            frame = frame.f_back
+        callers[frame.f_code.co_name] += 1
+        return _kernel(alg, a, b)
+
+    def apply(cmap, *args, _apply=tractor.ConventionMap.apply):
+        applied.append(cmap)
+        return _apply(cmap, *args)
+    monkeypatch.setattr(JetAlgebra, "matmul", matmul)
+    monkeypatch.setattr(tractor.ConventionMap, "apply", apply)
+    counts = []
+    for name, npoints in (("schwarzschild", 5), ("round_sphere", 3)):
+        callers.clear()
+        metric = metrics.load_metric(name)
+        rng = np.random.default_rng(4)
+        tractor.calibrate_convention_map(metric, tractor.DEFAULT_Z_FIELD,
+                                         metrics.sample_points(metric, npoints, rng), rng)
+        counts.append(dict(callers))
+    assert counts[0] == counts[1]
+    own = counts[0].get("calibrate_convention_map", 0) + counts[0].get("_apply_all", 0)
+    assert 0 < own <= 6
+    assert applied == []
+
+
+def test_default_rescaling_compiles_once_per_dimension(monkeypatch):
+    """Two flagship oracles and the suites' calibration share `DEFAULT_Z_FIELD`, so
+    `DEFAULT_Z` compiles to one program per dimension (a fresh field stands in
+    for the module's, which earlier tests may have compiled already)."""
+    z = expr.parse(tractor.DEFAULT_Z)
+    compiled = collections.Counter()
+
+    def program(prog, roots, n, _init=expr.Program.__init__):
+        compiled[n] += roots == [z]
+        _init(prog, roots, n)
+    monkeypatch.setattr(expr.Program, "__init__", program)
+    monkeypatch.setattr(tractor, "DEFAULT_Z_FIELD", ScalarField.from_expression(tractor.DEFAULT_Z))
+    for metric in (metrics.load_metric("schwarzschild"), metrics.load_metric("round_sphere", n=3)):
+        rng = np.random.default_rng(6)
+        tractor.equivalence_check(metric, metrics.sample_points(metric, 5, rng), rng)
+    ctx = suites.Context(metrics.load_metric("flat_euclidean"), seed=0, npoints=3)
+    fn = dict(suites.SUITES["tractor-equivalence"])["convention-calibration"]
+    assert suites.run_check(ctx, "convention-calibration", fn).passed
+    assert compiled == {4: 1, 3: 1}
 
 
 def test_verdict_kernel_calls_do_not_depend_on_points(monkeypatch):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tractorlab import cli, metrics
+from tractorlab import cli, metrics, suites
 
 
 def run_cli(tmp_path, *args):
@@ -232,8 +232,6 @@ def test_determinism_modulo_timing(tmp_path):
 
 
 def test_every_check_has_a_unique_law():
-    from tractorlab import suites
-
     laws = [meta["law"] for meta in suites.META.values()]
     assert len(laws) == len(set(laws))
     for check_id, meta in suites.META.items():
@@ -291,3 +289,31 @@ def test_an_unknown_suite_next_to_all_is_a_usage_error(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("tractorlab: error: unknown suite 'bogus'") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "1e999"])
+def test_a_tolerance_that_is_not_finite_is_a_one_line_error(tol, capsys):
+    # an infinite tolerance would switch its check off, and write Infinity, which
+    # is not JSON, into the report
+    code = cli.main(["run", "--metric", "flat_euclidean", "--suite", "riemann-laws",
+                     "--points", "3", "--tol-override", f"bianchi={tol}", "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tractorlab: error: tolerance for bianchi must be finite")
+    assert err.count("\n") == 1
+
+
+def test_points_above_the_cap_are_refused_before_any_point_is_drawn(monkeypatch, capsys):
+    metric = metrics.load_metric("flat_euclidean")
+
+    def sample_points(metric, count, rng):
+        pytest.fail(f"{count} points drawn")  # nothing is drawn, so nothing large is allocated
+    monkeypatch.setattr(metrics, "sample_points", sample_points)
+    cap = suites.MAX_POINTS
+    assert cli.main(["run", "--metric", "flat_euclidean", "--suite", "riemann-laws", "--quiet",
+                     "--points", str(cap + 1)]) == 2
+    assert capsys.readouterr().err == f"tractorlab: error: --points must be at most {cap}, " \
+                                      f"got {cap + 1}\n"
+    with pytest.raises(ValueError, match="npoints"):
+        suites.run_suites(metric, ["riemann-laws"], npoints=cap + 1)
+    assert suites.Context(metric, npoints=cap).npoints == cap

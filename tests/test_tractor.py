@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference import calibrate_loop
 
 from tractorlab import cartan, dressing, jets, metrics, tractor
 from tractorlab.fields import JetField, ScalarField
@@ -194,3 +195,63 @@ def test_calibration_rejects_a_broken_weyl_law(corrupt, monkeypatch):
     corrupt(monkeypatch)
     with pytest.raises(tractor.CalibrationError, match="no convention map"):
         calibrate()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", metrics.CATALOG)
+def test_stacked_calibration_is_the_candidate_loop(name, seed):
+    """Testing every candidate in one stacked pass picks the map that testing them
+    one at a time picks, from the same draws."""
+    metric = metrics.load_metric(name)
+    rngs = [np.random.default_rng(seed) for _ in range(2)]
+    maps = [calibrate(metric, tractor.DEFAULT_Z_FIELD, metrics.sample_points(metric, 5, rng), rng)
+            for calibrate, rng in zip((tractor.calibrate_convention_map, calibrate_loop), rngs)]
+    assert maps[0] == maps[1]
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+def _transpose_weyl_matrix(monkeypatch):
+    weyl_matrix_field = tractor.weyl_matrix_field
+
+    def transposed(metric, z_field):
+        u = weyl_matrix_field(metric, z_field)
+        return JetField(lambda p, k: np.swapaxes(u.at(p, k), -3, -2), u.n, u.max_order)
+
+    monkeypatch.setattr(tractor, "weyl_matrix_field", transposed)
+
+
+@pytest.mark.parametrize("z, corrupt, survive", [
+    (ScalarField.constant(2.0), None, "4 convention maps survive"),  # listed in order
+    (tractor.DEFAULT_Z_FIELD, _transpose_weyl_matrix, "no convention map"),
+])
+def test_stacked_calibration_fails_like_the_candidate_loop(z, corrupt, survive, monkeypatch):
+    metric = metrics.load_metric("poly_perturbation", seed=2)
+    if corrupt:
+        corrupt(monkeypatch)
+    messages = []
+    for calibrate in (tractor.calibrate_convention_map, calibrate_loop):
+        rng = np.random.default_rng(5)
+        with pytest.raises(tractor.CalibrationError, match=survive) as err:
+            calibrate(metric, z, metrics.sample_points(metric, 5, rng), rng)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("batch", [(), (5, 4)], ids=["point", "batch"])
+def test_apply_all_stacks_each_candidate(bumpy, rng, batch, order):
+    """Slice k of `_apply_all` is candidate k's `apply`, at one point and on a batch
+    of points with a trial axis, within 1e3 eps normwise."""
+    alg = jets.algebra(4, order)
+    pts = metrics.sample_points(bumpy, 5, rng) if batch else np.asarray(PT)
+    geom = Geometry(bumpy, pts)
+    g, ginv = geom.g(order), geom.ginv(order)
+    if batch:
+        g, ginv = g[:, None], ginv[:, None]
+    col = rng.normal(size=batch + (6, g.shape[-1]))
+    stacked = tractor._apply_all(alg, col, g, ginv)
+    assert stacked.shape == (len(tractor.ALL_CANDIDATES),) + col.shape
+    for got, cand in zip(stacked, tractor.ALL_CANDIDATES):
+        want = cand.apply(alg, col, g, ginv)
+        assert np.linalg.norm(got - want) <= 1e3 * np.finfo(float).eps * max(
+            np.linalg.norm(want), 1.0)
